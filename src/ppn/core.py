@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -78,13 +78,20 @@ MAX_RADIUS = 10
 _MAX_EXPONENT = 2 * MAX_RADIUS + 1
 _POW = {p: tuple(p**e for e in range(_MAX_EXPONENT + 1)) for p in PRIMES}
 _PRODUCT_LIMIT = 2**63
+_PRIME_ROWS = np.array(PERMUTATIONS, dtype=np.int64)
 
-_CODE_OF = np.full(256, -1, dtype=np.int16)
-for _i, _b in enumerate(BASES):
-    _CODE_OF[ord(_b)] = _i
-    _CODE_OF[ord(_b.lower())] = _i
+#: Nucleotides per chunk of :func:`count_histogram`.
+_CHUNK = 1 << 15
+
+#: ``bytes.translate`` table: byte -> base code (A=0, C=1, G=2, T=3,
+#: either case), 0xFF for every other byte.
+_CODE_OF = bytes(
+    BASES.index(chr(b)) if chr(b) in BASES else 0xFF for b in bytes(range(256)).upper()
+)
+#: Bytes that :func:`encode` ignores outright.
+_SPACE = b" \t\r\n\x0b\x0c"
+_VALID = BASES.encode() + BASES.lower().encode() + _SPACE
 _BASE_BYTES = np.frombuffer(BASES.encode(), dtype=np.uint8)
-_WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
 
 
 class Metric(str, Enum):
@@ -92,6 +99,11 @@ class Metric(str, Enum):
 
     EUCLIDEAN = "euclidean"
     MANHATTAN = "manhattan"
+
+
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (``True`` is an ``int`` too)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -111,14 +123,14 @@ class PpnParams:
     allow_gaps: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.radius, int) or self.radius < 1:
+        if not _is_int(self.radius) or self.radius < 1:
             raise ValidationError(f"radius must be an integer >= 1, got {self.radius!r}")
         if self.radius > MAX_RADIUS:
             raise ValidationError(
                 f"radius must be <= {MAX_RADIUS} to keep window products below 2**63, "
                 f"got {self.radius}"
             )
-        if not isinstance(self.stride, int) or self.stride < 1:
+        if not _is_int(self.stride) or self.stride < 1:
             raise ValidationError(f"stride must be an integer >= 1, got {self.stride!r}")
         if self.stride > self.radius:
             if not self.allow_gaps:
@@ -200,33 +212,35 @@ def _from_codes(seq_id: str, codes: np.ndarray, dropped: int = 0) -> EncodedSequ
     return EncodedSequence(id=seq_id, codes=codes, dropped=dropped)
 
 
-def encode(raw: str, policy: str = "drop", seq_id: str = "seq") -> EncodedSequence:
+def encode(raw: str | bytes, policy: str = "drop", seq_id: str = "seq") -> EncodedSequence:
     """Sanitize and encode a nucleotide string.
 
-    Case-insensitive A/C/G/T map to codes 0..3.  Whitespace is ignored
-    outright.  Any other character (ambiguity codes, gaps, '*', ...) is
-    dropped and counted under the default ``"drop"`` policy, or raises
-    :class:`InvalidCharacterError` under ``"strict"``.
+    ``raw`` is text or bytes (any bytes-like object); text is taken one
+    Latin-1 byte per character, with characters outside Latin-1 read as
+    ``'?'``.  Case-insensitive A/C/G/T map to codes 0..3.  Whitespace
+    (space, tab, CR, LF, VT, FF) is ignored outright, so a FASTA record
+    body can be passed with its line breaks.  Any other character
+    (ambiguity codes, gaps, '*', ...) is dropped and counted under the
+    default ``"drop"`` policy, or raises :class:`InvalidCharacterError`
+    under ``"strict"``.
 
     Raises :class:`EmptySequenceError` if nothing remains.
     """
     if policy not in ("drop", "strict"):
         raise ValidationError(f"unknown sanitize policy {policy!r}")
-    data = raw.encode("latin-1", errors="replace")
-    arr = np.frombuffer(data, dtype=np.uint8)
-    codes_all = _CODE_OF[arr]
-    keep = codes_all >= 0
-    kept = codes_all[keep].astype(np.int8)
-    n_ws = int(np.isin(arr, np.frombuffer(b" \t\r\n\x0b\x0c", dtype=np.uint8)).sum())
-    dropped = len(arr) - len(kept) - n_ws
-    if dropped and policy == "strict":
-        bad = next(chr(b) for b in data if b not in _WHITESPACE and _CODE_OF[b] < 0)
-        raise InvalidCharacterError(
-            f"sequence {seq_id!r}: invalid character {bad!r} under strict policy"
-        )
+    data = raw.encode("latin-1", errors="replace") if isinstance(raw, str) else bytes(raw)
+    kept = data.translate(_CODE_OF, _SPACE)
+    dropped = kept.count(0xFF)
+    if dropped:
+        if policy == "strict":
+            bad = chr(data.translate(None, _VALID)[0])
+            raise InvalidCharacterError(
+                f"sequence {seq_id!r}: invalid character {bad!r} under strict policy"
+            )
+        kept = kept.translate(None, b"\xff")
     if len(kept) == 0:
         raise EmptySequenceError(f"sequence {seq_id!r}: no A/C/G/T content")
-    return _from_codes(seq_id, kept, dropped)
+    return _from_codes(seq_id, np.frombuffer(kept, dtype=np.int8), dropped)
 
 
 def window_count(length: int, stride: int) -> int:
@@ -322,26 +336,6 @@ def window_product_sum(seq: EncodedSequence, params: PpnParams, perm: int) -> in
     return sum(window_products(seq, params, perm))
 
 
-def _window_count_table(seq: EncodedSequence, params: PpnParams) -> np.ndarray:
-    """Count tuples of every window, vectorized: one (n, 4) int array.
-
-    A single pass builds per-base prefix sums; each window's counts are
-    then two prefix lookups, which is the incremental-update recurrence
-    evaluated for all centers at once.
-    """
-    codes = seq.codes
-    n_nt = len(codes)
-    dtype = np.int32 if n_nt < 2**31 else np.int64
-    prefix = np.zeros((n_nt + 1, 4), dtype=dtype)
-    for b in range(4):
-        np.cumsum(codes == b, out=prefix[1:, b])
-    step = params.stride + 1
-    centers0 = np.arange(window_count(n_nt, params.stride), dtype=np.int64) * step
-    lo = np.maximum(centers0 - params.radius, 0)
-    hi = np.minimum(centers0 + params.radius, n_nt - 1)
-    return prefix[hi + 1] - prefix[lo]
-
-
 def count_histogram(
     seq: EncodedSequence, params: PpnParams
 ) -> dict[tuple[int, int, int, int], int]:
@@ -352,20 +346,58 @@ def count_histogram(
     2*radius+1 nucleotides, so the number of distinct tuples is bounded
     by the compositions of that total into four parts, independent of
     sequence length.
+
+    Full windows are counted in chunks of about :data:`_CHUNK`
+    nucleotides, so the working memory is bounded by the chunk size and
+    not by the sequence length.  Each base weighs (2l+2)**b for A, C, G
+    (b = 0, 1, 2) and T weighs nothing; one cumulative sum of the
+    weights turns every window into a packed key ``A + C*B + G*B**2``
+    taken from two prefix lookups, and ``np.bincount`` over the B**3
+    keys tallies them.  T is implied, since a full window holds
+    2l+1 nucleotides.  The few windows cut short by either end of the
+    sequence, at most 2*ceil(l/(t+1)), are counted one by one.
     """
-    table = _window_count_table(seq, params)
-    base = 2 * params.radius + 2
-    keys = table.astype(np.int64) @ np.array(
-        [1, base, base**2, base**3], dtype=np.int64
+    n_nt, radius, step = seq.length, params.radius, params.stride + 1
+    span = 2 * radius + 1
+    base = span + 1
+    n_windows = window_count(n_nt, params.stride)
+    # full windows are those with index in [first, stop)
+    first = -(-radius // step)
+    stop = max(first, (n_nt - 1 - radius) // step + 1)
+
+    per_chunk = max(1, _CHUNK // step)
+    weights = np.array([1, base, base * base, 0], dtype=np.int64)
+    bins = np.zeros(base**3, dtype=np.int64)
+    # a chunk of m windows reads (m-1)*step + span nucleotides; the
+    # buffers fit the largest chunk and every chunk reuses them
+    most = max(0, min(per_chunk, stop - first))
+    prefix = np.zeros(most * step + span, dtype=np.int64)
+    key_buf = np.empty(most, dtype=np.int64)
+    for i0 in range(first, stop, per_chunk):
+        m = min(per_chunk, stop - i0)
+        size = (m - 1) * step + span
+        lo = i0 * step - radius
+        pre = prefix[: size + 1]
+        # mode="clip" lets take write straight into pre; codes are 0..3
+        np.take(weights, seq.codes[lo : lo + size], out=pre[1:], mode="clip")
+        np.cumsum(pre, out=pre)
+        keys = np.subtract(pre[span::step], pre[: size + 1 - span : step], out=key_buf[:m])
+        bins += np.bincount(keys, minlength=len(bins))
+
+    seen = np.flatnonzero(bins)
+    a = seen % base
+    c = seen // base % base
+    g = seen // (base * base)
+    t = span - a - c - g
+    hist = dict(
+        zip(
+            zip(a.tolist(), c.tolist(), g.tolist(), t.tolist()),
+            bins[seen].tolist(),
+        )
     )
-    uniq, mult = np.unique(keys, return_counts=True)
-    hist = {}
-    for key, m in zip(uniq.tolist(), mult.tolist()):
-        f1 = key % base
-        f2 = key // base % base
-        f3 = key // base**2 % base
-        f4 = key // base**3
-        hist[(f1, f2, f3, f4)] = m
+    for i in chain(range(min(first, n_windows)), range(stop, n_windows)):
+        counts = window_counts_at(seq, i * step + 1, radius)
+        hist[counts] = hist.get(counts, 0) + 1
     return hist
 
 
@@ -377,14 +409,18 @@ def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
     arithmetic makes the reordering harmless.
     """
     hist = count_histogram(seq, params)
-    sums = [0] * len(PERMUTATIONS)
-    for counts, m in hist.items():
-        for j in range(len(PERMUTATIONS)):
-            sums[j] += m * prime_product(counts, j)
+    windows = window_count(seq.length, params.stride)
+    # products[d, j] is tuple d's window product under assignment j;
+    # the radius cap keeps each below 2**63, so int64 holds it exactly
+    powers = _PRIME_ROWS ** np.array(list(hist), dtype=np.int64)[:, None, :]
+    products = powers[..., 0] * powers[..., 1] * powers[..., 2] * powers[..., 3]
+    # no sum exceeds windows * 7**(2l+1): int64 below 2**63, else Python ints
+    exact = np.int64 if windows * 7 ** (2 * params.radius + 1) < _PRODUCT_LIMIT else object
+    sums = np.array(list(hist.values()), dtype=exact) @ products.astype(exact)
     return PpnVector(
-        components=tuple(sums),
+        components=tuple(sums.tolist()),
         sequence_length=seq.length,
-        windows=window_count(seq.length, params.stride),
+        windows=windows,
         params=params,
     )
 

@@ -112,7 +112,11 @@ def pairwise_matrix(
         try:
             return ppn_vector(seq, params)
         except Exception as exc:
-            raise type(exc)(f"record {seq.id!r}: {exc}") from exc
+            # Same class, record id in front.  ``__new__`` skips
+            # ``__init__``, whose signature differs between classes.
+            err = type(exc).__new__(type(exc), f"record {seq.id!r}: {exc}")
+            err.__dict__.update(exc.__dict__)
+            raise err from exc
 
     if threads == 1 or len(seqs) == 1:
         vectors = [vector_for(s) for s in seqs]

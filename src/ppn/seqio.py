@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EncodedSequence, _from_codes, encode
+from .core import _SPACE, EncodedSequence, _from_codes, encode
 from .errors import DuplicateIdError, MalformedFastaError, ValidationError
 
 __all__ = ["SimulationSpec", "read_fasta", "write_fasta", "simulate"]
@@ -38,59 +38,91 @@ class SimulationSpec:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
 
 
-def _lines(source):
-    """Iterate text lines from a path, text stream, or byte stream."""
+def _read_all(source) -> tuple[bytes, str | None]:
+    """The whole input as bytes, plus the text itself for a text stream.
+
+    Text is encoded one Latin-1 byte per character (``'?'`` for a
+    character outside Latin-1), so offsets into the bytes are offsets
+    into the text.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield from (line.decode("latin-1") for line in fh)
-        return
-    for line in source:
-        yield line.decode("latin-1") if isinstance(line, bytes) else line
+            return fh.read(), None
+    data = source.read()
+    if isinstance(data, str):
+        return data.encode("latin-1", errors="replace"), data
+    return bytes(data), None
+
+
+def _header_starts(buf: bytes) -> list[int]:
+    """Offsets of every '>' that opens a line; CR, LF and CRLF end lines."""
+    starts = [0] if buf.startswith(b">") else []
+    for sep in (b"\n>", b"\r>"):
+        i = buf.find(sep)
+        while i >= 0:
+            starts.append(i + 1)
+            i = buf.find(sep, i + 2)
+    return sorted(starts)
+
+
+def _line_number(buf: bytes, pos: int) -> int:
+    """1-based number of the line holding offset ``pos``."""
+    crlf = buf.count(b"\r\n", 0, pos)
+    return 1 + buf.count(b"\n", 0, pos) + buf.count(b"\r", 0, pos) - crlf
 
 
 def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     """Parse FASTA into encoded sequences, preserving record order.
 
-    ``source`` may be a path or an open text/byte stream; CRLF and LF
-    line endings are both accepted.  Record ids are the first
-    whitespace-delimited token of the header.  Per-record dropped
-    character counts end up on the records themselves.
+    ``source`` may be a path or an open text/byte stream; it is read
+    whole, once.  LF, CRLF and CR-only line endings are all accepted.
+    Record ids are the first whitespace-delimited token of the header.
+    Each record's body goes to :func:`encode` in one piece, line breaks
+    included, so memory is linear in the input and per-record dropped
+    character counts end up on the records themselves.  Blank lines
+    (only spaces, tabs, CR, LF, VT, FF) are ignored.
 
     Raises :class:`MalformedFastaError` for data before the first
     header, an empty header, or an input with no records at all;
     :class:`DuplicateIdError` for repeated ids; and propagates
     :class:`EmptySequenceError` for records with no usable nucleotides.
     """
+    buf, text = _read_all(source)
+    starts = _header_starts(buf)
+    head = buf[: starts[0]] if starts else buf
+    data_at = len(head) - len(head.lstrip(_SPACE))
+    if data_at < len(head):
+        raise MalformedFastaError(
+            f"line {_line_number(buf, data_at)}: sequence data before the first '>' header"
+        )
+    if not starts:
+        raise MalformedFastaError("input contains no FASTA records")
+
     records: list[EncodedSequence] = []
     seen: set[str] = set()
-    current_id = None
-    chunks: list[str] = []
-
-    def finish():
-        if current_id is not None:
-            records.append(encode("".join(chunks), policy=policy, seq_id=current_id))
-
-    for lineno, line in enumerate(_lines(source), start=1):
-        line = line.rstrip("\r\n")
-        if line.startswith(">"):
-            finish()
-            header = line[1:].strip()
-            if not header:
-                raise MalformedFastaError(f"line {lineno}: empty FASTA header")
-            current_id = header.split()[0]
-            if current_id in seen:
-                raise DuplicateIdError(f"duplicate record id {current_id!r}")
-            seen.add(current_id)
-            chunks = []
-        elif line.strip():
-            if current_id is None:
-                raise MalformedFastaError(
-                    f"line {lineno}: sequence data before the first '>' header"
-                )
-            chunks.append(line)
-    finish()
-    if not records:
-        raise MalformedFastaError("input contains no FASTA records")
+    body = None
+    for start, stop in zip(starts, starts[1:] + [len(buf)]):
+        # the previous record is encoded first, so errors come in file order
+        if body is not None:
+            records.append(encode(body, policy=policy, seq_id=seq_id))
+        end = buf.find(b"\n", start, stop)
+        if end < 0:
+            end = stop
+        cr = buf.find(b"\r", start, end)
+        if cr >= 0:
+            end = cr
+        if text is None:
+            header = buf[start + 1 : end].decode("latin-1").strip()
+        else:
+            header = text[start + 1 : end].strip()
+        if not header:
+            raise MalformedFastaError(f"line {_line_number(buf, start)}: empty FASTA header")
+        seq_id = header.split()[0]
+        if seq_id in seen:
+            raise DuplicateIdError(f"duplicate record id {seq_id!r}")
+        seen.add(seq_id)
+        body = buf[end:stop]
+    records.append(encode(body, policy=policy, seq_id=seq_id))
     return records
 
 

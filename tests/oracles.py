@@ -10,6 +10,7 @@ use only the public tree node type to construct inputs.
 from __future__ import annotations
 
 import decimal
+import re
 from collections import deque
 from itertools import combinations
 
@@ -45,6 +46,32 @@ def naive_vector(raw: str, radius: int, stride: int, perm_rows) -> list[int]:
             total += prod
         out.append(total)
     return out
+
+
+# -- FASTA, line by line --------------------------------------------------------
+
+def line_fasta_records(data: bytes) -> list[tuple[str, str, int]]:
+    """(id, bases, dropped) per record, reading ``data`` one line at a time.
+
+    Lines end at CRLF, CR or LF.  A line opening with '>' starts a record
+    whose id is the header's first whitespace-delimited token; every other
+    line belongs to the record above it.  A/C/G/T in either case are kept
+    (upper-cased), ASCII whitespace is skipped, and any other character
+    counts as dropped.  Input must be well formed: no data before the
+    first header and no empty header.
+    """
+    records = []
+    for line in re.split(rb"\r\n|\r|\n", data):
+        text = line.decode("latin-1")
+        if text.startswith(">"):
+            records.append([text[1:].split()[0], [], 0])
+            continue
+        for ch in text:
+            if ch in "ACGTacgt":
+                records[-1][1].append(ch.upper())
+            elif ch not in " \t\r\n\x0b\x0c":
+                records[-1][2] += 1
+    return [(seq_id, "".join(bases), dropped) for seq_id, bases, dropped in records]
 
 
 # -- exact metric --------------------------------------------------------------

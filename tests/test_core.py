@@ -86,6 +86,12 @@ class TestEncode:
         assert seq.bases() == "ACGTAC"
         assert seq.dropped == 0
 
+    def test_bytes_encode_like_text(self):
+        for raw in ("AC GT\r\nNNac", "x\xff-ACG\t"):
+            assert encode(raw.encode("latin-1")) == encode(raw)
+        with pytest.raises(InvalidCharacterError, match="'\xe9'"):
+            encode(b"AC\n\xe9GT", policy="strict")
+
     def test_strict_policy_rejects_other_characters(self):
         with pytest.raises(InvalidCharacterError, match="N"):
             encode("ACNGT", policy="strict")
@@ -129,6 +135,8 @@ class TestPpnParams:
             PpnParams(radius=0)
         with pytest.raises(ValidationError):
             PpnParams(radius=MAX_RADIUS + 1)
+        with pytest.raises(ValidationError):
+            PpnParams(radius=True)
         assert PpnParams(radius=MAX_RADIUS, stride=1).radius == MAX_RADIUS
 
     def test_stride_bounds(self):
@@ -136,6 +144,8 @@ class TestPpnParams:
             PpnParams(stride=0)
         with pytest.raises(ValidationError):
             PpnParams(radius=2, stride=3)
+        with pytest.raises(ValidationError):
+            PpnParams(stride=True)
 
     def test_allow_gaps_permits_wide_stride_with_warning(self):
         with warnings.catch_warnings(record=True) as caught:

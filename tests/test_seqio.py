@@ -48,6 +48,21 @@ class TestReadFasta:
         records = read_fasta(io.BytesIO(data))
         assert records[0].bases() == "ACGT"
 
+    def test_cr_only_line_endings_match_lf(self):
+        lf = b">seq1 first record\nACGTacgt\nNNAC\n\n>seq2\nTTTT\n"
+        cr = lf.replace(b"\n", b"\r")
+        records = read_fasta(io.BytesIO(cr))
+        assert records == read_fasta(io.BytesIO(lf))
+        assert [(r.id, r.bases(), r.dropped) for r in records] == [
+            ("seq1", "ACGTACGTAC", 2),
+            ("seq2", "TTTT", 0),
+        ]
+
+    def test_text_stream_ids_keep_characters_outside_latin1(self):
+        records = read_fasta(io.StringIO(">\u540d\u524d|x desc\nAC\u2003GT\n"))
+        assert records[0].id == "\u540d\u524d|x"
+        assert (records[0].bases(), records[0].dropped) == ("ACGT", 1)
+
     def test_blank_lines_are_ignored(self):
         records = read_fasta(io.StringIO(">x\n\nAC\n\nGT\n\n"))
         assert records[0].bases() == "ACGT"
@@ -59,10 +74,16 @@ class TestReadFasta:
     def test_empty_header_rejected(self):
         with pytest.raises(MalformedFastaError, match="line 1"):
             read_fasta(io.StringIO(">\nACGT\n"))
+        # CRLF is one line ending, not two
+        with pytest.raises(MalformedFastaError, match="line 4: empty FASTA header"):
+            read_fasta(io.BytesIO(b">a\r\nAC\r\n\r\n>\r\nGT\r\n"))
 
     def test_data_before_first_header_rejected(self):
         with pytest.raises(MalformedFastaError, match="before the first"):
             read_fasta(io.StringIO("ACGT\n>x\nACGT\n"))
+        # CRLF, LF and a lone CR each end one line
+        with pytest.raises(MalformedFastaError, match="line 4: sequence data"):
+            read_fasta(io.BytesIO(b"\r\n\n\rACGT\n>x\nA\n"))
 
     def test_no_records_rejected(self):
         with pytest.raises(MalformedFastaError, match="no FASTA records"):
