@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import phylo, seqio
 from .core import Metric, PpnParams, ppn_vector, window_count
-from .errors import InputError, ValidationError
+from .errors import InputError, NewickParseError, ValidationError
 
 EXIT_IO = 1
 EXIT_VALIDATION = 2
@@ -72,12 +72,6 @@ def _add_common(parser, with_params=True):
             choices=["drop", "strict"],
             default="drop",
             help="how to treat non-ACGT characters",
-        )
-        parser.add_argument(
-            "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker threads for per-sequence vector computation",
         )
         parser.add_argument(
             "--allow-gaps",
@@ -144,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in Metric],
         default=Metric.EUCLIDEAN.value,
     )
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--allow-gaps", action="store_true")
 
     return parser
@@ -175,9 +168,7 @@ def cmd_vector(args) -> int:
 def cmd_matrix(args) -> int:
     params = _params(args)
     seqs = seqio.read_fasta(args.input, policy=args.policy)
-    matrix = phylo.pairwise_matrix(
-        seqs, params, threads=args.threads, normalized=args.normalize
-    )
+    matrix = phylo.pairwise_matrix(seqs, params, normalized=args.normalize)
     buf = io.StringIO()
     phylo.write_phylip(matrix, buf)
     _write_output(args.output, buf.getvalue())
@@ -196,9 +187,7 @@ def cmd_tree(args) -> int:
     else:
         params = _params(args)
         seqs = seqio.read_fasta(args.input, policy=args.policy)
-        matrix = phylo.pairwise_matrix(
-            seqs, params, threads=args.threads, normalized=args.normalize
-        )
+        matrix = phylo.pairwise_matrix(seqs, params, normalized=args.normalize)
     tree = phylo.upgma(matrix)
     _write_output(args.output, phylo.to_newick(tree) + "\n")
     return 0
@@ -211,8 +200,12 @@ def cmd_treedist(args) -> int:
         )
     trees = []
     for path in args.input:
-        with open(path) as fh:
-            trees.append(phylo.from_newick(fh.read()))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            trees.append(phylo.from_newick(data.decode("utf-8")))
+        except UnicodeDecodeError as exc:
+            raise NewickParseError(f"{path} is not valid UTF-8", exc.start) from None
     rf = phylo.nrf(trees[0], trees[1])
     qd = phylo.nqd(trees[0], trees[1])
     _write_output(args.output, f"nRF\t{rf:.4f}\nnQD\t{qd:.4f}\n")
@@ -253,7 +246,6 @@ def run_bench(
     reps: int,
     seed: int,
     params: PpnParams,
-    threads: int = 1,
 ) -> list[BenchRow]:
     """Time vector computation (and the full matrix stage when there are
     at least two sequences) for each (species, length) size.
@@ -276,7 +268,7 @@ def run_bench(
         def one_run():
             t0 = time.perf_counter()
             if species >= 2:
-                phylo.pairwise_matrix(seqs, params, threads=threads)
+                phylo.pairwise_matrix(seqs, params)
                 t_vec = None
             else:
                 ppn_vector(seqs[0], params)
@@ -331,17 +323,11 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    params = PpnParams(
-        radius=args.l,
-        stride=args.t,
-        metric=Metric(args.metric),
-        allow_gaps=args.allow_gaps,
-    )
+    params = _params(args)
     species = _int_list(args.species, "--species")
     lengths = _int_list(args.length, "--length")
     sizes = [(s, n) for s in species for n in lengths]
-    rows = run_bench(sizes, reps=args.reps, seed=args.seed, params=params,
-                     threads=args.threads)
+    rows = run_bench(sizes, reps=args.reps, seed=args.seed, params=params)
     _write_output(args.output, format_bench(rows))
     return 0
 

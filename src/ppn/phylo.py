@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -42,7 +41,8 @@ __all__ = [
     "read_phylip",
 ]
 
-_NEWICK_RESERVED = set("():,;")
+# square brackets open and close Newick comments, which are not supported
+_NEWICK_RESERVED = set("():,;[]")
 
 
 class DistanceMatrix:
@@ -91,15 +91,14 @@ class DistanceMatrix:
 def pairwise_matrix(
     seqs: list[EncodedSequence],
     params: PpnParams,
-    threads: int | None = None,
+    *,
     normalized: bool = False,
 ) -> DistanceMatrix:
     """All-pairs distance matrix over a sequence set.
 
-    Each sequence's vector is computed exactly once (fanned out over a
-    thread pool when ``threads`` != 1; results are assembled in input
-    order, so the outcome is identical for any thread count).  Every
-    pair is evaluated once and mirrored.
+    Each vector is computed once, in one in-order loop on the calling
+    thread; a failure names the record and keeps its exception class.
+    Every pair is evaluated once and mirrored.
     """
     if len(seqs) < 2:
         raise ValidationError(f"need >= 2 sequences, got {len(seqs)}")
@@ -118,11 +117,7 @@ def pairwise_matrix(
             err.__dict__.update(exc.__dict__)
             raise err from exc
 
-    if threads == 1 or len(seqs) == 1:
-        vectors = [vector_for(s) for s in seqs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vectors = list(pool.map(vector_for, seqs))
+    vectors = [vector_for(s) for s in seqs]
 
     k = len(seqs)
     values = np.zeros((k, k), dtype=np.float64)
@@ -253,6 +248,8 @@ def _check_label(label: str) -> str:
         raise ValidationError(
             f"label {label!r} contains whitespace or a reserved Newick character"
         )
+    if label.startswith("'"):
+        raise ValidationError(f"label {label!r} would read as a quoted label")
     return label
 
 
@@ -296,9 +293,13 @@ def from_newick(text: str) -> PhyloTree:
 
     Errors carry the character offset at which parsing failed.  The
     parser keeps its own stack of open groups instead of recursing.
+    Comments (``[...]``) and quoted labels are rejected, not read as labels.
     """
     pos = 0
     n = len(text)
+    bracket = text.find("[")
+    if bracket >= 0:
+        raise NewickParseError("Newick comments ('[...]') are not supported", bracket)
 
     def skip_ws():
         nonlocal pos
@@ -307,6 +308,8 @@ def from_newick(text: str) -> PhyloTree:
 
     def parse_label() -> str | None:
         nonlocal pos
+        if pos < n and text[pos] == "'":
+            raise NewickParseError("quoted labels are not supported", pos)
         start = pos
         while pos < n and text[pos] not in _NEWICK_RESERVED and not text[pos].isspace():
             pos += 1
@@ -323,9 +326,12 @@ def from_newick(text: str) -> PhyloTree:
         while pos < n and (text[pos] in "+-.eE" or text[pos].isdigit()):
             pos += 1
         try:
-            return float(text[start:pos])
+            length = float(text[start:pos])
         except ValueError:
             raise NewickParseError("expected a branch length after ':'", start) from None
+        if not math.isfinite(length):
+            raise NewickParseError("branch length is not finite", start)
+        return length
 
     frames: list[list[TreeNode]] = []
     completed: TreeNode | None = None
@@ -557,6 +563,10 @@ def read_phylip(source) -> DistanceMatrix:
     fh = open(source) if own else source
     try:
         lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"distance matrix file is not valid {exc.encoding} text: {exc.reason}"
+        ) from None
     finally:
         if own:
             fh.close()
@@ -580,5 +590,8 @@ def read_phylip(source) -> DistanceMatrix:
                 f"found {len(parts)} fields"
             )
         labels.append(parts[0])
-        values[i] = [float(p) for p in parts[1:]]
+        try:
+            values[i] = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ValidationError(f"matrix row {i + 1}: {exc}") from None
     return DistanceMatrix(labels, values)

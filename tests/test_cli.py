@@ -128,6 +128,13 @@ class TestTree:
         assert out.endswith(";\n")
         assert out.count("alpha") == 1
 
+    def test_undecodable_matrix_exits_2(self, tmp_path, capsys):
+        mat = tmp_path / "m.phy"
+        mat.write_bytes(b"\xff\xfe2")
+        code, _, err = run(["tree", "--input", str(mat)], capsys)
+        assert code == 2
+        assert "not valid" in err
+
 
 class TestTreedist:
     def test_reports_both_distances(self, tmp_path, capsys):
@@ -165,6 +172,15 @@ class TestTreedist:
         )
         assert code == 3
         assert "offset" in err
+
+    def test_undecodable_newick_exits_3_at_the_bad_byte(self, tmp_path, capsys):
+        a = tmp_path / "a.nwk"
+        a.write_bytes(b"((A,B),(C\xff,D));")
+        code, _, err = run(
+            ["treedist", "--input", str(a), "--input", str(a)], capsys
+        )
+        assert code == 3
+        assert "UTF-8 (at offset 9)" in err
 
 
 class TestSimulate:

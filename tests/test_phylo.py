@@ -17,8 +17,10 @@ from ppn import (
     LeafSetMismatchError,
     NewickParseError,
     NonFiniteDistanceError,
+    PhyloTree,
     PpnParams,
     TooFewLeavesError,
+    TreeNode,
     ValidationError,
     from_newick,
     nqd,
@@ -100,13 +102,6 @@ class TestPairwiseMatrix:
         for a, b in combinations([s.id for s in seqs], 2):
             assert m[a, b] == distance(vecs[a], vecs[b])
 
-    def test_thread_count_does_not_change_results(self):
-        params = PpnParams(radius=4, stride=1)
-        seqs = simulate(SimulationSpec(species_count=5, length=300, seed=2))
-        m1 = pairwise_matrix(seqs, params, threads=1)
-        m4 = pairwise_matrix(seqs, params, threads=4)
-        assert np.array_equal(m1.values, m4.values)
-
     def test_manhattan_metric_is_used_when_configured(self):
         params = PpnParams(radius=2, stride=1, metric="manhattan")
         seqs = simulate(SimulationSpec(species_count=3, length=150, seed=3))
@@ -124,8 +119,7 @@ class TestPairwiseMatrix:
         with pytest.raises(DuplicateIdError):
             pairwise_matrix([seqs[0], seqs[0]], PpnParams())
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_record_error_keeps_its_class_and_names_the_record(self, monkeypatch, threads):
+    def test_record_error_keeps_its_class_and_names_the_record(self, monkeypatch):
         # NewickParseError's constructor takes two arguments, so building
         # a new one from a message alone would raise a TypeError instead
         original = NewickParseError("bad thing", 7)
@@ -136,7 +130,7 @@ class TestPairwiseMatrix:
         monkeypatch.setattr("ppn.phylo.ppn_vector", failing)
         seqs = simulate(SimulationSpec(species_count=2, length=50, seed=0))
         with pytest.raises(NewickParseError) as caught:
-            pairwise_matrix(seqs, PpnParams(), threads=threads)
+            pairwise_matrix(seqs, PpnParams())
         assert str(caught.value) == "record 'sim_001': bad thing (at offset 7)"
         assert caught.value.offset == 7
         assert caught.value.__cause__ is original
@@ -282,6 +276,12 @@ class TestNewick:
             ("(A:x,B);", 3),
             ("", 0),
             ("(A,B);junk", 6),
+            ("((A,B)[c],(C,D));", 6),
+            ("(A[&x=1],B,C);", 2),
+            ("(A],B);", 2),
+            ("(a,'b c');", 3),
+            ("(a,'b');", 3),
+            ("(A:1e999,B:1);", 3),
         ],
     )
     def test_parse_errors_carry_offsets(self, text, offset):
@@ -289,6 +289,24 @@ class TestNewick:
             from_newick(text)
         assert err.value.offset == offset
         assert f"offset {offset}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("((A,B)[c],(C,D));", "comments"),
+            ("(a,'b c');", "quoted labels"),
+            ("(A:1e999,B:1);", "not finite"),
+        ],
+    )
+    def test_unsupported_syntax_is_named(self, text, reason):
+        with pytest.raises(NewickParseError, match=reason):
+            from_newick(text)
+
+    @pytest.mark.parametrize("name", ["a[b", "a]b", "'ab'"])
+    def test_never_writes_a_label_the_parser_rejects(self, name):
+        tree = PhyloTree(TreeNode(children=[TreeNode(name), TreeNode("B")]))
+        with pytest.raises(ValidationError):
+            to_newick(tree)
 
     def test_duplicate_leaves_rejected(self):
         with pytest.raises(DuplicateLeafError):
@@ -437,6 +455,10 @@ class TestPhylip:
     def test_rejects_wrong_field_count(self):
         with pytest.raises(ValidationError, match="fields"):
             read_phylip(io.StringIO("2\na 0 1\nb 1\n"))
+
+    def test_rejects_non_numeric_values(self):
+        with pytest.raises(ValidationError, match="row 1: .*'x'"):
+            read_phylip(io.StringIO("2\na 0 x\nb 1 0\n"))
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValidationError, match="empty"):

@@ -1,4 +1,5 @@
-"""Property-based tests for the window histogram and the FASTA reader."""
+"""Property-based tests for the window histogram and the FASTA, Newick and
+PHYLIP readers."""
 
 import io
 import warnings
@@ -10,14 +11,21 @@ from hypothesis import strategies as st
 
 from ppn import (
     MAX_RADIUS,
+    DistanceMatrix,
     EmptySequenceError,
+    PhyloTree,
     PpnError,
     PpnParams,
+    TreeNode,
     count_histogram,
     encode,
+    from_newick,
     read_fasta,
+    read_phylip,
+    to_newick,
     window_centers,
     window_counts_at,
+    write_phylip,
 )
 from ppn.core import _CHUNK
 from oracles import line_fasta_records
@@ -112,3 +120,103 @@ def test_read_fasta_raises_only_package_errors_on_text(text):
         read_fasta(io.StringIO(text))
     except PpnError:
         pass
+
+
+# -- Newick and PHYLIP ---------------------------------------------------------------
+
+# Any label the writers accept: no whitespace (categories Z and C hold every
+# whitespace character), no reserved Newick character, no leading quote.
+_LABEL = st.text(
+    st.characters(exclude_categories=("Z", "C"), exclude_characters="():,;[]"),
+    min_size=1,
+    max_size=6,
+).filter(lambda label: not label.startswith("'"))
+
+
+@st.composite
+def newick_trees(draw):
+    """Binary or multifurcating trees with unique leaf labels, optional
+    internal labels and, when present, optional finite branch lengths."""
+    names = draw(st.lists(_LABEL, min_size=1, max_size=12, unique=True))
+    arity = st.just(2) if draw(st.booleans()) else st.integers(2, 5)
+    nodes = [TreeNode(name=name) for name in names]
+    while len(nodes) > 1:
+        size = min(draw(arity), len(nodes))
+        i = draw(st.integers(0, len(nodes) - size))
+        label = draw(st.none() | _LABEL)
+        nodes[i : i + size] = [TreeNode(name=label, children=nodes[i : i + size])]
+    tree = PhyloTree(nodes[0])
+    if draw(st.booleans()):
+        lengths = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        for node in tree.walk():
+            node.length = draw(lengths)
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(newick_trees())
+def test_newick_round_trips_exactly(tree):
+    assert from_newick(to_newick(tree)).root == tree.root
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200), st.text("(),:;[]' AB1e.-\n", max_size=60)))
+def test_from_newick_raises_only_package_errors(text):
+    try:
+        from_newick(text)
+    except PpnError:
+        pass
+
+
+_FIELD = st.sampled_from(["0", "0.0", "1.5", "-1", "nan", "inf", "1e999", "x", "a", "b"])
+
+
+@st.composite
+def phylip_like_text(draw):
+    """A count line and rows of plausible fields, so that most examples get
+    past the count check."""
+    count = draw(st.integers(-1, 4))
+    rows = draw(st.lists(st.lists(_FIELD, max_size=6).map(" ".join), max_size=5))
+    return "\n".join([str(count)] + rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200), phylip_like_text()))
+def test_read_phylip_raises_only_package_errors_on_text(text):
+    try:
+        read_phylip(io.StringIO(text))
+    except PpnError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), phylip_like_text().map(str.encode)))
+def test_read_phylip_raises_only_package_errors_on_bytes(data):
+    try:
+        read_phylip(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except PpnError:
+        pass
+
+
+@st.composite
+def distance_matrices(draw):
+    labels = draw(st.lists(_LABEL, min_size=2, max_size=6, unique=True))
+    k = len(labels)
+    upper = np.triu_indices(k, 1)
+    entries = draw(
+        st.lists(st.floats(min_value=0.0), min_size=len(upper[0]), max_size=len(upper[0]))
+    )
+    values = np.zeros((k, k))
+    values[upper] = entries
+    values[upper[::-1]] = entries
+    return DistanceMatrix(labels, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(distance_matrices())
+def test_phylip_round_trips_bit_for_bit(matrix):
+    buf = io.StringIO()
+    write_phylip(matrix, buf)
+    back = read_phylip(io.StringIO(buf.getvalue()))
+    assert back.labels == matrix.labels
+    assert back.values.tobytes() == matrix.values.tobytes()
