@@ -55,34 +55,33 @@ def _params(args) -> PpnParams:
     )
 
 
-def _add_common(parser, with_params=True):
+def _add_common(parser):
     parser.add_argument("--input", "-i", required=True, help="input file path")
     parser.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
-    if with_params:
-        parser.add_argument("--l", type=int, default=4, help="neighborhood radius")
-        parser.add_argument("--t", type=int, default=1, help="stride between windows")
-        parser.add_argument(
-            "--metric",
-            choices=[m.value for m in Metric],
-            default=Metric.EUCLIDEAN.value,
-            help="distance metric between vectors",
-        )
-        parser.add_argument(
-            "--policy",
-            choices=["drop", "strict"],
-            default="drop",
-            help="how to treat non-ACGT characters",
-        )
-        parser.add_argument(
-            "--allow-gaps",
-            action="store_true",
-            help="permit stride > radius (windows stop overlapping)",
-        )
-        parser.add_argument(
-            "--normalize",
-            action="store_true",
-            help="divide vector components by the window count (off by default)",
-        )
+    parser.add_argument("--l", type=int, default=4, help="neighborhood radius")
+    parser.add_argument("--t", type=int, default=1, help="stride between windows")
+    parser.add_argument(
+        "--metric",
+        choices=[m.value for m in Metric],
+        default=Metric.EUCLIDEAN.value,
+        help="distance metric between vectors",
+    )
+    parser.add_argument(
+        "--policy",
+        choices=["drop", "strict"],
+        default="drop",
+        help="how to treat non-ACGT characters",
+    )
+    parser.add_argument(
+        "--allow-gaps",
+        action="store_true",
+        help="permit stride > radius (windows stop overlapping)",
+    )
+    parser.add_argument(
+        "--normalize",
+        action="store_true",
+        help="divide vector components by the window count (off by default)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,9 +10,7 @@ are insensitive to root placement.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -379,52 +377,6 @@ def from_newick(text: str) -> PhyloTree:
 
 # -- unrooted structure ------------------------------------------------------
 
-def _unrooted_adjacency(tree: PhyloTree):
-    """Adjacency of the tree with every degree-2 vertex spliced out.
-
-    Returns (adjacency dict over node ids, leaf name -> node id).  The
-    root of a rooted binary tree has degree 2 and disappears, which is
-    what makes the split and quartet metrics rooting-independent.
-    """
-    adj: dict[int, set[int]] = {}
-    leaf_of: dict[str, int] = {}
-    counter = 0
-    ids: dict[int, int] = {}
-
-    def nid(node: TreeNode) -> int:
-        nonlocal counter
-        key = id(node)
-        if key not in ids:
-            ids[key] = counter
-            adj[counter] = set()
-            counter += 1
-        return ids[key]
-
-    for node in tree.walk():
-        u = nid(node)
-        if node.is_leaf:
-            leaf_of[node.name] = u
-        for child in node.children:
-            v = nid(child)
-            adj[u].add(v)
-            adj[v].add(u)
-
-    leaf_ids = set(leaf_of.values())
-    changed = True
-    while changed:
-        changed = False
-        for u in list(adj):
-            if len(adj[u]) == 2 and u not in leaf_ids:
-                a, b = adj[u]
-                adj[a].discard(u)
-                adj[b].discard(u)
-                adj[a].add(b)
-                adj[b].add(a)
-                del adj[u]
-                changed = True
-    return adj, leaf_of
-
-
 def _splits(tree: PhyloTree) -> set[frozenset[str]]:
     """Nontrivial bipartitions of the leaf set, canonicalized.
 
@@ -482,42 +434,83 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
     return len(s1 ^ s2) / denom
 
 
-def _leaf_distances(tree: PhyloTree, labels: list[str]) -> np.ndarray:
-    """Pairwise edge-count distances between leaves, unrooted form."""
-    adj, leaf_of = _unrooted_adjacency(tree)
-    k = len(labels)
-    out = np.zeros((k, k), dtype=np.int64)
-    for i, label in enumerate(labels):
-        start = leaf_of[label]
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for j, other in enumerate(labels):
-            out[i, j] = dist[leaf_of[other]]
-    return out
+# One node pair's terms in nqd are at most k^4/4 (the cells of its table
+# partition the leaves) and a tree has at most 2k - 3 nodes, so the int64
+# sum over the second tree's nodes for one node of the first stays under
+# k^5/2 < 2^63 while k^5 < 2^64, i.e. k <= 7131; shared leaf counts (<= k)
+# fit int16.  Sums over the first tree's nodes are Python ints.
+_NQD_MAX_LEAVES = 7131
 
 
-def _quartet_category(D: np.ndarray, a: int, b: int, c: int, d: int) -> int:
-    """Which pairing of {a,b,c,d} minimizes summed path lengths.
+def _quartet_nodes(tree: PhyloTree, column: dict[str, int]):
+    """A tree's signed nodes for quartet counting, as flat branch arrays.
 
-    Returns 0 for ab|cd, 1 for ac|bd, 2 for ad|bc, -1 when no strict
-    minimum exists (the quartet is unresolved, as around a
-    multifurcation).
+    Each internal edge is a node of sign +1 whose two sides are its
+    branches; each internal vertex is a node of sign -1 whose branches
+    are the leaf sets beyond its neighbours.  A branch under 2 leaves
+    holds no leaf pair and is dropped, and so is a node left with fewer
+    than 2 branches.  A unary vertex has the same branches as the edge
+    above it and the opposite sign, so unary vertices are skipped and a
+    chain of them counts as one edge, which keeps a tree at <= 2k - 3
+    nodes.
+
+    Every kept branch is the leaf set below a fork (a vertex with >= 2
+    children) or the complement of one.  Returns the forks' leaf
+    membership (``int16``, forks x k); per branch, its fork, whether it
+    is the complement, and the leaf count below its fork; and per node,
+    the index of its first branch and its sign.
     """
-    s0 = int(D[a, b]) + int(D[c, d])
-    s1 = int(D[a, c]) + int(D[b, d])
-    s2 = int(D[a, d]) + int(D[b, c])
-    m = min(s0, s1, s2)
-    # plain ints: numpy bools add as logical OR and would hide ties
-    hits = (s0 == m) + (s1 == m) + (s2 == m)
-    if hits > 1:
-        return -1
-    return 0 if s0 == m else (1 if s1 == m else 2)
+    k = len(column)
+    order = list(tree.walk())
+    forks = [node for node in order if len(node.children) > 1]
+    fork_of = {id(node): f for f, node in enumerate(forks)}
+    below = np.zeros((len(forks), k), dtype=np.int16)
+    # a node's fork, or -1 - column for a leaf; unary vertices pass theirs up
+    ref: dict[int, int] = {}
+    for node in reversed(order):
+        if node.is_leaf:
+            ref[id(node)] = -1 - column[node.name]
+        elif len(node.children) == 1:
+            ref[id(node)] = ref[id(node.children[0])]
+        else:
+            f = ref[id(node)] = fork_of[id(node)]
+            for child in node.children:
+                c = ref[id(child)]
+                if c >= 0:
+                    below[f] += below[c]
+                else:
+                    below[f, -1 - c] = 1
+    size = below.sum(axis=1, dtype=np.int64)
+
+    fork, complement, starts, signs = [], [], [], []
+
+    def add(sign: int, node_forks: list[int], node_complement: list[bool]) -> None:
+        if len(node_forks) >= 2:
+            starts.append(len(fork))
+            signs.append(sign)
+            fork.extend(node_forks)
+            complement.extend(node_complement)
+
+    for f, node in enumerate(forks):
+        outside = int(k - size[f] >= 2)
+        if outside:
+            add(1, [f, f], [False, True])
+        inner = [c for c in (ref[id(child)] for child in node.children) if c >= 0]
+        add(-1, inner + [f] * outside, [False] * len(inner) + [True] * outside)
+    fork = np.array(fork, dtype=np.intp)
+    complement = np.array(complement, dtype=bool)
+    return below, fork, complement, size[fork], np.array(starts, dtype=np.intp), signs
+
+
+def _resolved(width: np.ndarray, starts: np.ndarray, signs: list[int]) -> int:
+    """Quartets one tree resolves: per node, signed, the (quartet, pairing)
+    pairs whose two pairs lie in two different branches."""
+    if not signs:
+        return 0
+    pairs = width * (width - 1) // 2
+    total = np.add.reduceat(pairs, starts)
+    per_node = (total * total - np.add.reduceat(pairs * pairs, starts)) // 2
+    return int(np.array(signs) @ per_node)
 
 
 def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
@@ -526,18 +519,72 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     Every 4-subset of leaves induces one of three resolved topologies or
     an unresolved star in each tree; the distance is the fraction of
     quartets whose categories differ.  Unresolved matches only
-    unresolved.  Brute force over all C(k, 4) quartets; fine for the
-    tree sizes this toolkit targets.
+    unresolved.
+
+    Quartets are counted, never listed, for trees of any degree (after
+    Bryant, Tsang, Kearney & Li, SODA 2000, and Christiansen, Mailund,
+    Pedersen, Randers & Stissing, AMB 2006).  For a quartet resolved as
+    ab|cd, the edges that separate {a, b} from {c, d} outnumber the
+    vertices holding the two pairs in two different branches by exactly
+    1; for the other two pairings, and for an unresolved quartet, both
+    numbers are 0.  Summed over all pairs of a node of each tree (edges
+    +1, vertices -1, see :func:`_quartet_nodes`), the (quartet, pairing)
+    pairs that both nodes separate count the quartets resolved alike in
+    both trees, and those separated under any two pairings count the
+    quartets resolved in both.  Both follow from each node pair's table
+    of shared leaf counts, so the count is an exact integer.  The work is
+    O(k^2) table cells for binary trees, and memory is O(k^2) for any
+    shape.
     """
     labels = _check_comparable(t1, t2)
     k = len(labels)
-    D1 = _leaf_distances(t1, labels)
-    D2 = _leaf_distances(t2, labels)
-    differ = 0
-    for a, b, c, d in combinations(range(k), 4):
-        if _quartet_category(D1, a, b, c, d) != _quartet_category(D2, a, b, c, d):
-            differ += 1
-    return differ / math.comb(k, 4)
+    if k > _NQD_MAX_LEAVES:
+        raise ValidationError(
+            f"nQD is computed for at most {_NQD_MAX_LEAVES} leaves, got {k}"
+        )
+    column = {name: i for i, name in enumerate(labels)}
+    below1, fork1, complement1, inside1, starts1, signs1 = _quartet_nodes(t1, column)
+    below2, fork2, complement2, inside2, starts2, signs2 = _quartet_nodes(t2, column)
+    width1 = np.where(complement1, k - inside1, inside1)
+    width2 = np.where(complement2, k - inside2, inside2)
+    resolved = _resolved(width1, starts1, signs1) + _resolved(width2, starts2, signs2)
+
+    same = both = 0  # quartets resolved alike in both trees; resolved in both
+    if signs2:
+        sign2 = np.array(signs2, dtype=np.int64)
+        shared = below1 @ below2.T  # leaves below both forks
+        bounds = [*starts1.tolist(), len(fork1)]
+        for start, end, sign1 in zip(bounds, bounds[1:], signs1):
+            rows = slice(start, end)
+            # n[i, b]: leaves in branch i of this node and in branch b of
+            # the second tree, by |~A & B| = |B| - |A & B| on either side
+            n = shared[fork1[rows]][:, fork2].astype(np.int64)
+            n = np.where(complement1[rows, None], inside2 - n, n)
+            n = np.where(complement2, width1[rows, None] - n, n)
+            # P: two leaf pairs in cells on different rows and columns
+            c = n * (n - 1) // 2
+            row = np.add.reduceat(c, starts2, axis=1)
+            total = row.sum(axis=0)
+            col = c.sum(axis=0)
+            p = (
+                total * total
+                - (row * row).sum(axis=0)
+                - np.add.reduceat(col * col, starts2)
+                + np.add.reduceat((c * c).sum(axis=0), starts2)
+            ) // 2
+            # Q: a, b, c, d in cells (i, x), (i, y), (j, x), (j, y), i < j, x < y;
+            # one row i at a time keeps memory at the size of n
+            q = 0
+            for i in range(end - start - 1):
+                prod = n[i] * n[i + 1 :]
+                dot = np.add.reduceat(prod, starts2, axis=1)
+                q = q + (
+                    (dot * dot).sum(axis=0)
+                    - np.add.reduceat((prod * prod).sum(axis=0), starts2)
+                ) // 2
+            same += sign1 * int(sign2 @ p)
+            both += sign1 * int(sign2 @ (p + q))
+    return (resolved - same - both) / math.comb(k, 4)
 
 
 # -- PHYLIP interchange ------------------------------------------------------
@@ -550,11 +597,7 @@ def write_phylip(matrix: DistanceMatrix, fh) -> None:
     """
     fh.write(f"{matrix.size}\n")
     for label, row in zip(matrix.labels, matrix.values):
-        _check_label(label)
-        fh.write(label)
-        for v in row:
-            fh.write(f"\t{float(v)!r}")
-        fh.write("\n")
+        fh.write("\t".join([_check_label(label), *map(repr, row.tolist())]) + "\n")
 
 
 def read_phylip(source) -> DistanceMatrix:

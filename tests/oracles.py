@@ -10,6 +10,7 @@ use only the public tree node type to construct inputs.
 from __future__ import annotations
 
 import decimal
+import math
 import re
 from collections import deque
 from itertools import combinations
@@ -224,6 +225,19 @@ def all_path_edges(tree: PhyloTree) -> dict[tuple[str, str], frozenset]:
     for x, y in combinations(sorted(leaf_id), 2):
         out[(x, y)] = _path_edges(adj, leaf_id[x], leaf_id[y])
     return out
+
+
+def oracle_nqd(t1: PhyloTree, t2: PhyloTree) -> float:
+    """Fraction of all C(k, 4) leaf quartets whose disjointness category
+    differs between the two trees, each quartet checked on its own."""
+    p1, p2 = all_path_edges(t1), all_path_edges(t2)
+    labels = sorted(t1.leaf_names())
+    differ = sum(
+        quartet_category_by_disjointness(p1, *quad)
+        != quartet_category_by_disjointness(p2, *quad)
+        for quad in combinations(labels, 4)
+    )
+    return differ / math.comb(len(labels), 4)
 
 
 def weighted_leaf_distances(tree: PhyloTree) -> dict[tuple[str, str], float]:

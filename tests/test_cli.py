@@ -16,6 +16,7 @@ from ppn import (
     window_count,
 )
 from ppn.cli import main
+from ppn.phylo import _NQD_MAX_LEAVES
 
 FASTA = """\
 >alpha
@@ -172,6 +173,16 @@ class TestTreedist:
         )
         assert code == 3
         assert "offset" in err
+
+    def test_too_many_leaves_for_exact_nqd_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "star.nwk"
+        k = _NQD_MAX_LEAVES + 1
+        a.write_text("(" + ",".join(f"s{i}" for i in range(k)) + ");\n")
+        code, _, err = run(
+            ["treedist", "--input", str(a), "--input", str(a)], capsys
+        )
+        assert code == 2
+        assert f"at most {_NQD_MAX_LEAVES} leaves, got {k}" in err
 
     def test_undecodable_newick_exits_3_at_the_bad_byte(self, tmp_path, capsys):
         a = tmp_path / "a.nwk"

@@ -36,14 +36,13 @@ from ppn import (
     write_phylip,
 )
 from oracles import (
-    all_path_edges,
-    quartet_category_by_disjointness,
+    oracle_nqd,
     random_binary_tree,
     random_ultrametric,
     splits_by_edge_cut,
     weighted_leaf_distances,
 )
-from ppn.phylo import _leaf_distances, _quartet_category, _splits
+from ppn.phylo import _splits
 
 
 def square(rows):
@@ -396,19 +395,22 @@ class TestNqd:
         assert nqd(star, resolved) == 1.0
         assert nqd(star, star) == 0.0
 
-    def test_categories_match_edge_disjointness_oracle(self):
+    def test_matches_edge_disjointness_oracle(self):
         rng = random.Random(43)
         for _ in range(15):
             k = rng.randint(4, 10)
             labels = sorted(f"q{i}" for i in range(k))
-            tree = random_binary_tree(rng, labels)
-            D = _leaf_distances(tree, labels)
-            paths = all_path_edges(tree)
-            for quad in combinations(range(k), 4):
-                names = [labels[i] for i in quad]
-                assert _quartet_category(D, *quad) == quartet_category_by_disjointness(
-                    paths, *names
-                )
+            t1 = random_binary_tree(rng, labels)
+            t2 = random_binary_tree(rng, labels)
+            assert nqd(t1, t2) == oracle_nqd(t1, t2)
+
+    def test_extremes_at_300_leaves(self):
+        labels = [f"s{i:03d}" for i in range(300)]
+        tree = random_binary_tree(random.Random(300), labels)
+        star = PhyloTree(TreeNode(children=[TreeNode(name=n) for n in labels]))
+        assert nqd(tree, from_newick(to_newick(tree))) == 0.0
+        assert nqd(tree, star) == 1.0
+        assert nqd(star, tree) == 1.0
 
     def test_unresolved_quartets_only_match_unresolved(self):
         # one tree resolves {A,B,C}, the other leaves it at a trifurcation;

@@ -1,5 +1,5 @@
-"""Property-based tests for the window histogram and the FASTA, Newick and
-PHYLIP readers."""
+"""Property-based tests for the window histogram, the FASTA, Newick and
+PHYLIP readers, and the quartet distance."""
 
 import io
 import warnings
@@ -20,6 +20,7 @@ from ppn import (
     count_histogram,
     encode,
     from_newick,
+    nqd,
     read_fasta,
     read_phylip,
     to_newick,
@@ -28,7 +29,7 @@ from ppn import (
     write_phylip,
 )
 from ppn.core import _CHUNK
-from oracles import line_fasta_records
+from oracles import line_fasta_records, oracle_nqd
 
 
 # -- count_histogram -------------------------------------------------------------
@@ -220,3 +221,49 @@ def test_phylip_round_trips_bit_for_bit(matrix):
     back = read_phylip(io.StringIO(buf.getvalue()))
     assert back.labels == matrix.labels
     assert back.values.tobytes() == matrix.values.tobytes()
+
+
+# -- nQD -------------------------------------------------------------------------------
+
+@st.composite
+def shaped_trees(draw, names):
+    """Rooted trees on ``names``: binary, with internal edges contracted
+    into multifurcations (all of them gives a star), and with unary
+    vertices such as ``(A)`` spliced in, the root included."""
+    rng = draw(st.randoms(use_true_random=False))
+    contract = rng.choice([0.0, 0.5, 1.0])
+    unary = rng.choice([0.0, 0.2])
+
+    def maybe_unary(node):
+        return TreeNode(children=[node]) if rng.random() < unary else node
+
+    nodes = [maybe_unary(TreeNode(name=name)) for name in names]
+    while len(nodes) > 1:
+        j, i = sorted(rng.sample(range(len(nodes)), 2), reverse=True)
+        children = []
+        for node in (nodes.pop(j), nodes.pop(i)):
+            if node.children and rng.random() < contract:
+                children += node.children
+            else:
+                children.append(node)
+        nodes.append(maybe_unary(TreeNode(children=children)))
+    return PhyloTree(nodes[0])
+
+
+@st.composite
+def tree_pairs(draw):
+    names = [f"x{i}" for i in range(draw(st.integers(4, 12)))]
+    return draw(shaped_trees(names)), draw(shaped_trees(names))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_pairs())
+def test_nqd_equals_the_per_quartet_oracle(pair):
+    t1, t2 = pair
+    want = oracle_nqd(t1, t2)
+    assert nqd(t1, t2) == want
+    assert nqd(t2, t1) == want
+    mirrored = from_newick(to_newick(t1))
+    for node in mirrored.walk():
+        node.children.reverse()
+    assert nqd(mirrored, t2) == want
