@@ -205,8 +205,8 @@ def cmd_treedist(args) -> int:
             trees.append(phylo.from_newick(data.decode("utf-8")))
         except UnicodeDecodeError as exc:
             raise NewickParseError(f"{path} is not valid UTF-8", exc.start) from None
-    rf = phylo.nrf(trees[0], trees[1])
     qd = phylo.nqd(trees[0], trees[1])
+    rf = phylo.nrf(trees[0], trees[1])
     _write_output(args.output, f"nRF\t{rf:.4f}\nnQD\t{qd:.4f}\n")
     return 0
 

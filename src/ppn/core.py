@@ -100,6 +100,12 @@ class Metric(str, Enum):
     EUCLIDEAN = "euclidean"
     MANHATTAN = "manhattan"
 
+    @classmethod
+    def _missing_(cls, value):
+        """Any other value: a ValidationError naming the allowed metrics."""
+        allowed = ", ".join(m.value for m in cls)
+        raise ValidationError(f"metric must be one of {allowed}, got {value!r}")
+
 
 def _is_int(value) -> bool:
     """True for an int that is not a bool (``True`` is an ``int`` too)."""
@@ -143,8 +149,7 @@ class PpnParams:
                 f"longer overlap and some nucleotides are never counted",
                 stacklevel=3,
             )
-        if not isinstance(self.metric, Metric):
-            object.__setattr__(self, "metric", Metric(self.metric))
+        object.__setattr__(self, "metric", Metric(self.metric))
 
 
 @dataclass(frozen=True, eq=False)

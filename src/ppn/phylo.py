@@ -377,35 +377,8 @@ def from_newick(text: str) -> PhyloTree:
 
 # -- unrooted structure ------------------------------------------------------
 
-def _splits(tree: PhyloTree) -> set[frozenset[str]]:
-    """Nontrivial bipartitions of the leaf set, canonicalized.
-
-    Each split is stored as the side not containing the reference leaf
-    (the smallest label), so complementary descriptions collapse and the
-    root edge never double-counts.
-    """
-    all_leaves = frozenset(tree.leaf_names())
-    ref = min(all_leaves)
-    order = list(tree.walk())
-    below: dict[int, frozenset[str]] = {}
-    for node in reversed(order):
-        if node.is_leaf:
-            below[id(node)] = frozenset((node.name,))
-        else:
-            below[id(node)] = frozenset().union(*(below[id(c)] for c in node.children))
-    splits: set[frozenset[str]] = set()
-    for node in order:
-        if node is tree.root:
-            continue
-        side = below[id(node)]
-        if ref in side:
-            side = all_leaves - side
-        if 2 <= len(side) <= len(all_leaves) - 2:
-            splits.add(side)
-    return splits
-
-
-def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> list[str]:
+def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> dict[str, int]:
+    """Each leaf's column in the membership tables, in label order."""
     s1, s2 = set(t1.leaf_names()), set(t2.leaf_names())
     if s1 != s2:
         only1 = sorted(s1 - s2)[:3]
@@ -415,7 +388,45 @@ def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> list[str]:
         )
     if len(s1) < 4:
         raise TooFewLeavesError(f"tree comparison needs >= 4 leaves, got {len(s1)}")
-    return sorted(s1)
+    return {name: i for i, name in enumerate(sorted(s1))}
+
+
+def _forks(tree: PhyloTree, column: dict[str, int]):
+    """A tree's forks (vertices with >= 2 children) and the leaves below them.
+
+    Returns the forks in walk order; per node id, its fork, or -1 - column
+    for a leaf (a unary vertex passes up its child's); and the forks' leaf
+    membership, ``int16`` forks x k, 1 where the leaf is below the fork.
+    """
+    order = list(tree.walk())
+    forks = [node for node in order if len(node.children) > 1]
+    fork_of = {id(node): f for f, node in enumerate(forks)}
+    below = np.zeros((len(forks), len(column)), dtype=np.int16)
+    ref: dict[int, int] = {}
+    for node in reversed(order):
+        if node.is_leaf:
+            ref[id(node)] = -1 - column[node.name]
+        elif len(node.children) == 1:
+            ref[id(node)] = ref[id(node.children[0])]
+        else:
+            f = ref[id(node)] = fork_of[id(node)]
+            for child in node.children:
+                c = ref[id(child)]
+                if c >= 0:
+                    below[f] += below[c]
+                else:
+                    below[f, -1 - c] = 1
+    return forks, ref, below
+
+
+def _splits(tree: PhyloTree, column: dict[str, int]) -> set[bytes]:
+    """Nontrivial splits as membership-row bytes.  Only the edge above a
+    fork cuts off 2 to k - 2 leaves; a row holding column 0 (the smallest
+    label) is flipped, so both sides of an edge make one entry."""
+    below = _forks(tree, column)[2]
+    size = below.sum(axis=1).tolist()
+    below[below[:, 0] == 1] ^= 1
+    return {row.tobytes() for row, n in zip(below, size) if 2 <= n <= len(column) - 2}
 
 
 def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
@@ -424,10 +435,12 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
     The symmetric difference of the two nontrivial split sets, divided
     by their combined size (2(k-3) for two fully binary trees on k
     leaves).  Two trees with no nontrivial splits at all are identical
-    stars and score 0.
+    stars and score 0.  Splits are read off the same leaf-membership
+    table as nQD's (see :func:`_forks`), forks x k ``int16``, so memory
+    is at most 2k^2 bytes per tree.
     """
-    _check_comparable(t1, t2)
-    s1, s2 = _splits(t1), _splits(t2)
+    column = _check_comparable(t1, t2)
+    s1, s2 = _splits(t1, column), _splits(t2, column)
     denom = len(s1) + len(s2)
     if denom == 0:
         return 0.0
@@ -461,25 +474,7 @@ def _quartet_nodes(tree: PhyloTree, column: dict[str, int]):
     the index of its first branch and its sign.
     """
     k = len(column)
-    order = list(tree.walk())
-    forks = [node for node in order if len(node.children) > 1]
-    fork_of = {id(node): f for f, node in enumerate(forks)}
-    below = np.zeros((len(forks), k), dtype=np.int16)
-    # a node's fork, or -1 - column for a leaf; unary vertices pass theirs up
-    ref: dict[int, int] = {}
-    for node in reversed(order):
-        if node.is_leaf:
-            ref[id(node)] = -1 - column[node.name]
-        elif len(node.children) == 1:
-            ref[id(node)] = ref[id(node.children[0])]
-        else:
-            f = ref[id(node)] = fork_of[id(node)]
-            for child in node.children:
-                c = ref[id(child)]
-                if c >= 0:
-                    below[f] += below[c]
-                else:
-                    below[f, -1 - c] = 1
+    forks, ref, below = _forks(tree, column)
     size = below.sum(axis=1, dtype=np.int64)
 
     fork, complement, starts, signs = [], [], [], []
@@ -536,13 +531,12 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     O(k^2) table cells for binary trees, and memory is O(k^2) for any
     shape.
     """
-    labels = _check_comparable(t1, t2)
-    k = len(labels)
+    column = _check_comparable(t1, t2)
+    k = len(column)
     if k > _NQD_MAX_LEAVES:
         raise ValidationError(
             f"nQD is computed for at most {_NQD_MAX_LEAVES} leaves, got {k}"
         )
-    column = {name: i for i, name in enumerate(labels)}
     below1, fork1, complement1, inside1, starts1, signs1 = _quartet_nodes(t1, column)
     below2, fork2, complement2, inside2, starts2, signs2 = _quartet_nodes(t2, column)
     width1 = np.where(complement1, k - inside1, inside1)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _SPACE, EncodedSequence, _from_codes, encode
+from .core import _SPACE, EncodedSequence, _from_codes, _is_int, encode
 from .errors import DuplicateIdError, MalformedFastaError, ValidationError
 
 __all__ = ["SimulationSpec", "read_fasta", "write_fasta", "simulate"]
@@ -28,14 +28,14 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
-        if self.species_count < 1:
+        if not _is_int(self.species_count) or self.species_count < 1:
             raise ValidationError(
-                f"species_count must be >= 1, got {self.species_count}"
+                f"species_count must be an integer >= 1, got {self.species_count!r}"
             )
-        if self.length < 1:
-            raise ValidationError(f"length must be >= 1, got {self.length}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
+        if not _is_int(self.length) or self.length < 1:
+            raise ValidationError(f"length must be an integer >= 1, got {self.length!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
 
 def _read_all(source) -> tuple[bytes, str | None]:

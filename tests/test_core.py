@@ -156,8 +156,12 @@ class TestPpnParams:
 
     def test_metric_accepts_strings(self):
         assert PpnParams(metric="manhattan").metric is Metric.MANHATTAN
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="euclidean, manhattan, got 'cosine'"):
             PpnParams(metric="cosine")
+        v = ppn_vector(encode(DEMO), PpnParams(radius=2, stride=1))
+        assert distance(v, v, metric="manhattan") == 0.0
+        with pytest.raises(ValidationError, match="euclidean, manhattan, got 'cosine'"):
+            distance(v, v, metric="cosine")
 
 
 # -- windows -------------------------------------------------------------------

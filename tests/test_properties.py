@@ -1,5 +1,5 @@
 """Property-based tests for the window histogram, the FASTA, Newick and
-PHYLIP readers, and the quartet distance."""
+PHYLIP readers, and the two tree distances."""
 
 import io
 import warnings
@@ -21,6 +21,7 @@ from ppn import (
     encode,
     from_newick,
     nqd,
+    nrf,
     read_fasta,
     read_phylip,
     to_newick,
@@ -29,7 +30,7 @@ from ppn import (
     write_phylip,
 )
 from ppn.core import _CHUNK
-from oracles import line_fasta_records, oracle_nqd
+from oracles import line_fasta_records, oracle_nqd, splits_by_edge_cut
 
 
 # -- count_histogram -------------------------------------------------------------
@@ -223,7 +224,7 @@ def test_phylip_round_trips_bit_for_bit(matrix):
     assert back.values.tobytes() == matrix.values.tobytes()
 
 
-# -- nQD -------------------------------------------------------------------------------
+# -- nRF and nQD -----------------------------------------------------------------------
 
 @st.composite
 def shaped_trees(draw, names):
@@ -267,3 +268,17 @@ def test_nqd_equals_the_per_quartet_oracle(pair):
     for node in mirrored.walk():
         node.children.reverse()
     assert nqd(mirrored, t2) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_pairs())
+def test_nrf_equals_the_split_oracle(pair):
+    t1, t2 = pair
+    s1, s2 = splits_by_edge_cut(t1), splits_by_edge_cut(t2)
+    want = len(s1 ^ s2) / (len(s1) + len(s2)) if s1 or s2 else 0.0
+    assert nrf(t1, t2) == want
+    assert nrf(t2, t1) == want
+    mirrored = from_newick(to_newick(t1))
+    for node in mirrored.walk():
+        node.children.reverse()
+    assert nrf(mirrored, t2) == want

@@ -175,3 +175,11 @@ class TestSimulate:
             SimulationSpec(species_count=1, length=10, seed=-1)
         with pytest.raises(ValidationError):
             SimulationSpec(species_count=1, length=10, seed=2**64)
+
+    @pytest.mark.parametrize("field", ["species_count", "length", "seed"])
+    @pytest.mark.parametrize("value", [2.5, "3", True, None])
+    def test_spec_fields_must_be_ints(self, field, value):
+        fields = dict(species_count=1, length=10, seed=0)
+        fields[field] = value
+        with pytest.raises(ValidationError, match=field):
+            SimulationSpec(**fields)
