@@ -48,10 +48,7 @@ def _write_output(path: str, text: str) -> None:
 
 def _params(args) -> PpnParams:
     return PpnParams(
-        radius=args.l,
-        stride=args.t,
-        metric=Metric(args.metric),
-        allow_gaps=args.allow_gaps,
+        radius=args.l, stride=args.t, metric=args.metric, allow_gaps=args.allow_gaps
     )
 
 
@@ -181,10 +178,11 @@ def _sniff_matrix(path: str) -> bool:
 
 
 def cmd_tree(args) -> int:
+    # checked on both routes, though a matrix input uses none of them
+    params = _params(args)
     if _sniff_matrix(args.input):
         matrix = phylo.read_phylip(args.input)
     else:
-        params = _params(args)
         seqs = seqio.read_fasta(args.input, policy=args.policy)
         matrix = phylo.pairwise_matrix(seqs, params, normalized=args.normalize)
     tree = phylo.upgma(matrix)

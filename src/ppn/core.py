@@ -430,6 +430,25 @@ def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
     )
 
 
+def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
+    """Yield, for each vector in turn, its distances to every later vector.
+
+    Object dtype keeps every element a Python int, exact at any width,
+    or with ``normalized`` the correctly rounded float ``x / windows``
+    summed by ``math.fsum``.
+    """
+    rows = np.array([v.components for v in vectors], dtype=object)
+    if normalized:
+        rows = rows / np.array([[v.windows] for v in vectors], dtype=object)
+    total = math.fsum if normalized else sum
+    for i in range(len(vectors) - 1):
+        diff = rows[i] - rows[i + 1 :]
+        if metric is Metric.EUCLIDEAN:
+            yield [math.sqrt(total(d)) for d in (diff * diff).tolist()]
+        else:
+            yield [float(total(d)) for d in np.abs(diff).tolist()]
+
+
 def distance(
     a: PpnVector,
     b: PpnVector,
@@ -442,7 +461,7 @@ def distance(
     enters only in the final reduction (and the square root).  With
     ``normalized`` each component is first divided by its own vector's
     window count; this mode is off by default and changes nothing about
-    the raw contract.
+    the raw contract.  :func:`ppn.phylo.pairwise_matrix` runs the same code.
 
     Raises :class:`ParamsMismatchError` if the vectors were computed
     with different radius or stride.
@@ -454,14 +473,4 @@ def distance(
             f"{pb.radius}, stride {pa.stride} vs {pb.stride}"
         )
     metric = Metric(metric) if metric is not None else pa.metric
-    if normalized:
-        diffs = [
-            x / a.windows - y / b.windows for x, y in zip(a.components, b.components)
-        ]
-        if metric is Metric.EUCLIDEAN:
-            return math.sqrt(math.fsum(d * d for d in diffs))
-        return math.fsum(abs(d) for d in diffs)
-    if metric is Metric.EUCLIDEAN:
-        ssq = sum((x - y) ** 2 for x, y in zip(a.components, b.components))
-        return math.sqrt(ssq)
-    return float(sum(abs(x - y) for x, y in zip(a.components, b.components)))
+    return next(_distance_rows([a, b], metric, normalized))[0]

@@ -53,7 +53,7 @@ class DuplicateIdError(InputError):
 # -- trees and matrices ------------------------------------------------------
 
 class NonFiniteDistanceError(ValidationError):
-    """Distance matrix contains a NaN or infinite entry."""
+    """Distance matrix holds a NaN, an infinity or an entry too large to average."""
 
 
 class NewickParseError(InputError):

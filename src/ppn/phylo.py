@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EncodedSequence, Metric, PpnParams, PpnVector, distance, ppn_vector
+from .core import EncodedSequence, PpnParams, PpnVector, _distance_rows, ppn_vector
 from .errors import (
     DuplicateIdError,
     DuplicateLeafError,
@@ -96,7 +96,8 @@ def pairwise_matrix(
 
     Each vector is computed once, in one in-order loop on the calling
     thread; a failure names the record and keeps its exception class.
-    Every pair is evaluated once and mirrored.
+    Each vector's distances to all later vectors are one exact row from
+    the code behind :func:`ppn.core.distance`, mirrored below the diagonal.
     """
     if len(seqs) < 2:
         raise ValidationError(f"need >= 2 sequences, got {len(seqs)}")
@@ -117,13 +118,9 @@ def pairwise_matrix(
 
     vectors = [vector_for(s) for s in seqs]
 
-    k = len(seqs)
-    values = np.zeros((k, k), dtype=np.float64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = distance(vectors[i], vectors[j], params.metric, normalized=normalized)
-            values[i, j] = d
-            values[j, i] = d
+    values = np.zeros((len(seqs), len(seqs)), dtype=np.float64)
+    for i, row in enumerate(_distance_rows(vectors, params.metric, normalized)):
+        values[i, i + 1 :] = values[i + 1 :, i] = row
     return DistanceMatrix(ids, values)
 
 
@@ -175,22 +172,24 @@ def upgma(matrix: DistanceMatrix) -> PhyloTree:
     distance break toward the lexicographically smallest pair of cluster
     labels (a cluster is labeled by its smallest leaf), which makes the
     output deterministic and independent of input row order.
+
+    A merge rewrites the merged cluster's whole row and column at once
+    and rescans only the rows whose cached minimum it may have retired.
     """
-    if not np.all(np.isfinite(matrix.values)):
-        raise NonFiniteDistanceError("distance matrix has NaN or infinite entries")
     k = matrix.size
+    # a merge's sum reaches k times the largest entry (2x for rounding); NaN fails <=
+    if not matrix.values.max() <= np.finfo(np.float64).max / (2 * k):
+        raise NonFiniteDistanceError("distance matrix has NaN, infinite or huge entries")
     work = matrix.values.copy()
     np.fill_diagonal(work, np.inf)
-    active = list(range(k))
     key = list(matrix.labels)
     size = [1] * k
     height = [0.0] * k
     node = [TreeNode(name=label) for label in matrix.labels]
-    # cached per-row minima keep each step near-linear; retired rows sit
-    # at inf and never win
+    # cached per-row minima; retired rows and columns sit at inf, never win
     row_min = work.min(axis=1)
 
-    while len(active) > 1:
+    for _ in range(k - 1):
         best = float(row_min.min())
         # every cluster in a tied pair has row_min == best, so the
         # smallest key among them is the pair's first member, and its
@@ -206,31 +205,23 @@ def upgma(matrix: DistanceMatrix) -> PhyloTree:
         first.length = h - height[a]
         second.length = h - height[b]
         node[a] = TreeNode(children=[first, second])
-        active.remove(b)
-        others = np.array([c for c in active if c != a], dtype=np.intp)
-        old_to_a = work[others, a]
-        old_to_b = work[others, b]
-        merged_dist = (size[a] * old_to_a + size[b] * old_to_b) / (
-            size[a] + size[b]
-        )
-        work[a, others] = merged_dist
-        work[others, a] = merged_dist
-        work[b, :] = np.inf
-        work[:, b] = np.inf
-        row_min[b] = np.inf
+        old_a = work[a].copy()
+        old_b = work[b].copy()
+        # inf at a, at b and at every retired cluster: inf absorbs the sum
+        merged = (size[a] * old_a + size[b] * old_b) / (size[a] + size[b])
+        work[a] = work[:, a] = merged
+        work[b] = work[:, b] = np.inf
+        lower = merged <= row_min
+        # a minimum that merged did not undercut may have lived at a or b;
+        # a and b are always stale, as each held best in the other's row
+        stale = ~lower & ((row_min == old_a) | (row_min == old_b))
+        row_min[lower] = merged[lower]
+        row_min[stale] = work[stale].min(axis=1)
         size[a] += size[b]
         height[a] = h
         key[a] = min(key[a], key[b])
-        row_min[a] = work[a].min() if len(active) > 1 else np.inf
-        for pos, c in enumerate(others):
-            d = merged_dist[pos]
-            if d <= row_min[c]:
-                row_min[c] = d
-            elif row_min[c] in (old_to_a[pos], old_to_b[pos]):
-                # the cached minimum may have lived in a retired entry
-                row_min[c] = work[c].min()
 
-    return PhyloTree(node[active[0]])
+    return PhyloTree(node[a])
 
 
 # -- Newick ------------------------------------------------------------------

@@ -89,6 +89,56 @@ def exact_manhattan(a, b) -> int:
     return sum(abs(x - y) for x, y in zip(a, b))
 
 
+def scalar_distance(a, b, metric, normalized: bool) -> float:
+    """Distance between two PPN vectors, one component pair at a time.
+
+    Integer differences are exact; floats appear only in the final sum and
+    square root, or, when ``normalized``, in each component divided by its
+    vector's window count (summed with ``math.fsum``).
+    """
+    if normalized:
+        diffs = [
+            x / a.windows - y / b.windows for x, y in zip(a.components, b.components)
+        ]
+        if metric == "euclidean":
+            return math.sqrt(math.fsum(d * d for d in diffs))
+        return math.fsum(abs(d) for d in diffs)
+    if metric == "euclidean":
+        ssq = sum((x - y) ** 2 for x, y in zip(a.components, b.components))
+        return math.sqrt(ssq)
+    return float(sum(abs(x - y) for x, y in zip(a.components, b.components)))
+
+
+# -- UPGMA, by a full scan at every merge ----------------------------------------
+
+def oracle_upgma_newick(labels, values) -> str:
+    """UPGMA Newick text, rescanning every live pair at every merge.
+
+    The closest pair merges; ties go to the pair whose cluster keys (the
+    smallest leaf label in each), sorted, come first.  The cluster with the
+    smaller key is written first.  A merge at distance d sits at height
+    d/2, and the merged cluster's distance to c is
+    (size_a * d(a, c) + size_b * d(b, c)) / (size_a + size_b).
+    """
+    # live cluster index -> [key, size, height, newick text]
+    live = {i: [label, 1, 0.0, label] for i, label in enumerate(labels)}
+    dist = {(i, j): float(values[i][j]) for i in live for j in live if i != j}
+    while len(live) > 1:
+        pairs = (sorted(pair, key=lambda c: live[c][0]) for pair in combinations(live, 2))
+        best, _, _, a, b = min((dist[i, j], live[i][0], live[j][0], i, j) for i, j in pairs)
+        h = best / 2.0
+        key_a, size_a, height_a, text_a = live[a]
+        _, size_b, height_b, text_b = live.pop(b)
+        for c in live:
+            if c != a:
+                d = (size_a * dist[a, c] + size_b * dist[b, c]) / (size_a + size_b)
+                dist[a, c] = dist[c, a] = d
+        text = f"({text_a}:{h - height_a!r},{text_b}:{h - height_b!r})"
+        live[a] = [key_a, size_a + size_b, h, text]
+    (text,) = (entry[3] for entry in live.values())
+    return text + ";"
+
+
 # -- random tree builders ------------------------------------------------------
 
 def random_binary_tree(rng, labels) -> PhyloTree:

@@ -129,6 +129,21 @@ class TestTree:
         assert out.endswith(";\n")
         assert out.count("alpha") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--l", "0", "radius"), ("--l", "11", "radius"), ("--t", "0", "stride"),
+         ("--t", "5", "stride")],
+    )
+    def test_bad_params_exit_2_on_both_routes(
+        self, fasta_path, tmp_path, capsys, flag, value, named
+    ):
+        mat = tmp_path / "m.phy"
+        assert main(["matrix", "--input", fasta_path, "--output", str(mat)]) == 0
+        for source in (fasta_path, str(mat)):
+            code, out, err = run(["tree", "--input", source, flag, value], capsys)
+            assert (code, out) == (2, "")
+            assert named in err
+
     def test_undecodable_matrix_exits_2(self, tmp_path, capsys):
         mat = tmp_path / "m.phy"
         mat.write_bytes(b"\xff\xfe2")

@@ -37,6 +37,7 @@ from ppn import (
 )
 from oracles import (
     oracle_nqd,
+    scalar_distance,
     random_binary_tree,
     random_ultrametric,
     splits_by_edge_cut,
@@ -100,6 +101,7 @@ class TestPairwiseMatrix:
         vecs = {s.id: ppn_vector(s, params) for s in seqs}
         for a, b in combinations([s.id for s in seqs], 2):
             assert m[a, b] == distance(vecs[a], vecs[b])
+            assert m[a, b] == scalar_distance(vecs[a], vecs[b], "euclidean", False)
 
     def test_manhattan_metric_is_used_when_configured(self):
         params = PpnParams(radius=2, stride=1, metric="manhattan")
@@ -107,6 +109,7 @@ class TestPairwiseMatrix:
         m = pairwise_matrix(seqs, params)
         va, vb = ppn_vector(seqs[0], params), ppn_vector(seqs[1], params)
         assert m[seqs[0].id, seqs[1].id] == distance(va, vb, metric="manhattan")
+        assert m[seqs[0].id, seqs[1].id] == scalar_distance(va, vb, "manhattan", False)
 
     def test_requires_two_sequences(self):
         seqs = simulate(SimulationSpec(species_count=1, length=50, seed=0))
@@ -153,6 +156,7 @@ class TestPairwiseMatrix:
         assert m_norm["a", "b"] != m_raw["a", "b"]
         va, vb = ppn_vector(a, params), ppn_vector(b, params)
         assert m_norm["a", "b"] == distance(va, vb, normalized=True)
+        assert m_norm["a", "b"] == scalar_distance(va, vb, "euclidean", True)
 
 
 # -- UPGMA ---------------------------------------------------------------------
@@ -227,6 +231,12 @@ class TestUpgma:
         bad = square([[0, np.inf], [np.inf, 0]])
         with pytest.raises(NonFiniteDistanceError):
             upgma(DistanceMatrix(["a", "b"], bad))
+        # finite, but the first merge's weighted sums overflow to inf
+        huge = np.full((4, 4), 1.7e308)
+        np.fill_diagonal(huge, 0.0)
+        huge[0, 1] = huge[1, 0] = 1.0
+        with pytest.raises(NonFiniteDistanceError):
+            upgma(DistanceMatrix(["a", "b", "c", "d"], huge))
 
     def test_deep_tie_chain_does_not_recurse_out(self):
         # an all-equal matrix makes a maximally unbalanced tree

@@ -1,12 +1,13 @@
 """Property-based tests for the window histogram, the FASTA, Newick and
-PHYLIP readers, and the two tree distances."""
+PHYLIP readers, the distance matrix, UPGMA and the two tree distances."""
 
 import io
 import warnings
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppn import (
@@ -18,19 +19,29 @@ from ppn import (
     PpnParams,
     TreeNode,
     count_histogram,
+    distance,
     encode,
     from_newick,
     nqd,
     nrf,
+    pairwise_matrix,
+    ppn_vector,
     read_fasta,
     read_phylip,
     to_newick,
+    upgma,
     window_centers,
     window_counts_at,
     write_phylip,
 )
 from ppn.core import _CHUNK
-from oracles import line_fasta_records, oracle_nqd, splits_by_edge_cut
+from oracles import (
+    line_fasta_records,
+    oracle_nqd,
+    oracle_upgma_newick,
+    scalar_distance,
+    splits_by_edge_cut,
+)
 
 
 # -- count_histogram -------------------------------------------------------------
@@ -222,6 +233,74 @@ def test_phylip_round_trips_bit_for_bit(matrix):
     back = read_phylip(io.StringIO(buf.getvalue()))
     assert back.labels == matrix.labels
     assert back.values.tobytes() == matrix.values.tobytes()
+
+
+# -- distance matrix and UPGMA ---------------------------------------------------------
+
+@st.composite
+def record_sets(draw):
+    """2-6 records, homopolymers among them, and a window geometry; at
+    radius 10 a poly-T record of 300 nt has components above 2**63."""
+    radius = draw(st.integers(1, MAX_RADIUS))
+    stride = draw(st.integers(1, radius))
+    raws = []
+    for _ in range(draw(st.integers(2, 6))):
+        alphabet = draw(st.sampled_from(["ACGT", "T", "A", "AT", "CG"]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        raws.append("".join(rng.choice(list(alphabet), size=draw(st.integers(1, 400)))))
+    return raws, radius, stride
+
+
+_PAST_64_BITS = (["T" * 300, "T" * 290 + "A" * 10, "ACGT" * 50], 10, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    record_sets(),
+    st.sampled_from(["euclidean", "manhattan"]),
+    st.booleans(),
+)
+@example(_PAST_64_BITS, "euclidean", False)
+@example(_PAST_64_BITS, "manhattan", False)
+@example(_PAST_64_BITS, "euclidean", True)
+@example(_PAST_64_BITS, "manhattan", True)
+def test_pairwise_matrix_equals_the_scalar_oracle(case, metric, normalized):
+    raws, radius, stride = case
+    params = PpnParams(radius=radius, stride=stride, metric=metric)
+    seqs = [encode(raw, seq_id=f"r{i}") for i, raw in enumerate(raws)]
+    vecs = [ppn_vector(seq, params) for seq in seqs]
+    m = pairwise_matrix(seqs, params, normalized=normalized)
+    if case is _PAST_64_BITS:
+        assert max(vecs[0].components) > 2**63
+    for i, j in combinations(range(len(seqs)), 2):
+        want = scalar_distance(vecs[i], vecs[j], metric, normalized)
+        assert m.values[i, j] == want
+        assert m.values[j, i] == want
+        assert distance(vecs[i], vecs[j], metric, normalized) == want
+
+
+@st.composite
+def upgma_matrices(draw):
+    """k 2-40 under shuffled labels: small integers (many ties, zeros
+    too) or random floats."""
+    k = draw(st.integers(2, 40))
+    labels = draw(st.permutations([f"t{i:02d}" for i in range(k)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu_indices(k, 1)
+    if draw(st.booleans()):
+        entries = rng.integers(0, draw(st.integers(1, 4)), size=len(upper[0]))
+    else:
+        entries = rng.random(len(upper[0])) * draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    values = np.zeros((k, k))
+    values[upper] = entries
+    values[upper[::-1]] = entries
+    return DistanceMatrix(labels, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(upgma_matrices())
+def test_upgma_equals_the_full_scan_oracle(matrix):
+    assert to_newick(upgma(matrix)) == oracle_upgma_newick(matrix.labels, matrix.values)
 
 
 # -- nRF and nQD -----------------------------------------------------------------------
