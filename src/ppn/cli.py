@@ -143,6 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_vector(args) -> int:
     params = _params(args)
+    if params.metric != Metric.EUCLIDEAN:
+        raise ValidationError("--metric applies to matrix and tree, not to vector")
     seqs = seqio.read_fasta(args.input, policy=args.policy)
     rows = []
     for seq in seqs:
@@ -172,15 +174,23 @@ def cmd_matrix(args) -> int:
 
 
 def _sniff_matrix(path: str) -> bool:
+    """False when the first non-blank line opens with '>' (FASTA), else True."""
     with open(path, "rb") as fh:
-        head = fh.read(256).lstrip()
-    return not head.startswith(b">")
+        while chunk := fh.read(1 << 16):
+            head = chunk.lstrip()
+            if head:
+                return not head.startswith(b">")
+    return True
 
 
 def cmd_tree(args) -> int:
-    # checked on both routes, though a matrix input uses none of them
     params = _params(args)
     if _sniff_matrix(args.input):
+        if params != PpnParams() or args.normalize or args.policy != "drop":
+            raise ValidationError(
+                "--l, --t, --metric, --allow-gaps, --normalize and --policy apply "
+                "only to FASTA input, not to a distance matrix"
+            )
         matrix = phylo.read_phylip(args.input)
     else:
         seqs = seqio.read_fasta(args.input, policy=args.policy)

@@ -227,23 +227,22 @@ def encode(raw: str | bytes, policy: str = "drop", seq_id: str = "seq") -> Encod
     body can be passed with its line breaks.  Any other character
     (ambiguity codes, gaps, '*', ...) is dropped and counted under the
     default ``"drop"`` policy, or raises :class:`InvalidCharacterError`
-    under ``"strict"``.
+    under ``"strict"``; the dropped count is what one delete pass removes.
 
     Raises :class:`EmptySequenceError` if nothing remains.
     """
     if policy not in ("drop", "strict"):
         raise ValidationError(f"unknown sanitize policy {policy!r}")
     data = raw.encode("latin-1", errors="replace") if isinstance(raw, str) else bytes(raw)
-    kept = data.translate(_CODE_OF, _SPACE)
-    dropped = kept.count(0xFF)
-    if dropped:
-        if policy == "strict":
-            bad = chr(data.translate(None, _VALID)[0])
-            raise InvalidCharacterError(
-                f"sequence {seq_id!r}: invalid character {bad!r} under strict policy"
-            )
-        kept = kept.translate(None, b"\xff")
-    if len(kept) == 0:
+    mapped = data.translate(_CODE_OF, _SPACE)
+    kept = mapped.translate(None, b"\xff")
+    dropped = len(mapped) - len(kept)
+    if dropped and policy == "strict":
+        bad = chr(data.translate(None, _VALID)[0])
+        raise InvalidCharacterError(
+            f"sequence {seq_id!r}: invalid character {bad!r} under strict policy"
+        )
+    if not kept:
         raise EmptySequenceError(f"sequence {seq_id!r}: no A/C/G/T content")
     return _from_codes(seq_id, np.frombuffer(kept, dtype=np.int8), dropped)
 

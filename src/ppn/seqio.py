@@ -55,14 +55,14 @@ def _read_all(source) -> tuple[bytes, str | None]:
 
 
 def _header_starts(buf: bytes) -> list[int]:
-    """Offsets of every '>' that opens a line; CR, LF and CRLF end lines."""
-    starts = [0] if buf.startswith(b">") else []
-    for sep in (b"\n>", b"\r>"):
-        i = buf.find(sep)
-        while i >= 0:
-            starts.append(i + 1)
-            i = buf.find(sep, i + 2)
-    return sorted(starts)
+    """Offsets of every '>' at offset 0 or right after a CR or LF, in one scan."""
+    starts = []
+    i = buf.find(b">")
+    while i >= 0:
+        if i == 0 or buf[i - 1] in b"\r\n":
+            starts.append(i)
+        i = buf.find(b">", i + 1)
+    return starts
 
 
 def _line_number(buf: bytes, pos: int) -> int:
@@ -77,10 +77,10 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     ``source`` may be a path or an open text/byte stream; it is read
     whole, once.  LF, CRLF and CR-only line endings are all accepted.
     Record ids are the first whitespace-delimited token of the header.
-    Each record's body goes to :func:`encode` in one piece, line breaks
-    included, so memory is linear in the input and per-record dropped
-    character counts end up on the records themselves.  Blank lines
-    (only spaces, tabs, CR, LF, VT, FF) are ignored.
+    Headers come from one scan for '>'; each record's body, line breaks
+    included, goes to :func:`encode` in one piece right after its header
+    is checked, so errors come in file order and memory is linear in the
+    input.  Blank lines (only spaces, tabs, CR, LF, VT, FF) are ignored.
 
     Raises :class:`MalformedFastaError` for data before the first
     header, an empty header, or an input with no records at all;
@@ -100,11 +100,7 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
 
     records: list[EncodedSequence] = []
     seen: set[str] = set()
-    body = None
     for start, stop in zip(starts, starts[1:] + [len(buf)]):
-        # the previous record is encoded first, so errors come in file order
-        if body is not None:
-            records.append(encode(body, policy=policy, seq_id=seq_id))
         end = buf.find(b"\n", start, stop)
         if end < 0:
             end = stop
@@ -121,8 +117,7 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
         if seq_id in seen:
             raise DuplicateIdError(f"duplicate record id {seq_id!r}")
         seen.add(seq_id)
-        body = buf[end:stop]
-    records.append(encode(body, policy=policy, seq_id=seq_id))
+        records.append(encode(buf[end:stop], policy=policy, seq_id=seq_id))
     return records
 
 

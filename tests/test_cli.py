@@ -81,6 +81,13 @@ class TestVector:
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".ppn-")]
         assert leftovers == []
 
+    def test_metric_is_refused(self, fasta_path, capsys):
+        code, out, err = run(
+            ["vector", "--input", fasta_path, "--metric", "manhattan"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "--metric" in err
+
 
 class TestMatrix:
     def test_output_is_readable_phylip(self, fasta_path, tmp_path, capsys):
@@ -143,6 +150,36 @@ class TestTree:
             code, out, err = run(["tree", "--input", source, flag, value], capsys)
             assert (code, out) == (2, "")
             assert named in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--l", "7"], ["--t", "3"], ["--metric", "manhattan"], ["--allow-gaps"],
+         ["--normalize"], ["--policy", "strict"]],
+    )
+    def test_fasta_only_flags_are_refused_on_a_matrix(
+        self, fasta_path, tmp_path, capsys, flags
+    ):
+        mat = tmp_path / "m.phy"
+        assert main(["matrix", "--input", fasta_path, "--output", str(mat)]) == 0
+        code, out, err = run(["tree", "--input", str(mat)] + flags, capsys)
+        assert (code, out) == (2, "")
+        assert "only to FASTA input" in err and flags[0] in err
+
+    def test_fasta_route_accepts_every_flag(self, fasta_path, capsys):
+        flags = ["--l", "7", "--t", "3", "--metric", "manhattan", "--allow-gaps",
+                 "--normalize", "--policy", "strict"]
+        code, out, _ = run(["tree", "--input", fasta_path] + flags, capsys)
+        assert code == 0
+        assert out.endswith(";\n")
+
+    def test_leading_blank_lines_keep_the_fasta_route(self, tmp_path, capsys):
+        padded = tmp_path / "padded.fa"
+        padded.write_text("\n" * 300 + FASTA)
+        plain = tmp_path / "plain.fa"
+        plain.write_text(FASTA)
+        code, out, _ = run(["tree", "--input", str(padded)], capsys)
+        assert code == 0
+        assert out == run(["tree", "--input", str(plain)], capsys)[1]
 
     def test_undecodable_matrix_exits_2(self, tmp_path, capsys):
         mat = tmp_path / "m.phy"

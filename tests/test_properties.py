@@ -81,7 +81,7 @@ def test_histogram_equals_a_per_window_recount(case):
 _ENDINGS = st.sampled_from([b"\n", b"\r\n", b"\r"])
 _BODY = st.binary(max_size=40).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b""))
 _BODY_LINE = st.one_of(
-    st.text("ACGTacgtNn-*?  \t", max_size=70).map(str.encode), _BODY
+    st.text("ACGTacgtNn-*?>  \t", max_size=70).map(str.encode), _BODY
 ).filter(lambda line: not line.startswith(b">"))
 _ID = st.text("abcXYZ0189_.|:é", min_size=1, max_size=8)
 
@@ -93,7 +93,7 @@ def fasta_files(draw):
     ids = draw(st.lists(_ID, min_size=1, max_size=5, unique=True))
     out = [draw(st.sampled_from([b"", b"\n", b" \r\n"]))]
     for seq_id in ids:
-        desc = draw(st.sampled_from([b"", b" some description", b"\tx y"]))
+        desc = draw(st.sampled_from([b"", b" some description", b"\tx y", b" a>b >"]))
         out += [b">", seq_id.encode("latin-1"), desc, draw(_ENDINGS)]
         for line in draw(st.lists(_BODY_LINE, max_size=6)):
             out += [line, draw(_ENDINGS)]

@@ -67,6 +67,22 @@ class TestReadFasta:
         records = read_fasta(io.StringIO(">x\n\nAC\n\nGT\n\n"))
         assert records[0].bases() == "ACGT"
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    def test_gt_inside_a_line_is_not_a_header(self, eol):
+        data = eol.join([b">a x>y", b"AC>GT", b" >TT", b">b", b"G>G", b""])
+        records = read_fasta(io.BytesIO(data))
+        assert [(r.id, r.bases(), r.dropped) for r in records] == [
+            ("a", "ACGTTT", 2),
+            ("b", "GG", 1),
+        ]
+
+    def test_errors_come_in_file_order(self):
+        # the first record has no bases; that error comes before the
+        # second record's empty or repeated header is looked at
+        for data in (">a\nNNNN\n>\nACGT\n", ">a\nNNNN\n>a\nACGT\n"):
+            with pytest.raises(EmptySequenceError, match="'a'"):
+                read_fasta(io.StringIO(data))
+
     def test_duplicate_id_rejected(self):
         with pytest.raises(DuplicateIdError, match="seq1"):
             read_fasta(io.StringIO(">seq1\nAC\n>seq1\nGT\n"))
