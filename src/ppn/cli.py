@@ -14,13 +14,14 @@ import argparse
 import io
 import os
 import resource
+import stat
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
 
 from . import phylo, seqio
-from .core import Metric, PpnParams, ppn_vector, window_count
+from .core import Metric, PpnParams, _WindowTally, ppn_vector
 from .errors import InputError, NewickParseError, ValidationError
 
 EXIT_IO = 1
@@ -29,16 +30,33 @@ EXIT_MALFORMED = 3
 
 
 def _write_output(path: str, text: str) -> None:
-    """Atomically write ``text`` to ``path``; '-' streams to stdout."""
+    """Atomically write ``text`` as UTF-8 to ``path``; '-' streams to stdout.
+
+    A new file gets the mode a plain ``open(path, "w")`` would give it
+    (0666 less the umask); a replaced file keeps its mode.
+    """
+    data = text.encode("utf-8")
     if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            out.write(data)
+            out.flush()
         return
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppn-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fd, mode)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -141,21 +159,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- subcommands ---------------------------------------------------------------
 
+def _vectors(args, params: PpnParams):
+    """Yield ``(id, vector)`` per FASTA record, each vector finished as
+    its record ends; only one block of the input is held at a time."""
+    records = seqio._scan(args.input, args.policy, lambda: _WindowTally(params))
+    for seq_id, _, tally in records:
+        yield seq_id, tally.vector()
+
+
+def _fasta_matrix(args, params: PpnParams) -> phylo.DistanceMatrix:
+    """The matrix from k vectors: the records' codes are never held whole."""
+    ids, vectors = zip(*_vectors(args, params))
+    return phylo._vector_matrix(ids, vectors, params.metric, args.normalize)
+
+
 def cmd_vector(args) -> int:
     params = _params(args)
     if params.metric != Metric.EUCLIDEAN:
         raise ValidationError("--metric applies to matrix and tree, not to vector")
-    seqs = seqio.read_fasta(args.input, policy=args.policy)
     rows = []
-    for seq in seqs:
-        vec = ppn_vector(seq, params)
+    for seq_id, vec in _vectors(args, params):
         if args.normalize:
             comps = [repr(c / vec.windows) for c in vec.components]
         else:
             comps = [str(c) for c in vec.components]
         rows.append(
             "\t".join(
-                [seq.id, str(seq.length), str(vec.windows), str(params.radius),
+                [seq_id, str(vec.sequence_length), str(vec.windows), str(params.radius),
                  str(params.stride)] + comps
             )
         )
@@ -164,9 +194,7 @@ def cmd_vector(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    params = _params(args)
-    seqs = seqio.read_fasta(args.input, policy=args.policy)
-    matrix = phylo.pairwise_matrix(seqs, params, normalized=args.normalize)
+    matrix = _fasta_matrix(args, _params(args))
     buf = io.StringIO()
     phylo.write_phylip(matrix, buf)
     _write_output(args.output, buf.getvalue())
@@ -193,8 +221,7 @@ def cmd_tree(args) -> int:
             )
         matrix = phylo.read_phylip(args.input)
     else:
-        seqs = seqio.read_fasta(args.input, policy=args.policy)
-        matrix = phylo.pairwise_matrix(seqs, params, normalized=args.normalize)
+        matrix = _fasta_matrix(args, params)
     tree = phylo.upgma(matrix)
     _write_output(args.output, phylo.to_newick(tree) + "\n")
     return 0
@@ -257,7 +284,9 @@ def run_bench(
     """Time vector computation (and the full matrix stage when there are
     at least two sequences) for each (species, length) size.
 
-    Wall times are means over ``reps`` runs after one untimed warm-up;
+    Each run computes every vector once, timed as the vector stage, and
+    builds the matrix from those vectors.  Wall times are means over
+    ``reps`` runs after one untimed warm-up;
     peak memory is the maximum resident set reported by the OS across
     the runs.  Generation is excluded from the timings.
     """
@@ -274,21 +303,13 @@ def run_bench(
 
         def one_run():
             t0 = time.perf_counter()
+            vectors = [ppn_vector(s, params) for s in seqs]
+            t_vec = time.perf_counter() - t0
             if species >= 2:
-                phylo.pairwise_matrix(seqs, params)
-                t_vec = None
-            else:
-                ppn_vector(seqs[0], params)
-                t_vec = time.perf_counter() - t0
-            t_total = time.perf_counter() - t0
-            if t_vec is None:
-                # vector stage timed separately so scaling of the linear
-                # part is visible even when pair counts grow quadratically
-                tv0 = time.perf_counter()
-                for s in seqs:
-                    ppn_vector(s, params)
-                t_vec = time.perf_counter() - tv0
-            return t_total, t_vec
+                phylo._vector_matrix(
+                    [s.id for s in seqs], vectors, params.metric, normalized=False
+                )
+            return time.perf_counter() - t0, t_vec
 
         one_run()
         for _ in range(reps):

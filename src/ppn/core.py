@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -80,7 +80,7 @@ _POW = {p: tuple(p**e for e in range(_MAX_EXPONENT + 1)) for p in PRIMES}
 _PRODUCT_LIMIT = 2**63
 _PRIME_ROWS = np.array(PERMUTATIONS, dtype=np.int64)
 
-#: Nucleotides per chunk of :func:`count_histogram`.
+#: Nucleotides per chunk of the window tally behind :func:`count_histogram`.
 _CHUNK = 1 << 15
 
 #: ``bytes.translate`` table: byte -> base code (A=0, C=1, G=2, T=3,
@@ -217,6 +217,37 @@ def _from_codes(seq_id: str, codes: np.ndarray, dropped: int = 0) -> EncodedSequ
     return EncodedSequence(id=seq_id, codes=codes, dropped=dropped)
 
 
+def _is_strict(policy: str) -> bool:
+    """True for ``"strict"``, False for ``"drop"``; any other policy is refused."""
+    if policy not in ("drop", "strict"):
+        raise ValidationError(f"unknown sanitize policy {policy!r}")
+    return policy == "strict"
+
+
+def _sanitize(data: bytes, strict: bool, seq_id: str) -> tuple[bytes, int]:
+    """The base codes in ``data`` and the count of other non-space bytes.
+
+    One translate maps bases to codes and deletes whitespace; when that
+    leaves a byte that is not a base, one delete pass removes every such
+    byte.  Under ``strict`` a removed byte raises
+    :class:`InvalidCharacterError` naming the first one.
+    """
+    mapped = data.translate(_CODE_OF, _SPACE)
+    # a memchr is much cheaper than a delete pass that finds nothing
+    kept = mapped.translate(None, b"\xff") if b"\xff" in mapped else mapped
+    dropped = len(mapped) - len(kept)
+    if dropped and strict:
+        bad = chr(data.translate(None, _VALID)[0])
+        raise InvalidCharacterError(
+            f"sequence {seq_id!r}: invalid character {bad!r} under strict policy"
+        )
+    return kept, dropped
+
+
+def _no_bases(seq_id: str) -> EmptySequenceError:
+    return EmptySequenceError(f"sequence {seq_id!r}: no A/C/G/T content")
+
+
 def encode(raw: str | bytes, policy: str = "drop", seq_id: str = "seq") -> EncodedSequence:
     """Sanitize and encode a nucleotide string.
 
@@ -231,19 +262,11 @@ def encode(raw: str | bytes, policy: str = "drop", seq_id: str = "seq") -> Encod
 
     Raises :class:`EmptySequenceError` if nothing remains.
     """
-    if policy not in ("drop", "strict"):
-        raise ValidationError(f"unknown sanitize policy {policy!r}")
+    strict = _is_strict(policy)
     data = raw.encode("latin-1", errors="replace") if isinstance(raw, str) else bytes(raw)
-    mapped = data.translate(_CODE_OF, _SPACE)
-    kept = mapped.translate(None, b"\xff")
-    dropped = len(mapped) - len(kept)
-    if dropped and policy == "strict":
-        bad = chr(data.translate(None, _VALID)[0])
-        raise InvalidCharacterError(
-            f"sequence {seq_id!r}: invalid character {bad!r} under strict policy"
-        )
+    kept, dropped = _sanitize(data, strict, seq_id)
     if not kept:
-        raise EmptySequenceError(f"sequence {seq_id!r}: no A/C/G/T content")
+        raise _no_bases(seq_id)
     return _from_codes(seq_id, np.frombuffer(kept, dtype=np.int8), dropped)
 
 
@@ -340,6 +363,125 @@ def window_product_sum(seq: EncodedSequence, params: PpnParams, perm: int) -> in
     return sum(window_products(seq, params, perm))
 
 
+class _WindowTally:
+    """Window-count histogram of one sequence whose codes arrive in blocks.
+
+    Full windows, those holding 2*radius+1 nucleotides, are counted as
+    soon as their last code is fed.  Each base weighs (2l+2)**b for A, C,
+    G (b = 0, 1, 2) and T weighs nothing; one cumulative sum of the
+    weights turns every window into a packed key ``A + C*B + G*B**2``
+    taken from two prefix lookups, and ``np.bincount`` over the B**3 keys
+    adds them to the running ``bins``.  T is implied, since a full window
+    holds 2l+1 nucleotides.  Windows are counted in chunks of about
+    :data:`_CHUNK` nucleotides through prefix buffers that the tally
+    keeps for every later chunk, so working memory is bounded by the
+    chunk and block sizes and not by the sequence length.
+
+    Between blocks the tally keeps the codes from the start of the next
+    full window not yet counted (at most 2*radius of them); a window that
+    straddles two blocks is counted from that carry spliced with the
+    head of the next block, never from a copy of the whole block.  It
+    also keeps the first 2*radius codes: the windows cut short by either
+    end of the sequence, at most 2*ceil(l/(t+1)), are counted one by one
+    in :meth:`finish`, once the length is known.
+    """
+
+    def __init__(self, params: PpnParams):
+        self.params = params
+        self._radius = params.radius
+        self._step = params.stride + 1
+        self._span = 2 * params.radius + 1
+        base = self._span + 1
+        self._weights = np.array([1, base, base * base, 0], dtype=np.int64)
+        self.bins = np.zeros(base**3, dtype=np.int64)
+        self.length = 0
+        self._head = np.empty(0, dtype=np.int8)
+        # index of the first full window not yet counted, and the codes
+        # from its start up to the end of what has been fed
+        self._next = -(-self._radius // self._step)
+        self._carry = self._head
+        self._prefix = self._keys = None
+
+    def feed(self, codes: np.ndarray) -> None:
+        """Count every full window that ends inside the codes fed so far."""
+        radius, step = self._radius, self._step
+        n0 = self.length
+        n1 = self.length = n0 + len(codes)
+        if len(self._head) < 2 * radius:
+            self._head = np.concatenate([self._head, codes[: 2 * radius - len(self._head)]])
+        start = self._next * step - radius
+        done = max(self._next, (n1 - 1 - radius) // step + 1)
+        if start < n0 and done > self._next:
+            # windows that start in the carry
+            m = min(done - self._next, (n0 - start - 1) // step + 1)
+            stop = start + (m - 1) * step + self._span
+            self._count(np.concatenate([self._carry, codes[: stop - n0]]), 0, m)
+            self._next += m
+            start += m * step
+        if done > self._next:
+            self._count(codes, start - n0, done - self._next)
+            start += (done - self._next) * step
+            self._next = done
+        if start < n0:
+            self._carry = np.concatenate([self._carry[start - n0 :], codes])
+        else:
+            self._carry = codes[start - n0 :].copy()
+
+    def _count(self, codes: np.ndarray, offset: int, m: int) -> None:
+        """Add the m full windows starting at ``codes[offset]``, ``step`` apart."""
+        step, span = self._step, self._span
+        per_chunk = max(1, _CHUNK // step)
+        most = min(m, per_chunk)
+        if self._keys is None or len(self._keys) < most:
+            # a chunk of m windows reads (m-1)*step + span nucleotides
+            self._prefix = np.zeros((most - 1) * step + span + 1, dtype=np.int64)
+            self._keys = np.empty(most, dtype=np.int64)
+        for j0 in range(0, m, per_chunk):
+            k = min(per_chunk, m - j0)
+            size = (k - 1) * step + span
+            lo = offset + j0 * step
+            pre = self._prefix[: size + 1]
+            # mode="clip" lets take write straight into pre; codes are 0..3
+            np.take(self._weights, codes[lo : lo + size], out=pre[1:], mode="clip")
+            np.cumsum(pre, out=pre)
+            keys = np.subtract(pre[span::step], pre[: size + 1 - span : step], out=self._keys[:k])
+            self.bins += np.bincount(keys, minlength=len(self.bins))
+
+    def finish(self) -> dict[tuple[int, int, int, int], int]:
+        """The histogram of every window, the truncated ones included."""
+        radius, step, span = self._radius, self._step, self._span
+        n = self.length
+        windows = window_count(n, step - 1)
+        base = span + 1
+        seen = np.flatnonzero(self.bins)
+        a = seen % base
+        c = seen // base % base
+        g = seen // (base * base)
+        t = span - a - c - g
+        hist = dict(
+            zip(
+                zip(a.tolist(), c.tolist(), g.tolist(), t.tolist()),
+                self.bins[seen].tolist(),
+            )
+        )
+
+        def add(codes):
+            counts = tuple(np.bincount(codes, minlength=4).tolist())
+            hist[counts] = hist.get(counts, 0) + 1
+
+        for i in range(min(-(-radius // step), windows)):
+            add(self._head[: i * step + radius + 1])
+        start = self._next * step - radius
+        for i in range(self._next, windows):
+            add(self._carry[i * step - radius - start :])
+        return hist
+
+    def vector(self) -> PpnVector:
+        """The vector of everything fed so far."""
+        windows = window_count(self.length, self.params.stride)
+        return _fold(self.finish(), self.length, windows, self.params)
+
+
 def count_histogram(
     seq: EncodedSequence, params: PpnParams
 ) -> dict[tuple[int, int, int, int], int]:
@@ -349,60 +491,31 @@ def count_histogram(
     count tuple is the main performance lever: interior windows all hold
     2*radius+1 nucleotides, so the number of distinct tuples is bounded
     by the compositions of that total into four parts, independent of
-    sequence length.
-
-    Full windows are counted in chunks of about :data:`_CHUNK`
-    nucleotides, so the working memory is bounded by the chunk size and
-    not by the sequence length.  Each base weighs (2l+2)**b for A, C, G
-    (b = 0, 1, 2) and T weighs nothing; one cumulative sum of the
-    weights turns every window into a packed key ``A + C*B + G*B**2``
-    taken from two prefix lookups, and ``np.bincount`` over the B**3
-    keys tallies them.  T is implied, since a full window holds
-    2l+1 nucleotides.  The few windows cut short by either end of the
-    sequence, at most 2*ceil(l/(t+1)), are counted one by one.
+    sequence length.  The codes go through the same block tally as a
+    streamed FASTA record, as one block.
     """
-    n_nt, radius, step = seq.length, params.radius, params.stride + 1
-    span = 2 * radius + 1
-    base = span + 1
-    n_windows = window_count(n_nt, params.stride)
-    # full windows are those with index in [first, stop)
-    first = -(-radius // step)
-    stop = max(first, (n_nt - 1 - radius) // step + 1)
+    tally = _WindowTally(params)
+    tally.feed(seq.codes)
+    return tally.finish()
 
-    per_chunk = max(1, _CHUNK // step)
-    weights = np.array([1, base, base * base, 0], dtype=np.int64)
-    bins = np.zeros(base**3, dtype=np.int64)
-    # a chunk of m windows reads (m-1)*step + span nucleotides; the
-    # buffers fit the largest chunk and every chunk reuses them
-    most = max(0, min(per_chunk, stop - first))
-    prefix = np.zeros(most * step + span, dtype=np.int64)
-    key_buf = np.empty(most, dtype=np.int64)
-    for i0 in range(first, stop, per_chunk):
-        m = min(per_chunk, stop - i0)
-        size = (m - 1) * step + span
-        lo = i0 * step - radius
-        pre = prefix[: size + 1]
-        # mode="clip" lets take write straight into pre; codes are 0..3
-        np.take(weights, seq.codes[lo : lo + size], out=pre[1:], mode="clip")
-        np.cumsum(pre, out=pre)
-        keys = np.subtract(pre[span::step], pre[: size + 1 - span : step], out=key_buf[:m])
-        bins += np.bincount(keys, minlength=len(bins))
 
-    seen = np.flatnonzero(bins)
-    a = seen % base
-    c = seen // base % base
-    g = seen // (base * base)
-    t = span - a - c - g
-    hist = dict(
-        zip(
-            zip(a.tolist(), c.tolist(), g.tolist(), t.tolist()),
-            bins[seen].tolist(),
-        )
+def _fold(
+    hist: dict[tuple[int, int, int, int], int], length: int, windows: int, params: PpnParams
+) -> PpnVector:
+    """The 24 window-product sums from a window-count histogram."""
+    # products[d, j] is tuple d's window product under assignment j;
+    # the radius cap keeps each below 2**63, so int64 holds it exactly
+    powers = _PRIME_ROWS ** np.array(list(hist), dtype=np.int64)[:, None, :]
+    products = powers[..., 0] * powers[..., 1] * powers[..., 2] * powers[..., 3]
+    # no sum exceeds windows * 7**(2l+1): int64 below 2**63, else Python ints
+    exact = np.int64 if windows * 7 ** (2 * params.radius + 1) < _PRODUCT_LIMIT else object
+    sums = np.array(list(hist.values()), dtype=exact) @ products.astype(exact)
+    return PpnVector(
+        components=tuple(sums.tolist()),
+        sequence_length=length,
+        windows=windows,
+        params=params,
     )
-    for i in chain(range(min(first, n_windows)), range(stop, n_windows)):
-        counts = window_counts_at(seq, i * step + 1, radius)
-        hist[counts] = hist.get(counts, 0) + 1
-    return hist
 
 
 def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
@@ -413,20 +526,7 @@ def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
     arithmetic makes the reordering harmless.
     """
     hist = count_histogram(seq, params)
-    windows = window_count(seq.length, params.stride)
-    # products[d, j] is tuple d's window product under assignment j;
-    # the radius cap keeps each below 2**63, so int64 holds it exactly
-    powers = _PRIME_ROWS ** np.array(list(hist), dtype=np.int64)[:, None, :]
-    products = powers[..., 0] * powers[..., 1] * powers[..., 2] * powers[..., 3]
-    # no sum exceeds windows * 7**(2l+1): int64 below 2**63, else Python ints
-    exact = np.int64 if windows * 7 ** (2 * params.radius + 1) < _PRODUCT_LIMIT else object
-    sums = np.array(list(hist.values()), dtype=exact) @ products.astype(exact)
-    return PpnVector(
-        components=tuple(sums.tolist()),
-        sequence_length=seq.length,
-        windows=windows,
-        params=params,
-    )
+    return _fold(hist, seq.length, window_count(seq.length, params.stride), params)
 
 
 def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):

@@ -99,12 +99,6 @@ def pairwise_matrix(
     Each vector's distances to all later vectors are one exact row from
     the code behind :func:`ppn.core.distance`, mirrored below the diagonal.
     """
-    if len(seqs) < 2:
-        raise ValidationError(f"need >= 2 sequences, got {len(seqs)}")
-    ids = [s.id for s in seqs]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise DuplicateIdError(f"duplicate sequence id {dup!r}")
 
     def vector_for(seq: EncodedSequence) -> PpnVector:
         try:
@@ -116,10 +110,23 @@ def pairwise_matrix(
             err.__dict__.update(exc.__dict__)
             raise err from exc
 
-    vectors = [vector_for(s) for s in seqs]
+    return _vector_matrix(
+        [s.id for s in seqs], map(vector_for, seqs), params.metric, normalized
+    )
 
-    values = np.zeros((len(seqs), len(seqs)), dtype=np.float64)
-    for i, row in enumerate(_distance_rows(vectors, params.metric, normalized)):
+
+def _vector_matrix(ids, vectors, metric, normalized: bool) -> DistanceMatrix:
+    """Distance matrix over one vector per id.
+
+    The ids are checked before ``vectors``, any iterable, is read.
+    """
+    if len(ids) < 2:
+        raise ValidationError(f"need >= 2 sequences, got {len(ids)}")
+    if len(set(ids)) != len(ids):
+        dup = next(i for i in ids if ids.count(i) > 1)
+        raise DuplicateIdError(f"duplicate sequence id {dup!r}")
+    values = np.zeros((len(ids), len(ids)), dtype=np.float64)
+    for i, row in enumerate(_distance_rows(list(vectors), metric, normalized)):
         values[i, i + 1 :] = values[i + 1 :, i] = row
     return DistanceMatrix(ids, values)
 
@@ -588,7 +595,7 @@ def write_phylip(matrix: DistanceMatrix, fh) -> None:
 def read_phylip(source) -> DistanceMatrix:
     """Read a relaxed PHYLIP matrix written by :func:`write_phylip`."""
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source) if own else source
+    fh = open(source, encoding="utf-8") if own else source
     try:
         lines = [line.strip() for line in fh if line.strip()]
     except UnicodeDecodeError as exc:

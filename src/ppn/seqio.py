@@ -7,7 +7,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _SPACE, EncodedSequence, _from_codes, _is_int, encode
+from .core import (
+    _SPACE,
+    EncodedSequence,
+    _from_codes,
+    _is_int,
+    _is_strict,
+    _no_bases,
+    _sanitize,
+)
 from .errors import DuplicateIdError, MalformedFastaError, ValidationError
 
 __all__ = ["SimulationSpec", "read_fasta", "write_fasta", "simulate"]
@@ -38,8 +46,13 @@ class SimulationSpec:
             raise ValidationError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
 
-def _read_all(source) -> tuple[bytes, str | None]:
-    """The whole input as bytes, plus the text itself for a text stream.
+#: Bytes (characters, for a text stream) that :func:`read_fasta` reads at a time.
+_BLOCK = 1 << 18
+
+
+def _blocks(source):
+    """Yield the input ``_BLOCK`` bytes at a time, each with its text for
+    a text stream.
 
     Text is encoded one Latin-1 byte per character (``'?'`` for a
     character outside Latin-1), so offsets into the bytes are offsets
@@ -47,84 +60,171 @@ def _read_all(source) -> tuple[bytes, str | None]:
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            return fh.read(), None
-    data = source.read()
-    if isinstance(data, str):
-        return data.encode("latin-1", errors="replace"), data
-    return bytes(data), None
+            while block := fh.read(_BLOCK):
+                yield block, None
+        return
+    while data := source.read(_BLOCK):
+        if isinstance(data, str):
+            yield data.encode("latin-1", errors="replace"), data
+        else:
+            yield bytes(data), None
 
 
-def _header_starts(buf: bytes) -> list[int]:
-    """Offsets of every '>' at offset 0 or right after a CR or LF, in one scan."""
-    starts = []
-    i = buf.find(b">")
-    while i >= 0:
-        if i == 0 or buf[i - 1] in b"\r\n":
-            starts.append(i)
-        i = buf.find(b">", i + 1)
-    return starts
+def _breaks(buf: bytes) -> int:
+    """Line breaks in ``buf``; a CRLF pair counts once."""
+    octets = np.frombuffer(buf, dtype=np.uint8)
+    count = np.count_nonzero(octets == 0x0A)
+    if b"\r" in buf:
+        cr = octets == 0x0D
+        count += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (octets[1:] == 0x0A))
+    return int(count)
 
 
-def _line_number(buf: bytes, pos: int) -> int:
-    """1-based number of the line holding offset ``pos``."""
-    crlf = buf.count(b"\r\n", 0, pos)
-    return 1 + buf.count(b"\n", 0, pos) + buf.count(b"\r", 0, pos) - crlf
+def _line_end(buf: bytes, start: int) -> int:
+    """Offset of the first CR or LF at or after ``start``, else ``len(buf)``."""
+    end = buf.find(b"\n", start)
+    if end < 0:
+        end = len(buf)
+    cr = buf.find(b"\r", start, end)
+    return end if cr < 0 else cr
+
+
+class _Record:
+    """The open record of a scan: its id, its sink and running counts."""
+
+    __slots__ = ("id", "strict", "sink", "dropped", "nucleotides")
+
+    def __init__(self, seq_id: str, strict: bool, sink):
+        self.id, self.strict, self.sink = seq_id, strict, sink
+        self.dropped = self.nucleotides = 0
+
+    def feed(self, body: bytes) -> None:
+        kept, dropped = _sanitize(body, self.strict, self.id)
+        self.dropped += dropped
+        if kept:
+            self.nucleotides += len(kept)
+            self.sink.feed(np.frombuffer(kept, dtype=np.int8))
+
+    def end(self):
+        if not self.nucleotides:
+            raise _no_bases(self.id)
+        return self.id, self.dropped, self.sink
+
+
+def _scan(source, policy: str, new_sink):
+    """Read FASTA block by block; yield ``(id, dropped, sink)`` as each
+    record ends.
+
+    ``new_sink()`` makes a record's sink once its header is checked;
+    each block's share of the record body goes to ``sink.feed`` as an
+    int8 code array, so no more than one block of the input is held at
+    a time.  Checks and errors are those of :func:`read_fasta`, raised
+    in file order.  The running line count treats a CRLF split across
+    two blocks as one line break.
+    """
+    seen: set[str] = set()
+    lines = 0  # line breaks before the current block
+    after_break = True  # the last byte read ended a line, or there is none
+    cr_end = False
+    title = None  # pieces of a header line not yet ended
+    record = None
+
+    def open_record() -> _Record:
+        nonlocal title
+        header, title = "".join(title).strip(), None
+        if not header:
+            raise MalformedFastaError(f"line {title_line}: empty FASTA header")
+        seq_id = header.split()[0]
+        if seq_id in seen:
+            raise DuplicateIdError(f"duplicate record id {seq_id!r}")
+        seen.add(seq_id)
+        return _Record(seq_id, _is_strict(policy), new_sink())
+
+    for buf, text in _blocks(source):
+        if cr_end and buf.startswith(b"\n"):
+            lines -= 1  # the LF of a CRLF whose CR ended the last block
+
+        def line_at(pos):
+            return 1 + lines + _breaks(buf[:pos])
+
+        def piece(lo, hi):
+            return buf[lo:hi].decode("latin-1") if text is None else text[lo:hi]
+
+        n = len(buf)
+        i = 0
+        if title is not None:  # a header line goes on from the last block
+            i = _line_end(buf, 0)
+            title.append(piece(0, i))
+            if i < n:
+                record = open_record()
+        while i < n:
+            h = buf.find(b">", i)
+            while h >= 0 and not (buf[h - 1] in b"\r\n" if h else after_break):
+                h = buf.find(b">", h + 1)
+            body = buf[i:] if h < 0 else buf[i:h]
+            if record is not None:
+                record.feed(body)
+            else:
+                data_at = len(body) - len(body.lstrip(_SPACE))
+                if data_at < len(body):
+                    raise MalformedFastaError(
+                        f"line {line_at(i + data_at)}: sequence data before the "
+                        f"first '>' header"
+                    )
+            if h < 0:
+                break
+            if record is not None:
+                yield record.end()
+                record = None
+            title_line = line_at(h)
+            i = _line_end(buf, h + 1)
+            title = [piece(h + 1, i)]
+            if i < n:
+                record = open_record()
+        lines += _breaks(buf)
+        after_break = buf[-1] in b"\r\n"
+        cr_end = buf.endswith(b"\r")
+
+    if title is not None:
+        record = open_record()
+    if record is None:
+        raise MalformedFastaError("input contains no FASTA records")
+    yield record.end()
+
+
+class _Pieces(list):
+    """A record sink that keeps every code block."""
+
+    feed = list.append
 
 
 def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     """Parse FASTA into encoded sequences, preserving record order.
 
     ``source`` may be a path or an open text/byte stream; it is read
-    whole, once.  LF, CRLF and CR-only line endings are all accepted.
-    Record ids are the first whitespace-delimited token of the header.
-    Headers come from one scan for '>'; each record's body, line breaks
-    included, goes to :func:`encode` in one piece right after its header
-    is checked, so errors come in file order and memory is linear in the
-    input.  Blank lines (only spaces, tabs, CR, LF, VT, FF) are ignored.
+    once, in blocks of :data:`_BLOCK` bytes, so apart from the returned
+    codes memory stays within one block.  LF, CRLF and CR-only line
+    endings are all accepted.  A header is a line that opens with '>';
+    record ids are its first whitespace-delimited token.  Each block's
+    share of a record body, line breaks included, is encoded as in
+    :func:`encode`, so errors come in file order.  Blank lines (only
+    spaces, tabs, CR, LF, VT, FF) are ignored.
 
     Raises :class:`MalformedFastaError` for data before the first
     header, an empty header, or an input with no records at all;
-    :class:`DuplicateIdError` for repeated ids; and propagates
+    :class:`DuplicateIdError` for repeated ids; and
     :class:`EmptySequenceError` for records with no usable nucleotides.
     """
-    buf, text = _read_all(source)
-    starts = _header_starts(buf)
-    head = buf[: starts[0]] if starts else buf
-    data_at = len(head) - len(head.lstrip(_SPACE))
-    if data_at < len(head):
-        raise MalformedFastaError(
-            f"line {_line_number(buf, data_at)}: sequence data before the first '>' header"
-        )
-    if not starts:
-        raise MalformedFastaError("input contains no FASTA records")
-
-    records: list[EncodedSequence] = []
-    seen: set[str] = set()
-    for start, stop in zip(starts, starts[1:] + [len(buf)]):
-        end = buf.find(b"\n", start, stop)
-        if end < 0:
-            end = stop
-        cr = buf.find(b"\r", start, end)
-        if cr >= 0:
-            end = cr
-        if text is None:
-            header = buf[start + 1 : end].decode("latin-1").strip()
-        else:
-            header = text[start + 1 : end].strip()
-        if not header:
-            raise MalformedFastaError(f"line {_line_number(buf, start)}: empty FASTA header")
-        seq_id = header.split()[0]
-        if seq_id in seen:
-            raise DuplicateIdError(f"duplicate record id {seq_id!r}")
-        seen.add(seq_id)
-        records.append(encode(buf[end:stop], policy=policy, seq_id=seq_id))
-    return records
+    return [
+        _from_codes(seq_id, np.concatenate(pieces), dropped)
+        for seq_id, dropped, pieces in _scan(source, policy, _Pieces)
+    ]
 
 
 def write_fasta(seqs: list[EncodedSequence], dest, width: int = FASTA_LINE_WIDTH) -> None:
     """Write sequences as FASTA with ``width``-column wrapped lines."""
     own = isinstance(dest, (str, Path))
-    fh = open(dest, "w") if own else dest
+    fh = open(dest, "w", encoding="utf-8") if own else dest
     try:
         for seq in seqs:
             fh.write(f">{seq.id}\n")

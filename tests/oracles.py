@@ -75,6 +75,60 @@ def line_fasta_records(data: bytes) -> list[tuple[str, str, int]]:
     return [(seq_id, "".join(bases), dropped) for seq_id, bases, dropped in records]
 
 
+def line_fasta_outcome(text: str, policy: str = "drop"):
+    """What reading FASTA ``text`` gives, worked out one line at a time.
+
+    Returns the records as (id, bases, dropped), or the (error class
+    name, message) of the first fault in file order: data before the
+    first header, an empty header, a repeated id, a non-base character
+    under the ``"strict"`` policy, a record without bases, or no record
+    at all.  Lines end at CRLF, CR or LF; a header is a line that opens
+    with '>'.  Bytes are read as Latin-1 text; a body character outside
+    Latin-1 is reported as '?'.
+    """
+    records = []
+
+    def no_bases(seq_id):
+        return ("EmptySequenceError", f"sequence {seq_id!r}: no A/C/G/T content")
+
+    for number, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        if line.startswith(">"):
+            if records and not records[-1][1]:
+                return no_bases(records[-1][0])
+            title = line[1:].strip()
+            if not title:
+                return ("MalformedFastaError", f"line {number}: empty FASTA header")
+            seq_id = title.split()[0]
+            if any(seq_id == rec[0] for rec in records):
+                return ("DuplicateIdError", f"duplicate record id {seq_id!r}")
+            records.append([seq_id, [], 0])
+            continue
+        for ch in line:
+            if ch in " \t\x0b\x0c":
+                continue
+            if not records:
+                return (
+                    "MalformedFastaError",
+                    f"line {number}: sequence data before the first '>' header",
+                )
+            if ch in "ACGTacgt":
+                records[-1][1].append(ch.upper())
+            elif policy == "strict":
+                shown = ch if ord(ch) < 256 else "?"
+                return (
+                    "InvalidCharacterError",
+                    f"sequence {records[-1][0]!r}: invalid character {shown!r} "
+                    f"under strict policy",
+                )
+            else:
+                records[-1][2] += 1
+    if not records:
+        return ("MalformedFastaError", "input contains no FASTA records")
+    if not records[-1][1]:
+        return no_bases(records[-1][0])
+    return [(seq_id, "".join(bases), dropped) for seq_id, bases, dropped in records]
+
+
 # -- exact metric --------------------------------------------------------------
 
 def decimal_euclidean(a, b) -> decimal.Decimal:

@@ -2,9 +2,16 @@
 
 import io
 import os
+import stat
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ppn
 
 from ppn import (
     PpnParams,
@@ -15,7 +22,8 @@ from ppn import (
     simulate,
     window_count,
 )
-from ppn.cli import main
+from ppn import cli, phylo
+from ppn.cli import main, run_bench
 from ppn.phylo import _NQD_MAX_LEAVES
 
 FASTA = """\
@@ -284,6 +292,19 @@ class TestBench:
             assert float(fields[4]) > 0.0
             assert int(fields[5]) > 0
 
+    def test_vectors_are_computed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(seq, params):
+            calls.append(seq.id)
+            return ppn_vector(seq, params)
+
+        monkeypatch.setattr(cli, "ppn_vector", counting)
+        monkeypatch.setattr(phylo, "ppn_vector", counting)
+        run_bench([(3, 200)], reps=2, seed=1, params=PpnParams())
+        # one untimed warm-up run and two timed runs, three vectors each
+        assert len(calls) == 3 * 3
+
     def test_bad_reps_exits_2(self, capsys):
         code, _, err = run(
             ["bench", "--species", "1", "--length", "10", "--reps", "0"], capsys
@@ -371,3 +392,86 @@ class TestStdout:
         )
         assert code == 0
         assert out.count("\n") == 4
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_new_file_gets_the_mode_open_gives(self, fasta_path, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "by_open", "w"):
+                pass
+            for name in ("m.phy", "t.nwk"):
+                command = "matrix" if name == "m.phy" else "tree"
+                assert main([command, "--input", fasta_path, "--output",
+                             str(tmp_path / name)]) == 0
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / "by_open").stat().st_mode)
+        assert want == 0o666 & ~umask
+        for name in ("m.phy", "t.nwk"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want
+
+    def test_replaced_file_keeps_its_mode(self, fasta_path, tmp_path):
+        dest = tmp_path / "t.nwk"
+        dest.write_text("old\n")
+        dest.chmod(0o640)
+        assert main(["tree", "--input", fasta_path, "--output", str(dest)]) == 0
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o640
+        assert dest.read_text().endswith(";\n")
+
+
+class TestEncoding:
+    """Every text ``ppn`` writes or reads is UTF-8, whatever the locale."""
+
+    def test_c_locale_writes_and_reads_utf8(self, tmp_path):
+        (tmp_path / "in.fa").write_bytes(
+            b">s\xe9q1 x\nACGTACGTACGTACGT\n>b\nTTGCAAGCTTGCAAGC\n>c\nACGTTCGTACGTTCGT\n"
+            b">d\nGGGCCCAAATTTGGGC\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith(("LC_", "LANG", "PYTHON"))}
+        env.update(LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(ppn.__file__).resolve().parents[1]))
+
+        def ppn_run(*args):
+            done = subprocess.run([sys.executable, "-m", "ppn.cli", *args], env=env,
+                                  cwd=tmp_path, capture_output=True)
+            assert (done.returncode, done.stderr) == (0, b"")
+            return done.stdout
+
+        utf8_id = "s\xe9q1".encode("utf-8")
+        assert ppn_run("vector", "-i", "in.fa").startswith(utf8_id + b"\t")
+        assert utf8_id + b"\t" in ppn_run("matrix", "-i", "in.fa")
+        ppn_run("matrix", "-i", "in.fa", "-o", "m.phy")
+        assert utf8_id + b"\t" in (tmp_path / "m.phy").read_bytes()
+        ppn_run("tree", "-i", "in.fa", "-o", "direct.nwk")
+        ppn_run("tree", "-i", "m.phy", "-o", "staged.nwk")
+        newick = (tmp_path / "direct.nwk").read_bytes()
+        assert utf8_id in newick and newick == (tmp_path / "staged.nwk").read_bytes()
+        assert ppn_run("treedist", "-i", "direct.nwk", "-i", "staged.nwk") == (
+            b"nRF\t0.0000\nnQD\t0.0000\n"
+        )
+
+
+class TestMemory:
+    def test_vector_peak_does_not_grow_with_the_record(self, tmp_path):
+        """The traced peak of ``ppn vector`` on a 4 Mnt record is within
+        1.5x of the peak on a 1 Mnt record: memory is bounded by the
+        block, not by the input."""
+        rng = np.random.default_rng(4)
+        peaks = []
+        for n in (1_000_000, 4_000_000):
+            path = tmp_path / f"{n}.fa"
+            bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, n)].tobytes()
+            lines = [bases[i : i + 60] for i in range(0, n, 60)]
+            path.write_bytes(b">r\n" + b"\n".join(lines) + b"\n")
+            argv = ["vector", "--input", str(path), "--output", str(tmp_path / "v.tsv")]
+            assert main(argv) == 0  # imports and first-call set-up happen untraced
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -7,6 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +35,10 @@ from ppn import (
     window_counts_at,
     write_phylip,
 )
-from ppn.core import _CHUNK
+from ppn import core, seqio
+from ppn.core import _CHUNK, _WindowTally
 from oracles import (
+    line_fasta_outcome,
     line_fasta_records,
     oracle_nqd,
     oracle_upgma_newick,
@@ -74,6 +77,69 @@ def test_histogram_equals_a_per_window_recount(case):
         window_counts_at(seq, c, radius) for c in window_centers(seq.length, stride)
     )
     assert count_histogram(seq, params) == dict(want)
+
+
+def _recount(seq, radius, stride):
+    return dict(
+        Counter(window_counts_at(seq, c, radius) for c in window_centers(seq.length, stride))
+    )
+
+
+def _gapped_params(radius, stride):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return PpnParams(radius=radius, stride=stride, allow_gaps=True)
+
+
+def _feed_in_pieces(params, codes, sizes):
+    """Feed ``codes`` to a new tally in pieces of the given sizes, cycled."""
+    tally = _WindowTally(params)
+    lo, k = 0, 0
+    while lo < len(codes):
+        hi = lo + sizes[k % len(sizes)]
+        tally.feed(codes[lo:hi])
+        lo, k = hi, k + 1
+    return tally
+
+
+@st.composite
+def split_cases(draw):
+    """A short sequence, a window geometry, block sizes from 0 nt up to a
+    few window spans, so blocks end inside, at and between windows, and a
+    chunk size from 1 nt."""
+    radius = draw(st.integers(1, MAX_RADIUS))
+    stride = draw(st.integers(1, 2 * radius + 3))
+    alphabet = draw(st.sampled_from(["ACGT", "A", "T", "AT", "CG"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = "".join(rng.choice(list(alphabet), size=draw(st.integers(1, 300))))
+    span = 2 * radius + 1
+    sizes = draw(st.lists(st.integers(0, 3 * span), min_size=1, max_size=8).filter(any))
+    chunk = draw(st.sampled_from([_CHUNK, 1, 2, 7, 40]))
+    return raw, radius, stride, sizes, chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+@example(("ACGTTGCA", 4, 1, [1], _CHUNK))
+@example(("ACGTTGCAGT", 2, 7, [1, 0, 2], _CHUNK))
+@example(("ACGTTGCAGTACCATGGT" * 3, 9, 6, [16, 12, 17], 13))
+def test_tally_fed_in_random_blocks_equals_a_per_window_recount(case):
+    raw, radius, stride, sizes, chunk = case
+    seq = encode(raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CHUNK", chunk)
+        tally = _feed_in_pieces(_gapped_params(radius, stride), seq.codes, sizes)
+        assert tally.length == seq.length
+        assert tally.finish() == _recount(seq, radius, stride)
+
+
+@settings(max_examples=20, deadline=None)
+@given(histogram_cases(), st.lists(st.integers(1, 3 * _CHUNK), min_size=1, max_size=4))
+def test_tally_blocks_across_chunk_boundaries_equal_a_recount(case, sizes):
+    raw, radius, stride = case
+    seq = encode(raw)
+    tally = _feed_in_pieces(_gapped_params(radius, stride), seq.codes, sizes)
+    assert tally.finish() == _recount(seq, radius, stride)
 
 
 # -- read_fasta --------------------------------------------------------------------
@@ -133,6 +199,61 @@ def test_read_fasta_raises_only_package_errors_on_text(text):
         read_fasta(io.StringIO(text))
     except PpnError:
         pass
+
+
+def _read_outcome(source, policy="drop"):
+    """The records of ``read_fasta`` as (id, bases, dropped), or the class
+    name and message of the package error it raised."""
+    try:
+        return [(r.id, r.bases(), r.dropped) for r in read_fasta(source, policy=policy)]
+    except PpnError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_TOKEN = st.sampled_from(
+    [">", ">", "\n", "\r", "\r\n", " ", "\t", "A", "c", "G", "t", "N", "-", "x", "id",
+     "a b", "\x85", "\xa0", "\x0b", "\xe9"]
+)
+#: adds characters outside Latin-1, one of them whitespace (U+2003)
+_WIDE_TOKEN = st.one_of(_TOKEN, st.sampled_from(["\u540d", "\u2003", "\U0001f9ec"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(fasta_files(), st.lists(_TOKEN, max_size=40).map("".join).map(
+        lambda text: text.encode("latin-1"))),
+    st.integers(1, 64),
+    st.sampled_from(["drop", "strict"]),
+)
+def test_streamed_read_fasta_matches_the_line_oracle_at_any_block_size(data, block, policy):
+    want = line_fasta_outcome(data.decode("latin-1"), policy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_BLOCK", block)
+        assert _read_outcome(io.BytesIO(data), policy) == want
+        assert _read_outcome(io.StringIO(data.decode("latin-1")), policy) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WIDE_TOKEN, max_size=40).map("".join), st.integers(1, 16),
+       st.sampled_from(["drop", "strict"]))
+def test_streamed_text_keeps_ids_outside_latin1_at_any_block_size(text, block, policy):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_BLOCK", block)
+        assert _read_outcome(io.StringIO(text), policy) == line_fasta_outcome(text, policy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fasta_files(), st.integers(1, 64), st.integers(1, 5), st.integers(1, 3))
+def test_streamed_vectors_equal_vectors_of_whole_records(data, block, radius, stride):
+    want = line_fasta_outcome(data.decode("latin-1"))
+    if not isinstance(want, list):
+        return
+    params = _gapped_params(radius, stride)
+    expected = [(r.id, ppn_vector(r, params)) for r in read_fasta(io.BytesIO(data))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_BLOCK", block)
+        records = seqio._scan(io.BytesIO(data), "drop", lambda: _WindowTally(params))
+        assert [(seq_id, tally.vector()) for seq_id, _, tally in records] == expected
 
 
 # -- Newick and PHYLIP ---------------------------------------------------------------

@@ -10,12 +10,15 @@ from ppn import (
     EmptySequenceError,
     InvalidCharacterError,
     MalformedFastaError,
+    PpnError,
     SimulationSpec,
     ValidationError,
     read_fasta,
     simulate,
     write_fasta,
 )
+from ppn import seqio
+from oracles import line_fasta_outcome
 
 SAMPLE = """\
 >seq1 first record
@@ -116,6 +119,51 @@ class TestReadFasta:
         assert records[0].dropped == 1
         with pytest.raises(InvalidCharacterError):
             read_fasta(io.StringIO(">x\nACNGT\n"), policy="strict")
+
+
+def _outcome(source, policy):
+    try:
+        return [(r.id, r.bases(), r.dropped) for r in read_fasta(source, policy=policy)]
+    except PpnError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestBlockEdges:
+    """Every block size from 1 byte up to the whole input, so each case
+    puts the named boundary on a block edge at least once."""
+
+    CASES = {
+        # a '>' opens the second and third blocks at block size 6
+        "gt_opens_a_block": (b">a\nAC\n>b\nGT\n>c\nA\n", "drop", [
+            ("a", "AC", 0), ("b", "GT", 0), ("c", "A", 0)]),
+        "header_split": (b">a_long|id some description\r\nACGT\n>b\tx\nG\n", "drop", [
+            ("a_long|id", "ACGT", 0), ("b", "G", 0)]),
+        # CRLF is one line break, also when CR and LF land in two blocks
+        "crlf_split": (b">a\r\nAC\r\n\r\n>b\r\nGT\r\n\r\n>\r\nGT\r\n", "drop",
+                       ("MalformedFastaError", "line 7: empty FASTA header")),
+        "empty_record": (b">a\n>b\nACGT\n", "drop",
+                         ("EmptySequenceError", "sequence 'a': no A/C/G/T content")),
+        "strict_at_edge": (b">a\nACGTA\nCGNAC\n", "strict", (
+            "InvalidCharacterError", "sequence 'a': invalid character 'N' under strict policy")),
+        "data_before_header": (b"\r\n\r\n \rAC\n>a\nG\n", "drop",
+                               ("MalformedFastaError",
+                                "line 4: sequence data before the first '>' header")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bytes_at_every_block_size(self, name, monkeypatch):
+        data, policy, want = self.CASES[name]
+        assert line_fasta_outcome(data.decode("latin-1"), policy) == want
+        for block in range(1, len(data) + 2):
+            monkeypatch.setattr(seqio, "_BLOCK", block)
+            assert _outcome(io.BytesIO(data), policy) == want, block
+
+    def test_text_ids_outside_latin1_at_every_block_size(self, monkeypatch):
+        text = ">\u540d\u524d|x desc\r\nAC\u2003GT\r\n>\xe9\U0001f9ec\u2003y\nA\n"
+        want = [("\u540d\u524d|x", "ACGT", 1), ("\xe9\U0001f9ec", "A", 0)]
+        for block in range(1, len(text) + 2):
+            monkeypatch.setattr(seqio, "_BLOCK", block)
+            assert _outcome(io.StringIO(text), "drop") == want, block
 
 
 class TestWriteFasta:
