@@ -529,23 +529,57 @@ def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
     return _fold(hist, seq.length, window_count(seq.length, params.stride), params)
 
 
+def _shifted_rows(vectors: list[PpnVector], metric: Metric) -> np.ndarray:
+    """The components minus each column's minimum, one row per vector.
+
+    A shift changes no difference, and leaves every element in
+    0..spread_j, the column's max minus its min.  No pair's sum of
+    squares exceeds sum(spread_j**2), nor its sum of absolute
+    differences sum(spread_j); when the metric's bound is below 2**63
+    the rows are int64, else object dtype holding Python ints.
+    """
+    columns = list(zip(*(v.components for v in vectors)))
+    low = [min(col) for col in columns]
+    spread = [max(col) - lo for col, lo in zip(columns, low)]
+    if metric is Metric.EUCLIDEAN:
+        bound = sum(s * s for s in spread)
+    else:
+        bound = sum(spread)
+    exact = np.int64 if bound < _PRODUCT_LIMIT else object
+    return np.array(
+        [[x - lo for x, lo in zip(v.components, low)] for v in vectors], dtype=exact
+    )
+
+
 def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     """Yield, for each vector in turn, its distances to every later vector.
 
-    Object dtype keeps every element a Python int, exact at any width,
-    or with ``normalized`` the correctly rounded float ``x / windows``
-    summed by ``math.fsum``.
+    Without ``normalized`` the rows come from :func:`_shifted_rows`.  In
+    int64, each row is one integer sum per pair, then one conversion to
+    float64 and, for Euclidean, ``np.sqrt``: the conversion rounds to
+    nearest-even like ``float(int)`` and IEEE square root is correctly
+    rounded, so the result is bit-identical to ``math.sqrt`` of the
+    exact sum.  Past the
+    bound, object dtype keeps every element a Python int, exact at any
+    width.  With ``normalized`` the elements are the correctly rounded
+    floats ``x / windows``, summed by ``math.fsum``.
     """
-    rows = np.array([v.components for v in vectors], dtype=object)
     if normalized:
+        rows = np.array([v.components for v in vectors], dtype=object)
         rows = rows / np.array([[v.windows] for v in vectors], dtype=object)
+    else:
+        rows = _shifted_rows(vectors, metric)
+    euclidean = metric is Metric.EUCLIDEAN
+    fixed = rows.dtype == np.int64
     total = math.fsum if normalized else sum
     for i in range(len(vectors) - 1):
         diff = rows[i] - rows[i + 1 :]
-        if metric is Metric.EUCLIDEAN:
-            yield [math.sqrt(total(d)) for d in (diff * diff).tolist()]
+        terms = diff * diff if euclidean else np.abs(diff)
+        if fixed:
+            sums = terms.sum(axis=1).astype(np.float64)
         else:
-            yield [float(total(d)) for d in np.abs(diff).tolist()]
+            sums = np.array([float(total(t)) for t in terms.tolist()])
+        yield np.sqrt(sums) if euclidean else sums
 
 
 def distance(
@@ -556,11 +590,14 @@ def distance(
 ) -> float:
     """Distance between two PPN vectors.
 
-    Component differences are taken exactly on integers; floating point
-    enters only in the final reduction (and the square root).  With
-    ``normalized`` each component is first divided by its own vector's
-    window count; this mode is off by default and changes nothing about
-    the raw contract.  :func:`ppn.phylo.pairwise_matrix` runs the same code.
+    Component differences and their sum are taken exactly on integers,
+    in int64 when the pair's spreads bound the sum below 2**63 and in
+    Python ints otherwise; floating point enters only in the sum's
+    conversion and the square root, so the result is the same Python
+    ``float`` either way.  With ``normalized`` each component is first
+    divided by its own vector's window count; this mode is off by
+    default and changes nothing about the raw contract.
+    :func:`ppn.phylo.pairwise_matrix` runs the same code.
 
     Raises :class:`ParamsMismatchError` if the vectors were computed
     with different radius or stride.
@@ -572,4 +609,4 @@ def distance(
             f"{pb.radius}, stride {pa.stride} vs {pb.stride}"
         )
     metric = Metric(metric) if metric is not None else pa.metric
-    return next(_distance_rows([a, b], metric, normalized))[0]
+    return float(next(_distance_rows([a, b], metric, normalized))[0])

@@ -48,7 +48,9 @@ class DistanceMatrix:
 
     Symmetry and the zero diagonal are exact; entries above and below
     the diagonal are the same float, never recomputed values that merely
-    agree approximately.
+    agree approximately.  A zero is stored as +0.0 whatever its sign in
+    the input, so a pair that differs only in the sign of a zero holds
+    the same float too.
     """
 
     __slots__ = ("labels", "values")
@@ -72,7 +74,8 @@ class DistanceMatrix:
         with np.errstate(invalid="ignore"):
             if np.any(values < 0.0):
                 raise ValidationError("distance matrix entries must be non-negative")
-        values = values.copy()
+        # a new array, with -0.0 + 0.0 == +0.0
+        values = values + 0.0
         values.flags.writeable = False
         self.labels = labels
         self.values = values
@@ -585,15 +588,29 @@ def write_phylip(matrix: DistanceMatrix, fh) -> None:
     """Write a relaxed PHYLIP matrix: count line, then label + full row.
 
     Entries are printed with full round-trip precision so that reading
-    the file back reproduces the exact same doubles.
+    the file back reproduces the exact same doubles.  Each unordered
+    pair is formatted once, as the matrix is exactly symmetric: row i is
+    the strings row j < i made for column i, the diagonal, then its own
+    entries right of the diagonal, which it hands on to their columns.
+    A column's strings are dropped once its row is written.
     """
     fh.write(f"{matrix.size}\n")
-    for label, row in zip(matrix.labels, matrix.values):
-        fh.write("\t".join([_check_label(label), *map(repr, row.tolist())]) + "\n")
+    columns = [[] for _ in matrix.labels]
+    for i, label in enumerate(matrix.labels):
+        upper = list(map(repr, matrix.values[i, i + 1 :].tolist()))
+        for column, text in zip(columns[i + 1 :], upper):
+            column.append(text)
+        left, columns[i] = columns[i], None
+        # DistanceMatrix stores the diagonal as +0.0
+        fh.write("\t".join([_check_label(label), *left, "0.0", *upper]) + "\n")
 
 
 def read_phylip(source) -> DistanceMatrix:
-    """Read a relaxed PHYLIP matrix written by :func:`write_phylip`."""
+    """Read a relaxed PHYLIP matrix written by :func:`write_phylip`.
+
+    A value must be a number ``float`` reads from ASCII with no ``_``;
+    anything else raises :class:`ValidationError` naming its row.
+    """
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     fh = open(source, encoding="utf-8") if own else source
     try:
@@ -625,6 +642,15 @@ def read_phylip(source) -> DistanceMatrix:
                 f"found {len(parts)} fields"
             )
         labels.append(parts[0])
+        # float() also reads "1_5" as 15.0 and non-ASCII digits such as
+        # "\u0661" as 1.0; the fields are looked at one by one only when
+        # the row holds "_" past its label or is not all ASCII
+        if line.find("_", len(parts[0])) >= 0 or not line.isascii():
+            bad = next((p for p in parts[1:] if "_" in p or not p.isascii()), None)
+            if bad is not None:
+                raise ValidationError(
+                    f"matrix row {i + 1}: {bad!r} is not an ASCII decimal number"
+                )
         try:
             values[i] = [float(p) for p in parts[1:]]
         except ValueError as exc:

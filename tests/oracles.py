@@ -3,8 +3,10 @@ against.
 
 Everything here recomputes results from first principles with plain
 Python (string slicing, dicts, BFS) so that agreement with the library
-is meaningful.  None of it imports the library's internals; builders
-use only the public tree node type to construct inputs.
+is meaningful.  None of it imports the library's internals, except the
+Newick label check that the per-entry PHYLIP writer calls as the
+library's writer does; builders use only the public tree node type to
+construct inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from collections import deque
 from itertools import combinations
 
-from ppn.phylo import PhyloTree, TreeNode
+from ppn.phylo import PhyloTree, TreeNode, _check_label
 
 BASES = "ACGT"
 
@@ -161,6 +163,15 @@ def scalar_distance(a, b, metric, normalized: bool) -> float:
         ssq = sum((x - y) ** 2 for x, y in zip(a.components, b.components))
         return math.sqrt(ssq)
     return float(sum(abs(x - y) for x, y in zip(a.components, b.components)))
+
+
+# -- PHYLIP, one repr per matrix entry ----------------------------------------------
+
+def per_entry_phylip(matrix, fh) -> None:
+    """The PHYLIP writer that formats every entry of both triangles."""
+    fh.write(f"{matrix.size}\n")
+    for label, row in zip(matrix.labels, matrix.values):
+        fh.write("\t".join([_check_label(label), *map(repr, row.tolist())]) + "\n")
 
 
 # -- UPGMA, by a full scan at every merge ----------------------------------------

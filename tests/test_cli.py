@@ -189,6 +189,20 @@ class TestTree:
         assert code == 0
         assert out == run(["tree", "--input", str(plain)], capsys)[1]
 
+    def test_negative_zeros_in_a_matrix_print_as_zero(self, tmp_path, capsys):
+        mat = tmp_path / "m.phy"
+        mat.write_text("3\na 0.0 -0.0 2.0\nb -0.0 0.0 2.0\nc 2.0 2.0 0.0\n")
+        code, out, _ = run(["tree", "--input", str(mat)], capsys)
+        assert (code, out) == (0, "((a:0.0,b:0.0):1.0,c:1.0);\n")
+
+    @pytest.mark.parametrize("field", ["1_5", "\u0661"])
+    def test_misreadable_number_exits_2(self, tmp_path, capsys, field):
+        mat = tmp_path / "m.phy"
+        mat.write_text(f"2\na 0 1\nb {field} 0\n", encoding="utf-8")
+        code, out, err = run(["tree", "--input", str(mat)], capsys)
+        assert (code, out) == (2, "")
+        assert "row 2" in err and repr(field) in err
+
     def test_undecodable_matrix_exits_2(self, tmp_path, capsys):
         mat = tmp_path / "m.phy"
         mat.write_bytes(b"\xff\xfe2")

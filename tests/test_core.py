@@ -4,8 +4,9 @@ and the vector metric."""
 import math
 import random
 import warnings
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
 from ppn import (
@@ -34,7 +35,9 @@ from ppn import (
     window_product_sum,
     window_products,
 )
-from oracles import decimal_euclidean, exact_manhattan, naive_vector
+from ppn.core import _shifted_rows
+from ppn.phylo import _vector_matrix
+from oracles import decimal_euclidean, exact_manhattan, naive_vector, scalar_distance
 
 DEMO = "ACTGCCTCGATAA"
 
@@ -396,4 +399,68 @@ class TestDistance:
         assert distance(a, b, normalized=True) == 0.0
         c = PpnVector(tuple([300] * 24), 200, 100, params)
         assert distance(a, c, normalized=True) == pytest.approx(math.sqrt(24))
+        assert type(distance(a, c, normalized=True)) is float
         assert distance(a, c, metric="manhattan", normalized=True) == pytest.approx(24.0)
+
+
+# -- the int64 regime of the distance rows ---------------------------------------
+
+#: Pair sums whose conversion to float64 rounds: ties to even, either
+#: way, and sums just past a tie.
+_ROUNDED_SUMS = [
+    2**53 + 1,
+    2**53 + 3,
+    2**62 + 2**9,
+    2**62 + 3 * 2**9,
+    2**62 + 2**9 + 1,
+    2**63 - 2**9,
+    2**63 - 2**9 - 1,
+]
+
+
+def _squares(total):
+    """12 non-negative ints whose squares sum to ``total``, taken greedily."""
+    out = []
+    for _ in range(12):
+        out.append(math.isqrt(total))
+        total -= out[-1] ** 2
+    assert total == 0
+    return out
+
+
+def _parts(total):
+    """12 non-negative ints of at most 2**60 that sum to ``total``."""
+    out = []
+    for _ in range(12):
+        out.append(min(total, 2**60))
+        total -= out[-1]
+    assert total == 0
+    return out
+
+
+def _bound_set(split, bound, metric):
+    """Vectors a, b, c above 2**63, with b - a on components 0-11 and
+    c - a on 12-23: the pairs (a, b), (a, c) and (b, c) sum to split,
+    bound - split and bound, and the metric's spread bound is ``bound``."""
+    params = PpnParams(metric=metric)
+    terms = _squares if metric == "euclidean" else _parts
+    offsets = ([0] * 24, terms(split) + [0] * 12, [0] * 12 + terms(bound - split))
+    return [_vec([3 * 2**64 + j + d for j, d in enumerate(o)], params) for o in offsets]
+
+
+class TestIntegerRegime:
+    @pytest.mark.parametrize("bound, dtype", [(2**63 - 1, np.int64), (2**63, object)])
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("split", _ROUNDED_SUMS)
+    def test_spread_bound_and_rounding_match_the_scalar_oracle(
+        self, split, metric, bound, dtype
+    ):
+        assert int(float(split)) != split
+        vecs = _bound_set(split, bound, metric)
+        assert _shifted_rows(vecs, Metric(metric)).dtype == dtype
+        m = _vector_matrix(["a", "b", "c"], vecs, Metric(metric), False)
+        for i, j in combinations(range(3), 2):
+            want = scalar_distance(vecs[i], vecs[j], metric, False)
+            assert m.values[i, j] == want
+            got = distance(vecs[i], vecs[j], metric)
+            assert type(got) is float and got == want

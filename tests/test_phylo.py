@@ -84,6 +84,15 @@ class TestDistanceMatrix:
         with pytest.raises(ValidationError):
             DistanceMatrix(["a", "b"], square([[0, -1], [-1, 0]]))
 
+    def test_negative_zeros_in_both_triangles_are_stored_as_zero(self):
+        m = DistanceMatrix(["a", "b", "c"], square([[0, -0.0, 2], [-0.0, -0.0, 2], [2, 2, 0]]))
+        assert not np.signbit(m.values).any()
+        assert to_newick(upgma(m)) == "((a:0.0,b:0.0):1.0,c:1.0);"
+
+    def test_negative_zero_in_one_triangle_reads_the_same_both_ways(self):
+        m = DistanceMatrix(["a", "b"], square([[0, -0.0], [0, 0]]))
+        assert repr(m["a", "b"]) == repr(m["b", "a"]) == "0.0"
+
     def test_values_are_a_read_only_copy(self):
         src = square([[0, 1], [1, 0]])
         m = DistanceMatrix(["a", "b"], src)
@@ -485,3 +494,14 @@ class TestPhylip:
     def test_rejects_empty_input(self):
         with pytest.raises(ValidationError, match="empty"):
             read_phylip(io.StringIO(""))
+
+    @pytest.mark.parametrize("field", ["1_5", "\u0661", "1e1_0", "\uff11"])
+    def test_rejects_fields_float_would_misread(self, field):
+        text = f"2\na 0 {field}\nb {field} 0\n"
+        with pytest.raises(ValidationError, match=f"row 1: '{field}' is not an ASCII"):
+            read_phylip(io.StringIO(text))
+
+    def test_non_ascii_labels_and_nan_still_read(self):
+        m = read_phylip(io.StringIO("3\ns\u00e9q 0 nan 1\nb nan 0 inf\nc 1 inf 0\n"))
+        assert m.labels == ("s\u00e9q", "b", "c")
+        assert math.isnan(m["b", "s\u00e9q"]) and m["b", "c"] == math.inf

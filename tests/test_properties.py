@@ -42,6 +42,7 @@ from oracles import (
     line_fasta_records,
     oracle_nqd,
     oracle_upgma_newick,
+    per_entry_phylip,
     scalar_distance,
     splits_by_edge_cut,
 )
@@ -356,6 +357,45 @@ def test_phylip_round_trips_bit_for_bit(matrix):
     assert back.values.tobytes() == matrix.values.tobytes()
 
 
+_ODD_FLOATS = st.one_of(
+    st.floats(min_value=0.0),
+    st.just(float("nan")),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+)
+
+
+@st.composite
+def odd_matrices(draw):
+    """Symmetric matrices with nan, inf and subnormal entries, or the
+    matrix read back from PHYLIP text whose zeros carry either sign in
+    either triangle."""
+    labels = draw(st.lists(_LABEL, min_size=2, max_size=6, unique=True))
+    k = len(labels)
+    upper = np.triu_indices(k, 1)
+    if draw(st.booleans()):
+        entries = draw(st.lists(_ODD_FLOATS, min_size=len(upper[0]), max_size=len(upper[0])))
+        values = np.zeros((k, k))
+        values[upper] = entries
+        values[upper[::-1]] = entries
+        return DistanceMatrix(labels, values)
+    zero = st.sampled_from(["0.0", "-0.0", "0", "-0"])
+    cells = [[draw(zero) for _ in range(k)] for _ in range(k)]
+    for i, j in zip(*upper):
+        if draw(st.booleans()):
+            cells[i][j] = cells[j][i] = draw(st.sampled_from(["1.5", "5e-324", "inf"]))
+    text = "\n".join([str(k)] + [" ".join([labels[i], *cells[i]]) for i in range(k)])
+    return read_phylip(io.StringIO(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd_matrices())
+def test_write_phylip_equals_the_per_entry_writer(matrix):
+    buf, want = io.StringIO(), io.StringIO()
+    write_phylip(matrix, buf)
+    per_entry_phylip(matrix, want)
+    assert buf.getvalue() == want.getvalue()
+
+
 # -- distance matrix and UPGMA ---------------------------------------------------------
 
 @st.composite
@@ -373,6 +413,8 @@ def record_sets(draw):
 
 
 _PAST_64_BITS = (["T" * 300, "T" * 290 + "A" * 10, "ACGT" * 50], 10, 1)
+# one identical pair above 2**63: no spread, the int64 rows after the shift
+_SAME_PAST_64_BITS = (["T" * 300, "T" * 300], 10, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -385,13 +427,15 @@ _PAST_64_BITS = (["T" * 300, "T" * 290 + "A" * 10, "ACGT" * 50], 10, 1)
 @example(_PAST_64_BITS, "manhattan", False)
 @example(_PAST_64_BITS, "euclidean", True)
 @example(_PAST_64_BITS, "manhattan", True)
+@example(_SAME_PAST_64_BITS, "euclidean", False)
+@example(_SAME_PAST_64_BITS, "manhattan", False)
 def test_pairwise_matrix_equals_the_scalar_oracle(case, metric, normalized):
     raws, radius, stride = case
     params = PpnParams(radius=radius, stride=stride, metric=metric)
     seqs = [encode(raw, seq_id=f"r{i}") for i, raw in enumerate(raws)]
     vecs = [ppn_vector(seq, params) for seq in seqs]
     m = pairwise_matrix(seqs, params, normalized=normalized)
-    if case is _PAST_64_BITS:
+    if case in (_PAST_64_BITS, _SAME_PAST_64_BITS):
         assert max(vecs[0].components) > 2**63
     for i, j in combinations(range(len(seqs)), 2):
         want = scalar_distance(vecs[i], vecs[j], metric, normalized)
