@@ -373,9 +373,10 @@ class _WindowTally:
     taken from two prefix lookups, and ``np.bincount`` over the B**3 keys
     adds them to the running ``bins``.  T is implied, since a full window
     holds 2l+1 nucleotides.  Windows are counted in chunks of about
-    :data:`_CHUNK` nucleotides through prefix buffers that the tally
-    keeps for every later chunk, so working memory is bounded by the
-    chunk and block sizes and not by the sequence length.
+    :data:`_CHUNK` nucleotides through prefix and key buffers made for
+    each call, so working memory is bounded by the chunk and block sizes
+    and not by the sequence length, and a tally holds no buffer between
+    calls.
 
     Between blocks the tally keeps the codes from the start of the next
     full window not yet counted (at most 2*radius of them); a window that
@@ -400,7 +401,6 @@ class _WindowTally:
         # from its start up to the end of what has been fed
         self._next = -(-self._radius // self._step)
         self._carry = self._head
-        self._prefix = self._keys = None
 
     def feed(self, codes: np.ndarray) -> None:
         """Count every full window that ends inside the codes fed so far."""
@@ -432,54 +432,56 @@ class _WindowTally:
         step, span = self._step, self._span
         per_chunk = max(1, _CHUNK // step)
         most = min(m, per_chunk)
-        if self._keys is None or len(self._keys) < most:
-            # a chunk of m windows reads (m-1)*step + span nucleotides
-            self._prefix = np.zeros((most - 1) * step + span + 1, dtype=np.int64)
-            self._keys = np.empty(most, dtype=np.int64)
+        # a chunk of k windows reads (k-1)*step + span nucleotides
+        prefix = np.zeros((most - 1) * step + span + 1, dtype=np.int64)
+        keys = np.empty(most, dtype=np.int64)
         for j0 in range(0, m, per_chunk):
             k = min(per_chunk, m - j0)
             size = (k - 1) * step + span
             lo = offset + j0 * step
-            pre = self._prefix[: size + 1]
+            pre = prefix[: size + 1]
             # mode="clip" lets take write straight into pre; codes are 0..3
             np.take(self._weights, codes[lo : lo + size], out=pre[1:], mode="clip")
             np.cumsum(pre, out=pre)
-            keys = np.subtract(pre[span::step], pre[: size + 1 - span : step], out=self._keys[:k])
-            self.bins += np.bincount(keys, minlength=len(self.bins))
+            np.subtract(pre[span::step], pre[: size + 1 - span : step], out=keys[:k])
+            self.bins += np.bincount(keys[:k], minlength=len(self.bins))
 
-    def finish(self) -> dict[tuple[int, int, int, int], int]:
-        """The histogram of every window, the truncated ones included."""
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """Window count tuples (A, C, G, T) as rows, and their multiplicities:
+        one row per nonzero bin, then one per window cut short by an end of
+        the sequence, so a tuple may appear in more than one row."""
         radius, step, span = self._radius, self._step, self._span
-        n = self.length
-        windows = window_count(n, step - 1)
+        windows = window_count(self.length, step - 1)
         base = span + 1
         seen = np.flatnonzero(self.bins)
-        a = seen % base
-        c = seen // base % base
-        g = seen // (base * base)
-        t = span - a - c - g
-        hist = dict(
-            zip(
-                zip(a.tolist(), c.tolist(), g.tolist(), t.tolist()),
-                self.bins[seen].tolist(),
-            )
-        )
-
-        def add(codes):
-            counts = tuple(np.bincount(codes, minlength=4).tolist())
-            hist[counts] = hist.get(counts, 0) + 1
-
-        for i in range(min(-(-radius // step), windows)):
-            add(self._head[: i * step + radius + 1])
-        start = self._next * step - radius
-        for i in range(self._next, windows):
-            add(self._carry[i * step - radius - start :])
-        return hist
+        a, c, g = seen % base, seen // base % base, seen // (base * base)
+        full = np.stack([a, c, g, span - a - c - g], axis=1)
+        early = min(-(-radius // step), windows)
+        cut = [self._head[: i * step + radius + 1] for i in range(early)]
+        cut += [self._carry[j * step :] for j in range(windows - self._next)]
+        short = np.array([np.bincount(w, minlength=4) for w in cut], dtype=np.int64)
+        counts = np.concatenate([full, short.reshape(-1, 4)])
+        return counts, np.concatenate([self.bins[seen], np.ones(len(cut), dtype=np.int64)])
 
     def vector(self) -> PpnVector:
-        """The vector of everything fed so far."""
+        """The vector of everything fed so far: each row of :meth:`finish`
+        adds its products times its multiplicity, so a repeated row is
+        harmless."""
+        counts, multiplicity = self.finish()
         windows = window_count(self.length, self.params.stride)
-        return _fold(self.finish(), self.length, windows, self.params)
+        # products[d, j] is row d's window product under assignment j;
+        # the radius cap keeps each below 2**63, so int64 holds it exactly
+        powers = _PRIME_ROWS ** counts[:, None, :]
+        products = powers[..., 0] * powers[..., 1] * powers[..., 2] * powers[..., 3]
+        # no sum exceeds windows * 7**(2l+1): int64 below 2**63, else Python ints
+        exact = np.int64 if windows * 7 ** self._span < _PRODUCT_LIMIT else object
+        sums = multiplicity.astype(exact) @ products.astype(exact)
+        return PpnVector(
+            components=tuple(sums.tolist()),
+            sequence_length=self.length,
+            windows=windows,
+            params=self.params,
+        )
 
 
 def count_histogram(
@@ -496,26 +498,11 @@ def count_histogram(
     """
     tally = _WindowTally(params)
     tally.feed(seq.codes)
-    return tally.finish()
-
-
-def _fold(
-    hist: dict[tuple[int, int, int, int], int], length: int, windows: int, params: PpnParams
-) -> PpnVector:
-    """The 24 window-product sums from a window-count histogram."""
-    # products[d, j] is tuple d's window product under assignment j;
-    # the radius cap keeps each below 2**63, so int64 holds it exactly
-    powers = _PRIME_ROWS ** np.array(list(hist), dtype=np.int64)[:, None, :]
-    products = powers[..., 0] * powers[..., 1] * powers[..., 2] * powers[..., 3]
-    # no sum exceeds windows * 7**(2l+1): int64 below 2**63, else Python ints
-    exact = np.int64 if windows * 7 ** (2 * params.radius + 1) < _PRODUCT_LIMIT else object
-    sums = np.array(list(hist.values()), dtype=exact) @ products.astype(exact)
-    return PpnVector(
-        components=tuple(sums.tolist()),
-        sequence_length=length,
-        windows=windows,
-        params=params,
-    )
+    counts, multiplicity = tally.finish()
+    hist = {}
+    for row, weight in zip(map(tuple, counts.tolist()), multiplicity.tolist()):
+        hist[row] = hist.get(row, 0) + weight
+    return hist
 
 
 def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
@@ -525,8 +512,9 @@ def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
     the histogram path just reorders the additions, and integer
     arithmetic makes the reordering harmless.
     """
-    hist = count_histogram(seq, params)
-    return _fold(hist, seq.length, window_count(seq.length, params.stride), params)
+    tally = _WindowTally(params)
+    tally.feed(seq.codes)
+    return tally.vector()
 
 
 def _shifted_rows(vectors: list[PpnVector], metric: Metric) -> np.ndarray:

@@ -70,11 +70,12 @@ def _blocks(source):
             yield bytes(data), None
 
 
-def _breaks(buf: bytes) -> int:
-    """Line breaks in ``buf``; a CRLF pair counts once."""
-    octets = np.frombuffer(buf, dtype=np.uint8)
+def _breaks(buf: bytes, start: int, stop: int) -> int:
+    """Line breaks in ``buf[start:stop]``, read without a copy; a CRLF
+    pair counts once."""
+    octets = np.frombuffer(buf, np.uint8, stop - start, start)
     count = np.count_nonzero(octets == 0x0A)
-    if b"\r" in buf:
+    if buf.find(b"\r", start, stop) >= 0:
         cr = octets == 0x0D
         count += np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & (octets[1:] == 0x0A))
     return int(count)
@@ -119,11 +120,11 @@ def _scan(source, policy: str, new_sink):
     each block's share of the record body goes to ``sink.feed`` as an
     int8 code array, so no more than one block of the input is held at
     a time.  Checks and errors are those of :func:`read_fasta`, raised
-    in file order.  The running line count treats a CRLF split across
-    two blocks as one line break.
+    in file order.  The running line count reads each byte once and
+    treats a CRLF split across two blocks as one line break.
     """
     seen: set[str] = set()
-    lines = 0  # line breaks before the current block
+    lines = 0  # line breaks before buf[counted]
     after_break = True  # the last byte read ended a line, or there is none
     cr_end = False
     title = None  # pieces of a header line not yet ended
@@ -143,9 +144,14 @@ def _scan(source, policy: str, new_sink):
     for buf, text in _blocks(source):
         if cr_end and buf.startswith(b"\n"):
             lines -= 1  # the LF of a CRLF whose CR ended the last block
+        counted = 0
 
         def line_at(pos):
-            return 1 + lines + _breaks(buf[:pos])
+            # pos never falls below the last call's, nor inside a CRLF
+            nonlocal lines, counted
+            lines += _breaks(buf, counted, pos)
+            counted = pos
+            return 1 + lines
 
         def piece(lo, hi):
             return buf[lo:hi].decode("latin-1") if text is None else text[lo:hi]
@@ -181,7 +187,7 @@ def _scan(source, policy: str, new_sink):
             title = [piece(h + 1, i)]
             if i < n:
                 record = open_record()
-        lines += _breaks(buf)
+        line_at(n)
         after_break = buf[-1] in b"\r\n"
         cr_end = buf.endswith(b"\r")
 

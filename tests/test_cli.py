@@ -469,6 +469,27 @@ class TestEncoding:
 
 
 class TestMemory:
+    @staticmethod
+    def _fasta(path, records, n, rng):
+        """Write ``records`` random records of ``n`` nt in 60-column lines."""
+        with open(path, "wb") as fh:
+            for r in range(records):
+                bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, n)].tobytes()
+                lines = [bases[i : i + 60] for i in range(0, n, 60)]
+                fh.write(b">r%d\n" % r + b"\n".join(lines) + b"\n")
+
+    @staticmethod
+    def _vector_peak(path, tmp_path):
+        """The traced peak of ``ppn vector`` on ``path``, in bytes."""
+        argv = ["vector", "--input", str(path), "--output", str(tmp_path / "v.tsv")]
+        assert main(argv) == 0  # imports and first-call set-up happen untraced
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_vector_peak_does_not_grow_with_the_record(self, tmp_path):
         """The traced peak of ``ppn vector`` on a 4 Mnt record is within
         1.5x of the peak on a 1 Mnt record: memory is bounded by the
@@ -477,15 +498,18 @@ class TestMemory:
         peaks = []
         for n in (1_000_000, 4_000_000):
             path = tmp_path / f"{n}.fa"
-            bases = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, n)].tobytes()
-            lines = [bases[i : i + 60] for i in range(0, n, 60)]
-            path.write_bytes(b">r\n" + b"\n".join(lines) + b"\n")
-            argv = ["vector", "--input", str(path), "--output", str(tmp_path / "v.tsv")]
-            assert main(argv) == 0  # imports and first-call set-up happen untraced
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            self._fasta(path, 1, n, rng)
+            peaks.append(self._vector_peak(path, tmp_path))
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_vector_peak_does_not_grow_with_the_record_count(self, tmp_path):
+        """The traced peak of ``ppn vector`` on four 1 Mnt records is
+        within 1.05x of the peak on one: a finished record's tally holds
+        no buffers while the next record is read."""
+        rng = np.random.default_rng(5)
+        peaks = []
+        for records in (1, 4):
+            path = tmp_path / f"{records}.fa"
+            self._fasta(path, records, 1_000_000, rng)
+            peaks.append(self._vector_peak(path, tmp_path))
+        assert peaks[1] <= 1.05 * peaks[0], peaks

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ppn import (
     MAX_RADIUS,
+    PERMUTATIONS,
     DistanceMatrix,
     EmptySequenceError,
     PhyloTree,
@@ -40,6 +41,7 @@ from ppn.core import _CHUNK, _WindowTally
 from oracles import (
     line_fasta_outcome,
     line_fasta_records,
+    naive_vector,
     oracle_nqd,
     oracle_upgma_newick,
     per_entry_phylip,
@@ -92,6 +94,15 @@ def _gapped_params(radius, stride):
         return PpnParams(radius=radius, stride=stride, allow_gaps=True)
 
 
+def _summed(rows):
+    """The rows that ``_WindowTally.finish`` returns, with the
+    multiplicities of equal count tuples added up."""
+    hist = Counter()
+    for counts, weight in zip(*rows):
+        hist[tuple(counts.tolist())] += int(weight)
+    return dict(hist)
+
+
 def _feed_in_pieces(params, codes, sizes):
     """Feed ``codes`` to a new tally in pieces of the given sizes, cycled."""
     tally = _WindowTally(params)
@@ -131,7 +142,7 @@ def test_tally_fed_in_random_blocks_equals_a_per_window_recount(case):
         mp.setattr(core, "_CHUNK", chunk)
         tally = _feed_in_pieces(_gapped_params(radius, stride), seq.codes, sizes)
         assert tally.length == seq.length
-        assert tally.finish() == _recount(seq, radius, stride)
+        assert _summed(tally.finish()) == _recount(seq, radius, stride)
 
 
 @settings(max_examples=20, deadline=None)
@@ -140,7 +151,23 @@ def test_tally_blocks_across_chunk_boundaries_equal_a_recount(case, sizes):
     raw, radius, stride = case
     seq = encode(raw)
     tally = _feed_in_pieces(_gapped_params(radius, stride), seq.codes, sizes)
-    assert tally.finish() == _recount(seq, radius, stride)
+    assert _summed(tally.finish()) == _recount(seq, radius, stride)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+@example(("ACGTTGCAGTACCATGGT" * 3, 10, 23, [5, 0, 11], 1))
+@example(("T" * 199, 10, 1, [64, 3], 7))
+def test_tally_vector_fed_in_random_blocks_equals_a_naive_vector(case):
+    raw, radius, stride, sizes, chunk = case
+    seq = encode(raw)
+    params = _gapped_params(radius, stride)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CHUNK", chunk)
+        vec = _feed_in_pieces(params, seq.codes, sizes).vector()
+    assert list(vec.components) == naive_vector(seq.bases(), radius, stride, PERMUTATIONS)
+    assert vec.sequence_length == seq.length
+    assert vec.windows == len(window_centers(seq.length, stride))
 
 
 # -- read_fasta --------------------------------------------------------------------

@@ -120,6 +120,25 @@ class TestReadFasta:
         with pytest.raises(InvalidCharacterError):
             read_fasta(io.StringIO(">x\nACNGT\n"), policy="strict")
 
+    def test_line_count_reads_each_byte_once(self, tmp_path, monkeypatch):
+        # 5 000 headers over two blocks: the running line count scans each
+        # byte once, not the block up to every header, and still numbers
+        # the last line right
+        path = tmp_path / "many.fa"
+        records = (b">r%d\r\n%s\r\n" % (i, b"ACGT" * 13) for i in range(5000))
+        path.write_bytes(b"".join(records) + b">\r\n")
+        scanned = []
+        breaks = seqio._breaks
+
+        def spy(buf, start, stop):
+            scanned.append(stop - start)
+            return breaks(buf, start, stop)
+
+        monkeypatch.setattr(seqio, "_breaks", spy)
+        with pytest.raises(MalformedFastaError, match="line 10001: empty FASTA header"):
+            read_fasta(path)
+        assert 0 < sum(scanned) <= path.stat().st_size
+
 
 def _outcome(source, policy):
     try:
