@@ -80,7 +80,8 @@ _POW = {p: tuple(p**e for e in range(_MAX_EXPONENT + 1)) for p in PRIMES}
 _PRODUCT_LIMIT = 2**63
 _PRIME_ROWS = np.array(PERMUTATIONS, dtype=np.int64)
 
-#: Nucleotides per chunk of the window tally behind :func:`count_histogram`.
+#: Codes per chunk of the window tally: a feed walks its codes this many
+#: at a time through one buffer of prefix sums made for the call.
 _CHUNK = 1 << 15
 
 #: ``bytes.translate`` table: byte -> base code (A=0, C=1, G=2, T=3,
@@ -156,14 +157,34 @@ class PpnParams:
 class EncodedSequence:
     """A DNA sequence as 2-bit-codeable integers (A=0, C=1, G=2, T=3).
 
-    ``dropped`` counts non-ACGT, non-whitespace characters removed
-    during sanitization.  The code array is read-only; instances are
-    safe to share across threads.
+    ``codes`` must be a 1-D integer array of values 0..3, else
+    :class:`ValidationError` naming the id; empty codes raise
+    :class:`EmptySequenceError`.  They are stored as a contiguous int8
+    array that is read-only, so instances are safe to share across
+    threads; a contiguous int8 array passed in is kept without a copy,
+    and so becomes read-only itself.  ``dropped`` counts non-ACGT,
+    non-whitespace characters removed during sanitization.
     """
 
     id: str
     codes: np.ndarray
     dropped: int = 0
+
+    def __post_init__(self):
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ValidationError(
+                f"sequence {self.id!r}: codes must be a 1-D integer array, got "
+                f"{codes.ndim}-D {codes.dtype}"
+            )
+        if not len(codes):
+            raise _no_bases(self.id)
+        # before the int8 cast, which would wrap 256 to 0
+        if codes.min() < 0 or codes.max() > 3:
+            raise ValidationError(f"sequence {self.id!r}: codes must be in 0..3")
+        codes = np.ascontiguousarray(codes, dtype=np.int8)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
 
     @property
     def length(self) -> int:
@@ -209,12 +230,6 @@ class PpnVector:
             raise ValidationError(
                 f"expected {len(PERMUTATIONS)} components, got {len(self.components)}"
             )
-
-
-def _from_codes(seq_id: str, codes: np.ndarray, dropped: int = 0) -> EncodedSequence:
-    codes = np.ascontiguousarray(codes, dtype=np.int8)
-    codes.flags.writeable = False
-    return EncodedSequence(id=seq_id, codes=codes, dropped=dropped)
 
 
 def _is_strict(policy: str) -> bool:
@@ -265,9 +280,7 @@ def encode(raw: str | bytes, policy: str = "drop", seq_id: str = "seq") -> Encod
     strict = _is_strict(policy)
     data = raw.encode("latin-1", errors="replace") if isinstance(raw, str) else bytes(raw)
     kept, dropped = _sanitize(data, strict, seq_id)
-    if not kept:
-        raise _no_bases(seq_id)
-    return _from_codes(seq_id, np.frombuffer(kept, dtype=np.int8), dropped)
+    return EncodedSequence(seq_id, np.frombuffer(kept, dtype=np.int8), dropped)
 
 
 def window_count(length: int, stride: int) -> int:
@@ -366,25 +379,25 @@ def window_product_sum(seq: EncodedSequence, params: PpnParams, perm: int) -> in
 class _WindowTally:
     """Window-count histogram of one sequence whose codes arrive in blocks.
 
-    Full windows, those holding 2*radius+1 nucleotides, are counted as
-    soon as their last code is fed.  Each base weighs (2l+2)**b for A, C,
-    G (b = 0, 1, 2) and T weighs nothing; one cumulative sum of the
-    weights turns every window into a packed key ``A + C*B + G*B**2``
-    taken from two prefix lookups, and ``np.bincount`` over the B**3 keys
-    adds them to the running ``bins``.  T is implied, since a full window
-    holds 2l+1 nucleotides.  Windows are counted in chunks of about
-    :data:`_CHUNK` nucleotides through prefix and key buffers made for
-    each call, so working memory is bounded by the chunk and block sizes
-    and not by the sequence length, and a tally holds no buffer between
-    calls.
+    Each base weighs (2l+2)**b for A, C, G (b = 0, 1, 2) and T weighs
+    nothing, and the tally keeps prefix sums P of those weights, so the
+    window over codes s..e-1 has the packed key ``P[e] - P[s]`` =
+    ``A + C*B + G*B**2``.  P[n] <= n*B**2 stays below 2**63 while n <
+    2**63/B**2, about 1.9e16 nucleotides at l = 10, so int64 holds every
+    sum exactly.  Full windows, those holding 2*radius+1 nucleotides,
+    are counted as soon as their last code is fed: ``np.bincount`` over
+    the B**3 keys adds them to the running ``bins``.  T is implied by
+    the window's size.  A call walks its codes :data:`_CHUNK` at a time
+    through one buffer that starts with the sums kept from the last
+    chunk, so a window that straddles two blocks or two chunks takes the
+    same subtraction as any other, and working memory is bounded by the
+    chunk and block sizes, not by the sequence length.
 
-    Between blocks the tally keeps the codes from the start of the next
-    full window not yet counted (at most 2*radius of them); a window that
-    straddles two blocks is counted from that carry spliced with the
-    head of the next block, never from a copy of the whole block.  It
-    also keeps the first 2*radius codes: the windows cut short by either
-    end of the sequence, at most 2*ceil(l/(t+1)), are counted one by one
-    in :meth:`finish`, once the length is known.
+    Between calls the tally holds ``bins``, the first 2*radius+1 sums
+    P[0..2l] and the sums from the start of the next full window not yet
+    counted to P[n], at most 2*radius+1 of them.  The windows cut short
+    by either end of the sequence, at most 2*ceil(l/(t+1)), take their
+    keys from those sums in :meth:`finish`, once the length is known.
     """
 
     def __init__(self, params: PpnParams):
@@ -396,71 +409,67 @@ class _WindowTally:
         self._weights = np.array([1, base, base * base, 0], dtype=np.int64)
         self.bins = np.zeros(base**3, dtype=np.int64)
         self.length = 0
-        self._head = np.empty(0, dtype=np.int8)
-        # index of the first full window not yet counted, and the codes
-        # from its start up to the end of what has been fed
+        # index of the first full window not yet counted
         self._next = -(-self._radius // self._step)
-        self._carry = self._head
+        # P[0] .. P[min(2l, n)], and P[n + 1 - len(_tail)] .. P[n]
+        self._head = [0]
+        self._tail = [0]
 
     def feed(self, codes: np.ndarray) -> None:
         """Count every full window that ends inside the codes fed so far."""
-        radius, step = self._radius, self._step
-        n0 = self.length
-        n1 = self.length = n0 + len(codes)
-        if len(self._head) < 2 * radius:
-            self._head = np.concatenate([self._head, codes[: 2 * radius - len(self._head)]])
-        start = self._next * step - radius
-        done = max(self._next, (n1 - 1 - radius) // step + 1)
-        if start < n0 and done > self._next:
-            # windows that start in the carry
-            m = min(done - self._next, (n0 - start - 1) // step + 1)
-            stop = start + (m - 1) * step + self._span
-            self._count(np.concatenate([self._carry, codes[: stop - n0]]), 0, m)
-            self._next += m
-            start += m * step
-        if done > self._next:
-            self._count(codes, start - n0, done - self._next)
-            start += (done - self._next) * step
-            self._next = done
-        if start < n0:
-            self._carry = np.concatenate([self._carry[start - n0 :], codes])
-        else:
-            self._carry = codes[start - n0 :].copy()
-
-    def _count(self, codes: np.ndarray, offset: int, m: int) -> None:
-        """Add the m full windows starting at ``codes[offset]``, ``step`` apart."""
-        step, span = self._step, self._span
-        per_chunk = max(1, _CHUNK // step)
-        most = min(m, per_chunk)
-        # a chunk of k windows reads (k-1)*step + span nucleotides
-        prefix = np.zeros((most - 1) * step + span + 1, dtype=np.int64)
-        keys = np.empty(most, dtype=np.int64)
-        for j0 in range(0, m, per_chunk):
-            k = min(per_chunk, m - j0)
-            size = (k - 1) * step + span
-            lo = offset + j0 * step
-            pre = prefix[: size + 1]
-            # mode="clip" lets take write straight into pre; codes are 0..3
-            np.take(self._weights, codes[lo : lo + size], out=pre[1:], mode="clip")
-            np.cumsum(pre, out=pre)
-            np.subtract(pre[span::step], pre[: size + 1 - span : step], out=keys[:k])
-            self.bins += np.bincount(keys[:k], minlength=len(self.bins))
+        radius, step, span = self._radius, self._step, self._span
+        buf = np.empty(min(len(codes), _CHUNK) + span, dtype=np.int64)
+        kept = len(self._tail)
+        buf[:kept] = self._tail
+        for lo in range(0, len(codes), _CHUNK):
+            chunk = codes[lo : lo + _CHUNK]
+            hi = kept + len(chunk)
+            sums = buf[:hi]
+            # mode="clip" lets take write straight into buf; codes are 0..3
+            np.take(self._weights, chunk, out=sums[kept:], mode="clip")
+            np.cumsum(sums[kept - 1 :], out=sums[kept - 1 :])
+            first = self.length + 1 - kept  # sums[i] is P[first + i]
+            self.length += len(chunk)
+            if len(self._head) <= 2 * radius:
+                self._head += sums[len(self._head) - first : 2 * radius + 1 - first].tolist()
+            start = self._next * step - radius - first
+            done = (self.length - 1 - radius) // step + 1
+            if done > self._next:
+                stop = start + (done - self._next - 1) * step + 1
+                # the keys are a temporary, freed before the next chunk's take
+                # makes its own copy of the codes as indices
+                self.bins += np.bincount(
+                    sums[start + span : stop + span : step] - sums[start:stop:step],
+                    minlength=len(self.bins),
+                )
+                start += (done - self._next) * step
+                self._next = done
+            # keep the sums from the next window's start, or only P[n] if it starts later
+            kept = hi - min(start, hi - 1)
+            buf[:kept] = sums[hi - kept :]
+        self._tail = buf[:kept].tolist()
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Window count tuples (A, C, G, T) as rows, and their multiplicities:
         one row per nonzero bin, then one per window cut short by an end of
         the sequence, so a tuple may appear in more than one row."""
         radius, step, span = self._radius, self._step, self._span
-        windows = window_count(self.length, step - 1)
-        base = span + 1
+        n = self.length
+        windows = window_count(n, step - 1)
+        head, tail = self._head, self._tail
+        first = n + 1 - len(tail)
+        # a window cut by the start covers codes 0..end-1, one cut by the
+        # end covers start..n-1
+        ends = [min(j * step + radius + 1, n) for j in range(min(-(-radius // step), windows))]
+        starts = [j * step - radius for j in range(self._next, windows)]
+        cut = [head[e] for e in ends] + [tail[-1] - tail[s - first] for s in starts]
         seen = np.flatnonzero(self.bins)
-        a, c, g = seen % base, seen // base % base, seen // (base * base)
-        full = np.stack([a, c, g, span - a - c - g], axis=1)
-        early = min(-(-radius // step), windows)
-        cut = [self._head[: i * step + radius + 1] for i in range(early)]
-        cut += [self._carry[j * step :] for j in range(windows - self._next)]
-        short = np.array([np.bincount(w, minlength=4) for w in cut], dtype=np.int64)
-        counts = np.concatenate([full, short.reshape(-1, 4)])
+        keys = np.concatenate([seen, np.array(cut, dtype=np.int64)])
+        size = np.full(len(keys), span, dtype=np.int64)
+        size[len(seen) :] = ends + [n - s for s in starts]
+        base = span + 1
+        a, c, g = keys % base, keys // base % base, keys // (base * base)
+        counts = np.stack([a, c, g, size - a - c - g], axis=1)
         return counts, np.concatenate([self.bins[seen], np.ones(len(cut), dtype=np.int64)])
 
     def vector(self) -> PpnVector:

@@ -86,6 +86,9 @@ class DistanceMatrix:
 
     def __getitem__(self, pair):
         a, b = pair
+        for label in (a, b):
+            if label not in self.labels:
+                raise ValidationError(f"distance matrix has no label {label!r}")
         return float(self.values[self.labels.index(a), self.labels.index(b)])
 
 

@@ -10,7 +10,6 @@ import numpy as np
 from .core import (
     _SPACE,
     EncodedSequence,
-    _from_codes,
     _is_int,
     _is_strict,
     _no_bases,
@@ -222,13 +221,19 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     :class:`EmptySequenceError` for records with no usable nucleotides.
     """
     return [
-        _from_codes(seq_id, np.concatenate(pieces), dropped)
+        EncodedSequence(seq_id, np.concatenate(pieces), dropped)
         for seq_id, dropped, pieces in _scan(source, policy, _Pieces)
     ]
 
 
 def write_fasta(seqs: list[EncodedSequence], dest, width: int = FASTA_LINE_WIDTH) -> None:
-    """Write sequences as FASTA with ``width``-column wrapped lines."""
+    """Write sequences as FASTA with ``width``-column wrapped lines.
+
+    Raises :class:`ValidationError`, before anything is opened or
+    written, unless ``width`` is an integer >= 1.
+    """
+    if not _is_int(width) or width < 1:
+        raise ValidationError(f"width must be an integer >= 1, got {width!r}")
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8") if own else dest
     try:
@@ -254,7 +259,7 @@ def simulate(spec: SimulationSpec) -> list[EncodedSequence]:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     pad = max(3, len(str(spec.species_count)))
     return [
-        _from_codes(
+        EncodedSequence(
             f"sim_{i + 1:0{pad}d}",
             rng.integers(0, 4, size=spec.length, dtype=np.int8),
         )

@@ -22,7 +22,7 @@ from ppn import (
     simulate,
     window_count,
 )
-from ppn import cli, phylo
+from ppn import cli, core, phylo
 from ppn.cli import main, run_bench
 from ppn.phylo import _NQD_MAX_LEAVES
 
@@ -513,3 +513,19 @@ class TestMemory:
             self._fasta(path, records, 1_000_000, rng)
             peaks.append(self._vector_peak(path, tmp_path))
         assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_feed_peak_does_not_grow_with_the_chunks_in_a_block(self):
+        """The traced peak of one ``feed`` of eight chunks is within 1.1x of
+        the peak of one chunk: a call reuses one buffer for all its chunks."""
+        rng = np.random.default_rng(6)
+        peaks = []
+        for chunks in (1, 8):
+            codes = rng.integers(0, 4, chunks * core._CHUNK).astype(np.int8)
+            tally = core._WindowTally(PpnParams())
+            tracemalloc.start()
+            try:
+                tally.feed(codes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks

@@ -24,6 +24,7 @@ from ppn import (
     PpnVector,
     ValidationError,
     count_histogram,
+    EncodedSequence,
     distance,
     encode,
     factor_prime_product,
@@ -123,6 +124,41 @@ class TestEncode:
         assert encode("ACGT", seq_id="x") == encode("ACGT", seq_id="x")
         assert encode("ACGT", seq_id="x") != encode("ACGT", seq_id="y")
         assert encode("ACGT", seq_id="x") != encode("ACGA", seq_id="x")
+
+
+class TestEncodedSequence:
+    @staticmethod
+    def _codes_with(value):
+        codes = np.random.default_rng(8).integers(0, 4, 1000)
+        codes[500] = value
+        return codes
+
+    @pytest.mark.parametrize("value", [7, -1, 4, 256])
+    def test_codes_outside_0_to_3_are_refused(self, value):
+        # a 7 once read as T on the fast path and as itself on the spec path;
+        # 256 would wrap to A in the int8 cast
+        with pytest.raises(ValidationError, match="'x'.*0..3"):
+            EncodedSequence("x", self._codes_with(value))
+
+    @pytest.mark.parametrize(
+        "codes", [np.array([[0, 1], [2, 3]]), np.array([0.0, 1.0]), np.int64(2)]
+    )
+    def test_codes_must_be_a_1d_integer_array(self, codes):
+        with pytest.raises(ValidationError, match="'x'.*1-D integer"):
+            EncodedSequence("x", codes)
+
+    def test_empty_codes_are_no_bases(self):
+        with pytest.raises(EmptySequenceError, match="sequence 'x': no A/C/G/T content"):
+            EncodedSequence("x", np.array([], dtype=np.int8))
+
+    def test_valid_codes_are_stored_as_read_only_int8(self):
+        seq = EncodedSequence("x", self._codes_with(3), dropped=2)
+        assert seq.codes.dtype == np.int8 and seq.codes.flags.c_contiguous
+        assert not seq.codes.flags.writeable
+        assert seq == EncodedSequence("x", seq.codes.astype(np.uint16), dropped=2)
+        assert ppn_vector(seq, PpnParams()).components[0] == window_product_sum(
+            seq, PpnParams(), 0
+        )
 
 
 # -- parameters ----------------------------------------------------------------

@@ -59,6 +59,12 @@ class TestDistanceMatrix:
         assert m["a", "b"] == 2.0
         assert m["b", "b"] == 0.0
 
+    @pytest.mark.parametrize("pair", [("a", "z"), ("z", "a"), ("z", "z")])
+    def test_unknown_label_is_named(self, pair):
+        m = DistanceMatrix(["a", "b"], square([[0, 2], [2, 0]]))
+        with pytest.raises(ValidationError, match="no label 'z'"):
+            m[pair]
+
     def test_requires_two_taxa(self):
         with pytest.raises(ValidationError):
             DistanceMatrix(["a"], square([[0]]))

@@ -55,13 +55,12 @@ from oracles import (
 @st.composite
 def histogram_cases(draw):
     """A sequence and window geometry, with lengths from 1 nt up to just
-    past the first few chunk boundaries."""
+    past the first few chunk boundaries, every ``_CHUNK`` codes."""
     radius = draw(st.integers(1, MAX_RADIUS))
     stride = draw(st.integers(1, radius + 3))
     step = stride + 1
-    chunk_nt = max(1, _CHUNK // step) * step
     near = draw(st.integers(-2 * (radius + step), 2 * (radius + step)))
-    length = max(1, draw(st.integers(0, 3)) * chunk_nt + radius + near)
+    length = max(1, draw(st.integers(0, 3)) * _CHUNK + radius + near)
     alphabet = draw(st.sampled_from(["ACGT", "A", "T", "AT", "CG", "ACG"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     raw = "".join(rng.choice(list(alphabet), size=length))
@@ -104,12 +103,15 @@ def _summed(rows):
 
 
 def _feed_in_pieces(params, codes, sizes):
-    """Feed ``codes`` to a new tally in pieces of the given sizes, cycled."""
+    """Feed ``codes`` to a new tally in pieces of the given sizes, cycled;
+    after each piece the tally keeps at most 2l+1 sums at either end."""
     tally = _WindowTally(params)
+    span = 2 * params.radius + 1
     lo, k = 0, 0
     while lo < len(codes):
         hi = lo + sizes[k % len(sizes)]
         tally.feed(codes[lo:hi])
+        assert len(tally._head) <= span and len(tally._tail) <= span
         lo, k = hi, k + 1
     return tally
 
@@ -135,6 +137,8 @@ def split_cases(draw):
 @example(("ACGTTGCA", 4, 1, [1], _CHUNK))
 @example(("ACGTTGCAGT", 2, 7, [1, 0, 2], _CHUNK))
 @example(("ACGTTGCAGTACCATGGT" * 3, 9, 6, [16, 12, 17], 13))
+@example(("ACGTTGCAGTACCATGGT" * 4, 10, 23, [5, 20, 1, 0], 7))
+@example(("TTGCAGTACCATGGTACGTA" * 5, 10, 23, [3, 13], _CHUNK))
 def test_tally_fed_in_random_blocks_equals_a_per_window_recount(case):
     raw, radius, stride, sizes, chunk = case
     seq = encode(raw)

@@ -207,6 +207,19 @@ class TestWriteFasta:
         back = read_fasta(str(path))
         assert back == seqs
 
+    @pytest.mark.parametrize("width", [-1, 0, 2.5, True, "60", None])
+    def test_width_below_one_or_not_an_int_is_refused_before_writing(self, tmp_path, width):
+        seqs = simulate(SimulationSpec(species_count=2, length=10, seed=1))
+        path = tmp_path / "out.fa"
+        path.write_text("keep me\n")
+        with pytest.raises(ValidationError, match="width"):
+            write_fasta(seqs, str(path), width=width)
+        assert path.read_text() == "keep me\n"
+        buf = io.StringIO()
+        with pytest.raises(ValidationError, match="width"):
+            write_fasta(seqs, buf, width=width)
+        assert buf.getvalue() == ""
+
 
 class TestSimulate:
     def test_is_deterministic_per_seed(self):
