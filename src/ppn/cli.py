@@ -70,9 +70,8 @@ def _params(args) -> PpnParams:
     )
 
 
-def _add_common(parser):
-    parser.add_argument("--input", "-i", required=True, help="input file path")
-    parser.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+def _add_window(parser):
+    """The flags that :func:`_params` reads."""
     parser.add_argument("--l", type=int, default=4, help="neighborhood radius")
     parser.add_argument("--t", type=int, default=1, help="stride between windows")
     parser.add_argument(
@@ -82,15 +81,21 @@ def _add_common(parser):
         help="distance metric between vectors",
     )
     parser.add_argument(
+        "--allow-gaps",
+        action="store_true",
+        help="permit stride > radius (windows stop overlapping)",
+    )
+
+
+def _add_common(parser):
+    parser.add_argument("--input", "-i", required=True, help="input file path")
+    parser.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+    _add_window(parser)
+    parser.add_argument(
         "--policy",
         choices=["drop", "strict"],
         default="drop",
         help="how to treat non-ACGT characters",
-    )
-    parser.add_argument(
-        "--allow-gaps",
-        action="store_true",
-        help="permit stride > radius (windows stop overlapping)",
     )
     parser.add_argument(
         "--normalize",
@@ -145,14 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--reps", type=int, default=10, help="repetitions per size")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--l", type=int, default=4, help="neighborhood radius")
-    p.add_argument("--t", type=int, default=1, help="stride between windows")
-    p.add_argument(
-        "--metric",
-        choices=[m.value for m in Metric],
-        default=Metric.EUCLIDEAN.value,
-    )
-    p.add_argument("--allow-gaps", action="store_true")
+    _add_window(p)
 
     return parser
 

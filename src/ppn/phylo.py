@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EncodedSequence, PpnParams, PpnVector, _distance_rows, ppn_vector
+from .core import EncodedSequence, PpnParams, _distance_rows, ppn_vector
 from .errors import (
     DuplicateIdError,
     DuplicateLeafError,
@@ -101,24 +101,12 @@ def pairwise_matrix(
     """All-pairs distance matrix over a sequence set.
 
     Each vector is computed once, in one in-order loop on the calling
-    thread; a failure names the record and keeps its exception class.
-    Each vector's distances to all later vectors are one exact row from
-    the code behind :func:`ppn.core.distance`, mirrored below the diagonal.
+    thread, after the ids are checked.  Each vector's distances to all
+    later vectors are one exact row from the code behind
+    :func:`ppn.core.distance`, mirrored below the diagonal.
     """
-
-    def vector_for(seq: EncodedSequence) -> PpnVector:
-        try:
-            return ppn_vector(seq, params)
-        except Exception as exc:
-            # Same class, record id in front.  ``__new__`` skips
-            # ``__init__``, whose signature differs between classes.
-            err = type(exc).__new__(type(exc), f"record {seq.id!r}: {exc}")
-            err.__dict__.update(exc.__dict__)
-            raise err from exc
-
-    return _vector_matrix(
-        [s.id for s in seqs], map(vector_for, seqs), params.metric, normalized
-    )
+    vectors = (ppn_vector(s, params) for s in seqs)
+    return _vector_matrix([s.id for s in seqs], vectors, params.metric, normalized)
 
 
 def _vector_matrix(ids, vectors, metric, normalized: bool) -> DistanceMatrix:

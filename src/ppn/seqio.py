@@ -119,52 +119,47 @@ def _scan(source, policy: str, new_sink):
     each block's share of the record body goes to ``sink.feed`` as an
     int8 code array, so no more than one block of the input is held at
     a time.  Checks and errors are those of :func:`read_fasta`, raised
-    in file order.  The running line count reads each byte once and
-    treats a CRLF split across two blocks as one line break.
+    in file order; ``policy`` is checked before any input is read.
+    Line breaks are counted once per block, a CRLF split across two
+    blocks as one; an error that names a line adds the breaks of its
+    own block up to where it occurs.
     """
+    strict = _is_strict(policy)
     seen: set[str] = set()
-    lines = 0  # line breaks before buf[counted]
-    after_break = True  # the last byte read ended a line, or there is none
-    cr_end = False
+    lines = 0  # line breaks before buf
+    last = 0x0A  # the byte that ended the last block; LF before the first
     title = None  # pieces of a header line not yet ended
     record = None
 
-    def open_record() -> _Record:
+    def open_record(end=None) -> _Record:
+        """The record headed by ``title``, whose line ends at ``buf[end]``,
+        or at the end of the input when ``end`` is None."""
         nonlocal title
         header, title = "".join(title).strip(), None
         if not header:
-            raise MalformedFastaError(f"line {title_line}: empty FASTA header")
+            line = 1 + lines + (0 if end is None else _breaks(buf, 0, end))
+            raise MalformedFastaError(f"line {line}: empty FASTA header")
         seq_id = header.split()[0]
         if seq_id in seen:
             raise DuplicateIdError(f"duplicate record id {seq_id!r}")
         seen.add(seq_id)
-        return _Record(seq_id, _is_strict(policy), new_sink())
+        return _Record(seq_id, strict, new_sink())
 
     for buf, text in _blocks(source):
-        if cr_end and buf.startswith(b"\n"):
+        if last == 0x0D and buf[0] == 0x0A:
             lines -= 1  # the LF of a CRLF whose CR ended the last block
-        counted = 0
-
-        def line_at(pos):
-            # pos never falls below the last call's, nor inside a CRLF
-            nonlocal lines, counted
-            lines += _breaks(buf, counted, pos)
-            counted = pos
-            return 1 + lines
-
-        def piece(lo, hi):
-            return buf[lo:hi].decode("latin-1") if text is None else text[lo:hi]
-
         n = len(buf)
         i = 0
-        if title is not None:  # a header line goes on from the last block
-            i = _line_end(buf, 0)
-            title.append(piece(0, i))
-            if i < n:
-                record = open_record()
         while i < n:
+            if title is not None:  # a header line, from the last block or this one
+                end = _line_end(buf, i)
+                title.append(buf[i:end].decode("latin-1") if text is None else text[i:end])
+                if end == n:
+                    break
+                record = open_record(end)
+                i = end
             h = buf.find(b">", i)
-            while h >= 0 and not (buf[h - 1] in b"\r\n" if h else after_break):
+            while h >= 0 and (buf[h - 1] if h else last) not in b"\r\n":
                 h = buf.find(b">", h + 1)
             body = buf[i:] if h < 0 else buf[i:h]
             if record is not None:
@@ -172,23 +167,19 @@ def _scan(source, policy: str, new_sink):
             else:
                 data_at = len(body) - len(body.lstrip(_SPACE))
                 if data_at < len(body):
+                    line = 1 + lines + _breaks(buf, 0, i + data_at)
                     raise MalformedFastaError(
-                        f"line {line_at(i + data_at)}: sequence data before the "
-                        f"first '>' header"
+                        f"line {line}: sequence data before the first '>' header"
                     )
             if h < 0:
                 break
             if record is not None:
                 yield record.end()
                 record = None
-            title_line = line_at(h)
-            i = _line_end(buf, h + 1)
-            title = [piece(h + 1, i)]
-            if i < n:
-                record = open_record()
-        line_at(n)
-        after_break = buf[-1] in b"\r\n"
-        cr_end = buf.endswith(b"\r")
+            title = []
+            i = h + 1
+        lines += _breaks(buf, 0, n)
+        last = buf[-1]
 
     if title is not None:
         record = open_record()
@@ -215,8 +206,10 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     :func:`encode`, so errors come in file order.  Blank lines (only
     spaces, tabs, CR, LF, VT, FF) are ignored.
 
-    Raises :class:`MalformedFastaError` for data before the first
-    header, an empty header, or an input with no records at all;
+    Raises :class:`ValidationError`, before any input is read, for a
+    ``policy`` other than ``"drop"`` or ``"strict"``;
+    :class:`MalformedFastaError` for data before the first header, an
+    empty header, or an input with no records at all;
     :class:`DuplicateIdError` for repeated ids; and
     :class:`EmptySequenceError` for records with no usable nucleotides.
     """

@@ -136,22 +136,6 @@ class TestPairwiseMatrix:
         with pytest.raises(DuplicateIdError):
             pairwise_matrix([seqs[0], seqs[0]], PpnParams())
 
-    def test_record_error_keeps_its_class_and_names_the_record(self, monkeypatch):
-        # NewickParseError's constructor takes two arguments, so building
-        # a new one from a message alone would raise a TypeError instead
-        original = NewickParseError("bad thing", 7)
-
-        def failing(seq, params):
-            raise original
-
-        monkeypatch.setattr("ppn.phylo.ppn_vector", failing)
-        seqs = simulate(SimulationSpec(species_count=2, length=50, seed=0))
-        with pytest.raises(NewickParseError) as caught:
-            pairwise_matrix(seqs, PpnParams())
-        assert str(caught.value) == "record 'sim_001': bad thing (at offset 7)"
-        assert caught.value.offset == 7
-        assert caught.value.__cause__ is original
-
     def test_entries_satisfy_triangle_inequality(self):
         params = PpnParams(radius=4, stride=1)
         seqs = simulate(SimulationSpec(species_count=3, length=500, seed=8))

@@ -120,10 +120,17 @@ class TestReadFasta:
         with pytest.raises(InvalidCharacterError):
             read_fasta(io.StringIO(">x\nACNGT\n"), policy="strict")
 
+    @pytest.mark.parametrize("text", ["", "ACGT\n>x\nA\n"])
+    def test_unknown_policy_is_refused_before_any_input(self, text):
+        # each input fails on its own before a record opens, so only a
+        # check made before reading names the policy
+        with pytest.raises(ValidationError, match="unknown sanitize policy 'bogus'"):
+            read_fasta(io.StringIO(text), policy="bogus")
+
     def test_line_count_reads_each_byte_once(self, tmp_path, monkeypatch):
-        # 5 000 headers over two blocks: the running line count scans each
-        # byte once, not the block up to every header, and still numbers
-        # the last line right
+        # 5 000 headers over two blocks: line breaks are counted once per
+        # block, not at every header, plus once for the line the error
+        # names, and the last line is still numbered right
         path = tmp_path / "many.fa"
         records = (b">r%d\r\n%s\r\n" % (i, b"ACGT" * 13) for i in range(5000))
         path.write_bytes(b"".join(records) + b">\r\n")
@@ -138,6 +145,8 @@ class TestReadFasta:
         with pytest.raises(MalformedFastaError, match="line 10001: empty FASTA header"):
             read_fasta(path)
         assert 0 < sum(scanned) <= path.stat().st_size
+        blocks = -(-path.stat().st_size // seqio._BLOCK)
+        assert len(scanned) <= blocks + 1
 
 
 def _outcome(source, policy):
@@ -167,6 +176,12 @@ class TestBlockEdges:
         "data_before_header": (b"\r\n\r\n \rAC\n>a\nG\n", "drop",
                                ("MalformedFastaError",
                                 "line 4: sequence data before the first '>' header")),
+        # an empty header is numbered by the line it ends on, or by the
+        # last line when the input ends inside it
+        "empty_last_header_unended": (b">a\nAC\n>  \t", "drop",
+                                      ("MalformedFastaError", "line 3: empty FASTA header")),
+        "empty_header_blanks_split": (b">a\r\nAC\r\n>  \t \r\n>b\r\nA", "drop",
+                                      ("MalformedFastaError", "line 3: empty FASTA header")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
