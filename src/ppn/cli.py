@@ -1,11 +1,14 @@
 """Command-line interface: vectors, matrices, trees, tree comparison,
 simulation, and scaling benchmarks.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid parameters or
-inconsistent inputs, 3 malformed input data.  Primary output goes to
-the ``--output`` path ('-' for stdout, the default); diagnostics go to
-stderr.  Files are written to a temp path and renamed into place, so a
-failed run never leaves a partial output file.
+Each subcommand writes its text into the buffer :func:`main` hands it;
+only :func:`main` touches stdout, stderr, the output file and the exit
+code.  Exit codes: 0 success, 1 I/O failure, 2 invalid parameters or
+inconsistent inputs, 3 malformed input data.  A finished run's buffer
+goes to the ``--output`` path ('-' for stdout, the default) through a
+temp path renamed into place, so a failed run writes nothing.  Errors
+and notices (a library ``UserWarning``) go to stderr as one
+``ppn <command>: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import stat
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 
 from . import phylo, seqio
@@ -32,8 +36,10 @@ EXIT_MALFORMED = 3
 def _write_output(path: str, text: str) -> None:
     """Atomically write ``text`` as UTF-8 to ``path``; '-' streams to stdout.
 
-    A new file gets the mode a plain ``open(path, "w")`` would give it
-    (0666 less the umask); a replaced file keeps its mode.
+    Its one caller is :func:`main`, once per run, with the whole output
+    of a subcommand that finished.  A new file gets the mode a plain
+    ``open(path, "w")`` would give it (0666 less the umask); a replaced
+    file keeps its mode.
     """
     data = text.encode("utf-8")
     if path == "-":
@@ -89,7 +95,6 @@ def _add_window(parser):
 
 def _add_common(parser):
     parser.add_argument("--input", "-i", required=True, help="input file path")
-    parser.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     _add_window(parser)
     parser.add_argument(
         "--policy",
@@ -113,16 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("vector", help="compute 24-component vectors from FASTA")
-    _add_common(p)
+    def command(name, summary):
+        """A subcommand's parser, with the ``--output`` every subcommand takes."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+        return p
 
-    p = sub.add_parser("matrix", help="compute a pairwise distance matrix from FASTA")
-    _add_common(p)
+    _add_common(command("vector", "compute 24-component vectors from FASTA"))
+    _add_common(command("matrix", "compute a pairwise distance matrix from FASTA"))
+    _add_common(command("tree", "build a UPGMA tree from FASTA or a matrix file"))
 
-    p = sub.add_parser("tree", help="build a UPGMA tree from FASTA or a matrix file")
-    _add_common(p)
-
-    p = sub.add_parser("treedist", help="compare two Newick trees (nRF and nQD)")
+    p = command("treedist", "compare two Newick trees (nRF and nQD)")
     p.add_argument(
         "--input",
         "-i",
@@ -130,16 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="Newick file; pass twice, once per tree",
     )
-    p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
 
-    p = sub.add_parser("simulate", help="generate uniform random FASTA records")
-    p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+    p = command("simulate", "generate uniform random FASTA records")
     p.add_argument("--species", type=int, required=True, help="number of sequences")
     p.add_argument("--length", type=int, required=True, help="nucleotides per sequence")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
 
-    p = sub.add_parser("bench", help="time the pipeline over simulated datasets")
-    p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+    p = command("bench", "time the pipeline over simulated datasets")
     p.add_argument(
         "--species",
         default="10",
@@ -171,32 +174,20 @@ def _fasta_matrix(args, params: PpnParams) -> phylo.DistanceMatrix:
     return phylo._vector_matrix(ids, vectors, params.metric, args.normalize)
 
 
-def cmd_vector(args) -> int:
+def cmd_vector(args, out) -> None:
     params = _params(args)
     if params.metric != Metric.EUCLIDEAN:
         raise ValidationError("--metric applies to matrix and tree, not to vector")
-    rows = []
     for seq_id, vec in _vectors(args, params):
+        comps = vec.components
         if args.normalize:
-            comps = [repr(c / vec.windows) for c in vec.components]
-        else:
-            comps = [str(c) for c in vec.components]
-        rows.append(
-            "\t".join(
-                [seq_id, str(vec.sequence_length), str(vec.windows), str(params.radius),
-                 str(params.stride)] + comps
-            )
-        )
-    _write_output(args.output, "".join(r + "\n" for r in rows))
-    return 0
+            comps = [c / vec.windows for c in comps]
+        row = [seq_id, vec.sequence_length, vec.windows, params.radius, params.stride]
+        out.write("\t".join(map(str, [*row, *comps])) + "\n")
 
 
-def cmd_matrix(args) -> int:
-    matrix = _fasta_matrix(args, _params(args))
-    buf = io.StringIO()
-    phylo.write_phylip(matrix, buf)
-    _write_output(args.output, buf.getvalue())
-    return 0
+def cmd_matrix(args, out) -> None:
+    phylo.write_phylip(_fasta_matrix(args, _params(args)), out)
 
 
 def _sniff_matrix(path: str) -> bool:
@@ -209,7 +200,7 @@ def _sniff_matrix(path: str) -> bool:
     return True
 
 
-def cmd_tree(args) -> int:
+def cmd_tree(args, out) -> None:
     params = _params(args)
     if _sniff_matrix(args.input):
         if params != PpnParams() or args.normalize or args.policy != "drop":
@@ -220,12 +211,10 @@ def cmd_tree(args) -> int:
         matrix = phylo.read_phylip(args.input)
     else:
         matrix = _fasta_matrix(args, params)
-    tree = phylo.upgma(matrix)
-    _write_output(args.output, phylo.to_newick(tree) + "\n")
-    return 0
+    out.write(phylo.to_newick(phylo.upgma(matrix)) + "\n")
 
 
-def cmd_treedist(args) -> int:
+def cmd_treedist(args, out) -> None:
     if len(args.input) != 2:
         raise ValidationError(
             f"treedist needs exactly two --input trees, got {len(args.input)}"
@@ -240,18 +229,14 @@ def cmd_treedist(args) -> int:
             raise NewickParseError(f"{path} is not valid UTF-8", exc.start) from None
     qd = phylo.nqd(trees[0], trees[1])
     rf = phylo.nrf(trees[0], trees[1])
-    _write_output(args.output, f"nRF\t{rf:.4f}\nnQD\t{qd:.4f}\n")
-    return 0
+    out.write(f"nRF\t{rf:.4f}\nnQD\t{qd:.4f}\n")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out) -> None:
     spec = seqio.SimulationSpec(
         species_count=args.species, length=args.length, seed=args.seed
     )
-    buf = io.StringIO()
-    seqio.write_fasta(seqio.simulate(spec), buf)
-    _write_output(args.output, buf.getvalue())
-    return 0
+    seqio.write_fasta(seqio.simulate(spec), out)
 
 
 # -- benchmark -----------------------------------------------------------------
@@ -348,14 +333,13 @@ def _int_list(text: str, flag: str) -> list[int]:
     return values
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, out) -> None:
     params = _params(args)
     species = _int_list(args.species, "--species")
     lengths = _int_list(args.length, "--length")
     sizes = [(s, n) for s in species for n in lengths]
     rows = run_bench(sizes, reps=args.reps, seed=args.seed, params=params)
-    _write_output(args.output, format_bench(rows))
-    return 0
+    out.write(format_bench(rows))
 
 
 _COMMANDS = {
@@ -368,18 +352,31 @@ _COMMANDS = {
 }
 
 
+def _diagnostic(command: str, message) -> None:
+    print(f"ppn {command}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = io.StringIO()
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # a notice is one diagnostic line, whatever the interpreter's filters
+            warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = lambda message, *where: _diagnostic(
+                args.command, message
+            )
+            _COMMANDS[args.command](args, out)
+        _write_output(args.output, out.getvalue())
+        return 0
     except ValidationError as exc:
-        print(f"ppn {args.command}: {exc}", file=sys.stderr)
+        _diagnostic(args.command, exc)
         return EXIT_VALIDATION
     except InputError as exc:
-        print(f"ppn {args.command}: {exc}", file=sys.stderr)
+        _diagnostic(args.command, exc)
         return EXIT_MALFORMED
     except OSError as exc:
-        print(f"ppn {args.command}: {exc}", file=sys.stderr)
+        _diagnostic(args.command, exc)
         return EXIT_IO
 
 

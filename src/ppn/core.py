@@ -143,7 +143,7 @@ class PpnParams:
             if not self.allow_gaps:
                 raise ValidationError(
                     f"stride {self.stride} > radius {self.radius} leaves gaps between "
-                    f"windows; pass allow_gaps=True to override"
+                    f"windows; pass allow_gaps=True (--allow-gaps) to override"
                 )
             warnings.warn(
                 f"stride {self.stride} > radius {self.radius}: successive windows no "
@@ -558,12 +558,12 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     rounded, so the result is bit-identical to ``math.sqrt`` of the
     exact sum.  Past the
     bound, object dtype keeps every element a Python int, exact at any
-    width.  With ``normalized`` the elements are the correctly rounded
-    floats ``x / windows``, summed by ``math.fsum``.
+    width.  With ``normalized`` the rows are float64 arrays of the
+    correctly rounded ``x / windows``; each pair's terms are summed by
+    ``math.fsum``.
     """
     if normalized:
-        rows = np.array([v.components for v in vectors], dtype=object)
-        rows = rows / np.array([[v.windows] for v in vectors], dtype=object)
+        rows = np.array([[c / v.windows for c in v.components] for v in vectors])
     else:
         rows = _shifted_rows(vectors, metric)
     euclidean = metric is Metric.EUCLIDEAN

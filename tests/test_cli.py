@@ -37,6 +37,11 @@ ACGTACGTACGTTCGTACGT
 GGGCCCAAATTTGGGCCCAA
 """
 
+GAP_NOTICE = (
+    "ppn vector: stride 3 > radius 2: successive windows no longer overlap and some "
+    "nucleotides are never counted"
+)
+
 
 @pytest.fixture
 def fasta_path(tmp_path):
@@ -360,14 +365,25 @@ class TestExitCodes:
             ["vector", "--input", fasta_path, "--l", "2", "--t", "3"], capsys
         )
         assert code == 2
-        with pytest.warns(UserWarning, match="stride"):
-            code, out, _ = run(
-                ["vector", "--input", fasta_path, "--l", "2", "--t", "3",
-                 "--allow-gaps"],
-                capsys,
-            )
+        assert "--allow-gaps" in err
+        code, out, err = run(
+            ["vector", "--input", fasta_path, "--l", "2", "--t", "3", "--allow-gaps"],
+            capsys,
+        )
         assert code == 0
+        assert err == GAP_NOTICE + "\n"
+        assert "Warning" not in err and ".py" not in err
         assert out.splitlines()[0].split("\t")[4] == "3"
+
+    def test_notice_is_one_line_when_warnings_are_errors(self, fasta_path, capsys):
+        argv = ["vector", "--input", fasta_path, "--l", "2", "--t", "3", "--allow-gaps"]
+        want = run(argv, capsys)[1]
+        env = dict(os.environ, PYTHONWARNINGS="error",
+                   PYTHONPATH=str(Path(ppn.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-m", "ppn.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, GAP_NOTICE + "\n")
+        assert done.stdout == want
 
     def test_malformed_fasta_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.fa"
@@ -397,6 +413,35 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["vector", "--input", fasta_path, "--bogus"])
         assert exc.value.code == 2
+
+
+class TestFailedRunWritesNothing:
+    """A run that fails on the second record writes no byte of the first."""
+
+    @pytest.fixture
+    def bad_path(self, tmp_path):
+        path = tmp_path / "bad.fa"
+        path.write_text(">alpha\nACGTACGTACGTACGTACGT\n>\nTTGCAAGCTTGCAAGCTTGC\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["vector", "matrix"])
+    def test_stdout_stays_empty(self, bad_path, capsys, command):
+        code, out, err = run([command, "--input", bad_path, "--output", "-"], capsys)
+        assert (code, out) == (3, "")
+        assert "empty FASTA header" in err
+
+    @pytest.mark.parametrize("command", ["vector", "matrix"])
+    def test_existing_file_keeps_its_bytes_and_mode(
+        self, bad_path, tmp_path, capsys, command
+    ):
+        dest = tmp_path / "out.txt"
+        dest.write_bytes(b"old\n")
+        dest.chmod(0o640)
+        code, _, _ = run([command, "--input", bad_path, "--output", str(dest)], capsys)
+        assert code == 3
+        assert dest.read_bytes() == b"old\n"
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o640
+        assert [p for p in os.listdir(tmp_path) if p.startswith(".ppn-")] == []
 
 
 class TestStdout:
