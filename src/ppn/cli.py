@@ -14,6 +14,7 @@ and notices (a library ``UserWarning``) go to stderr as one
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import resource
@@ -25,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import phylo, seqio
-from .core import Metric, PpnParams, _WindowTally, ppn_vector
+from .core import _CHUNK, Metric, PpnParams, _WindowTally, _batch_vectors, ppn_vector
 from .errors import InputError, NewickParseError, ValidationError
 
 EXIT_IO = 1
@@ -160,12 +161,62 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- subcommands ---------------------------------------------------------------
 
+#: Most windows of a record that :func:`_vectors` batches.  A batch costs
+#: one row of 24 products per window, a tally a fixed set of numpy calls
+#: per record: on a 2-vCPU host with numpy 2.4 the tally was the faster
+#: past about 330-400 windows at l = 1-4 (past thousands at l = 10).
+_SHORT_WINDOWS = 1 << 8
+
+
+class _Sink:
+    """A record sink that holds the record's first piece of codes while
+    it may be the whole record, and hands the codes to a window tally as
+    soon as a second piece arrives or the first has more than
+    :data:`_SHORT_WINDOWS` windows."""
+
+    __slots__ = ("params", "whole", "tally")
+
+    def __init__(self, params: PpnParams):
+        self.params, self.whole, self.tally = params, None, None
+
+    def feed(self, codes) -> None:
+        if self.tally is None:
+            short = len(codes) <= _SHORT_WINDOWS * (self.params.stride + 1)
+            if self.whole is None and short:
+                self.whole = codes
+                return
+            self.tally = _WindowTally(self.params)
+            if self.whole is not None:
+                self.tally.feed(self.whole)
+                self.whole = None
+        self.tally.feed(codes)
+
+
 def _vectors(args, params: PpnParams):
-    """Yield ``(id, vector)`` per FASTA record, each vector finished as
-    its record ends; only one block of the input is held at a time."""
-    records = seqio._scan(args.input, args.policy, lambda: _WindowTally(params))
-    for seq_id, _, tally in records:
-        yield seq_id, tally.vector()
+    """Yield ``(id, vector)`` per FASTA record in file order.
+
+    A record that arrives in one piece of at most
+    :data:`_SHORT_WINDOWS` windows waits in a batch, whose vectors come
+    from one pass over its codes; the batch is flushed before it would
+    pass :data:`_CHUNK` codes, before a longer record's vector and at
+    the end.  A longer record is counted by its own window tally as its
+    blocks arrive.  So one block of the input and at most ``_CHUNK``
+    batched codes are held at a time.
+    """
+    ids, pieces, held = [], [], 0
+    for seq_id, _, sink in seqio._scan(args.input, args.policy, lambda: _Sink(params)):
+        whole = sink.whole
+        if ids and (whole is None or held + len(whole) > _CHUNK):
+            yield from zip(ids, _batch_vectors(pieces, params))
+            ids, pieces, held = [], [], 0
+        if whole is None:
+            yield seq_id, sink.tally.vector()
+        else:
+            ids.append(seq_id)
+            pieces.append(whole)
+            held += len(whole)
+    if ids:
+        yield from zip(ids, _batch_vectors(pieces, params))
 
 
 def _fasta_matrix(args, params: PpnParams) -> phylo.DistanceMatrix:
@@ -356,8 +407,15 @@ def _diagnostic(command: str, message) -> None:
     print(f"ppn {command}: {message}", file=sys.stderr)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process; each
+    ``parse_args`` makes a fresh namespace with fresh defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out = io.StringIO()
     try:
         with warnings.catch_warnings():

@@ -17,6 +17,7 @@ and floating point appears only in the final metric reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,11 +79,14 @@ MAX_RADIUS = 10
 _MAX_EXPONENT = 2 * MAX_RADIUS + 1
 _POW = {p: tuple(p**e for e in range(_MAX_EXPONENT + 1)) for p in PRIMES}
 _PRODUCT_LIMIT = 2**63
-_PRIME_ROWS = np.array(PERMUTATIONS, dtype=np.int64)
 
 #: Codes per chunk of the window tally: a feed walks its codes this many
-#: at a time through one buffer of prefix sums made for the call.
+#: at a time through one buffer of prefix sums made for the call.  A
+#: batch of short records in the CLI holds at most this many codes.
 _CHUNK = 1 << 15
+#: Windows per chunk of a batch: each product array of a chunk holds
+#: this many rows of 24 int64, 192 KiB.
+_BATCH_WINDOWS = 1 << 10
 
 #: ``bytes.translate`` table: byte -> base code (A=0, C=1, G=2, T=3,
 #: either case), 0xFF for every other byte.
@@ -376,6 +380,77 @@ def window_product_sum(seq: EncodedSequence, params: PpnParams, perm: int) -> in
     return sum(window_products(seq, params, perm))
 
 
+@functools.cache
+def _product_table(radius: int) -> np.ndarray:
+    """``table[b, e, j]`` = ``PERMUTATIONS[j][b] ** e`` for e in 0..2l+1,
+    read-only; at l = 10 it is 4 x 22 x 24 int64, 17 KB."""
+    primes = np.array(PERMUTATIONS, dtype=np.int64).T
+    table = primes[:, None, :] ** np.arange(2 * radius + 2)[None, :, None]
+    table.flags.writeable = False
+    return table
+
+
+def _products(radius: int, a, c, g, t) -> np.ndarray:
+    """The window products of the count tuples ``(a[i], c[i], g[i], t[i])``
+    under all 24 assignments, one row per tuple; the radius cap keeps
+    each below 2**63, so int64 holds it exactly."""
+    table = _product_table(radius)
+    # in place: a fresh array per factor costs more than the multiply
+    products = table[0].take(a, axis=0)
+    products *= table[1].take(c, axis=0)
+    products *= table[2].take(g, axis=0)
+    products *= table[3].take(t, axis=0)
+    return products
+
+
+def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVector]:
+    """The vectors of whole records, given as their code arrays, from one
+    pass over their concatenation.
+
+    The tally's packed weights get one prefix sum P over all the codes,
+    and the window over codes s..e-1 of the record at offset o has the
+    key ``P[o + e] - P[o + s]``, full or cut short by an end alike.  The
+    windows go through :data:`_BATCH_WINDOWS` at a time: their keys are
+    decoded into count tuples, each tuple's 24 products come from
+    :func:`_products`, and one ``np.add.reduceat`` adds them into their
+    records' sums.  The sums are int64 while no record's windows *
+    7**(2l+1) reaches 2**63; past that each product is split into its
+    low and high 32 bits, summed apart and joined as a Python int.
+    """
+    radius, step, span = params.radius, params.stride + 1, 2 * params.radius + 1
+    base = span + 1
+    lengths = np.array([len(codes) for codes in pieces], dtype=np.int64)
+    windows = 1 + (lengths - 1) // step
+    offsets = np.cumsum(lengths) - lengths
+    firsts = np.cumsum(windows) - windows  # each record's first window in the batch
+    total = int(firsts[-1] + windows[-1])
+    weights = np.array([1, base, base * base, 0], dtype=np.int64)
+    sums = np.zeros(int(lengths.sum()) + 1, dtype=np.int64)
+    np.take(weights, np.concatenate(pieces), out=sums[1:], mode="clip")
+    np.cumsum(sums, out=sums)
+    wide = int(windows.max()) * 7**span >= _PRODUCT_LIMIT
+    parts = np.zeros((1 + wide, len(pieces), len(PERMUTATIONS)), dtype=np.int64)
+    for lo in range(0, total, _BATCH_WINDOWS):
+        index = np.arange(lo, min(lo + _BATCH_WINDOWS, total))
+        record = np.searchsorted(firsts, index, side="right") - 1
+        center = (index - firsts[record]) * step
+        start = np.maximum(center - radius, 0)
+        end = np.minimum(center + radius + 1, lengths[record])
+        keys = sums[offsets[record] + end] - sums[offsets[record] + start]
+        a, c, g = keys % base, keys // base % base, keys // (base * base)
+        products = _products(radius, a, c, g, end - start - a - c - g)
+        first, last = record[0], record[-1]
+        segments = np.concatenate([[0], firsts[first + 1 : last + 1] - lo])
+        split = (products & 0xFFFFFFFF, products >> 32) if wide else (products,)
+        for part, values in zip(parts, split):
+            part[first : last + 1] += np.add.reduceat(values, segments)
+    rows = (parts[1].astype(object) << 32) + parts[0] if wide else parts[0]
+    return [
+        PpnVector(tuple(row), sequence_length=n, windows=w, params=params)
+        for row, n, w in zip(rows.tolist(), lengths.tolist(), windows.tolist())
+    ]
+
+
 class _WindowTally:
     """Window-count histogram of one sequence whose codes arrive in blocks.
 
@@ -478,10 +553,8 @@ class _WindowTally:
         harmless."""
         counts, multiplicity = self.finish()
         windows = window_count(self.length, self.params.stride)
-        # products[d, j] is row d's window product under assignment j;
-        # the radius cap keeps each below 2**63, so int64 holds it exactly
-        powers = _PRIME_ROWS ** counts[:, None, :]
-        products = powers[..., 0] * powers[..., 1] * powers[..., 2] * powers[..., 3]
+        # products[d, j] is row d's window product under assignment j
+        products = _products(self._radius, *counts.T)
         # no sum exceeds windows * 7**(2l+1): int64 below 2**63, else Python ints
         exact = np.int64 if windows * 7 ** self._span < _PRODUCT_LIMIT else object
         sums = multiplicity.astype(exact) @ products.astype(exact)

@@ -21,6 +21,7 @@ from ppn import (
     read_fasta,
     simulate,
     window_count,
+    write_fasta,
 )
 from ppn import cli, core, phylo
 from ppn.cli import main, run_bench
@@ -128,6 +129,25 @@ class TestMatrix:
         )
         assert code_e == code_m == 0
         assert out_e != out_m
+
+    def test_short_records_are_batched_not_vectored_one_by_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """300 records of 200 nt take a few batch calls, each of at most
+        ``_CHUNK`` codes, not one call per record."""
+        path = tmp_path / "short.fa"
+        write_fasta(simulate(SimulationSpec(300, 200, 3)), str(path))
+        calls = []
+
+        def counting(pieces, params):
+            calls.append(sum(len(codes) for codes in pieces))
+            return core._batch_vectors(pieces, params)
+
+        monkeypatch.setattr(cli, "_batch_vectors", counting)
+        assert run(["matrix", "--input", str(path)], capsys)[0] == 0
+        assert sum(calls) == 300 * 200
+        assert len(calls) <= -(-300 * 200 // core._CHUNK) + 1
+        assert max(calls) <= core._CHUNK
 
 
 class TestTree:
@@ -271,6 +291,26 @@ class TestTreedist:
         )
         assert code == 3
         assert "UTF-8 (at offset 9)" in err
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser once per process; no call sees the
+    arguments of an earlier one."""
+
+    def test_treedist_inputs_are_not_carried_over(self, tmp_path, capsys):
+        a = tmp_path / "a.nwk"
+        a.write_text("((A,B),(C,D));\n")
+        code, out, _ = run(["treedist", "--input", str(a), "--input", str(a)], capsys)
+        assert (code, out) == (0, "nRF\t0.0000\nnQD\t0.0000\n")
+        code, out, err = run(["treedist", "--input", str(a)], capsys)
+        assert (code, out) == (2, "")
+        assert "got 1" in err
+
+    def test_vector_flags_are_not_carried_over(self, fasta_path, capsys):
+        code, out, _ = run(["vector", "--input", fasta_path, "--l", "3"], capsys)
+        assert code == 0 and out.splitlines()[0].split("\t")[3] == "3"
+        code, out, _ = run(["vector", "--input", fasta_path], capsys)
+        assert code == 0 and out.splitlines()[0].split("\t")[3] == "4"
 
 
 class TestSimulate:

@@ -1,10 +1,12 @@
-"""Property-based tests for the window histogram, the FASTA, Newick and
-PHYLIP readers, the distance matrix, UPGMA and the two tree distances."""
+"""Property-based tests for the window histogram, the batched vectors,
+the FASTA, Newick and PHYLIP readers, the distance matrix, UPGMA and the
+two tree distances."""
 
+import argparse
 import io
 import warnings
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from ppn import (
     nrf,
     pairwise_matrix,
     ppn_vector,
+    prime_product,
     read_fasta,
     read_phylip,
     to_newick,
@@ -36,8 +39,8 @@ from ppn import (
     window_counts_at,
     write_phylip,
 )
-from ppn import core, seqio
-from ppn.core import _CHUNK, _WindowTally
+from ppn import cli, core, seqio
+from ppn.core import _CHUNK, _WindowTally, _product_table, _products
 from oracles import (
     line_fasta_outcome,
     line_fasta_records,
@@ -172,6 +175,55 @@ def test_tally_vector_fed_in_random_blocks_equals_a_naive_vector(case):
     assert list(vec.components) == naive_vector(seq.bases(), radius, stride, PERMUTATIONS)
     assert vec.sequence_length == seq.length
     assert vec.windows == len(window_centers(seq.length, stride))
+
+
+@pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
+def test_product_table_gives_prime_product_of_every_count_tuple(radius):
+    span = 2 * radius + 1
+    assert _product_table(radius).shape == (4, span + 1, len(PERMUTATIONS))
+    tuples = [t for t in product(range(span + 1), repeat=4) if sum(t) <= span]
+    rows = _products(radius, *np.array(tuples).T).tolist()
+    for counts, row in zip(tuples, rows):
+        assert row == [prime_product(counts, j) for j in range(len(PERMUTATIONS))]
+
+
+@st.composite
+def mixed_records(draw):
+    """FASTA of up to 12 records of 1-300 nt in one line ending, wrapped
+    at one width; a geometry; the most windows of a batched record; and
+    the codes of a batch, from 1 up."""
+    radius = draw(st.integers(1, MAX_RADIUS))
+    stride = draw(st.integers(1, 2 * radius + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ending = draw(_ENDINGS)
+    width = draw(st.sampled_from([1, 7, 60, 1000]))
+    out = []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 300), min_size=1, max_size=12))):
+        body = b"A" + bytes(rng.choice(list(b"ACGTacgtN"), size=n - 1))
+        lines = [body[j : j + width] for j in range(0, n, width)]
+        out += [b">r%d" % i, ending, ending.join(lines), ending]
+    short = draw(st.sampled_from([1, 3, 40, cli._SHORT_WINDOWS]))
+    chunk = draw(st.sampled_from([1, 7, 300, _CHUNK]))
+    return b"".join(out), radius, stride, short, chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_records(), st.sampled_from([1, 2, 5, 64, seqio._BLOCK]),
+       st.sampled_from([1, 3, 64, core._BATCH_WINDOWS]))
+# poly-T windows at l = 10: a batch sum past 2**63 needs Python ints
+@example((b">a\nACG\n>t\n" + b"T" * 300 + b"\n>g\nG\n", 10, 1, 256, _CHUNK), seqio._BLOCK, 3)
+def test_cli_vectors_of_batched_and_long_records_equal_record_vectors(case, block, windows):
+    data, radius, stride, short, chunk = case
+    params = _gapped_params(radius, stride)
+    expected = [(r.id, ppn_vector(r, params)) for r in read_fasta(io.BytesIO(data))]
+    args = argparse.Namespace(input=io.BytesIO(data), policy="drop")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_BLOCK", block)
+        mp.setattr(cli, "_SHORT_WINDOWS", short)
+        mp.setattr(cli, "_CHUNK", chunk)
+        mp.setattr(core, "_CHUNK", chunk)
+        mp.setattr(core, "_BATCH_WINDOWS", windows)
+        assert list(cli._vectors(args, params)) == expected
 
 
 # -- read_fasta --------------------------------------------------------------------
