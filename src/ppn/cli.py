@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import phylo, seqio
-from .core import _CHUNK, Metric, PpnParams, _WindowTally, _batch_vectors, ppn_vector
+from .core import Metric, PpnParams, _WindowTally, _record_vectors
 from .errors import InputError, NewickParseError, ValidationError
 
 EXIT_IO = 1
@@ -161,62 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- subcommands ---------------------------------------------------------------
 
-#: Most windows of a record that :func:`_vectors` batches.  A batch costs
-#: one row of 24 products per window, a tally a fixed set of numpy calls
-#: per record: on a 2-vCPU host with numpy 2.4 the tally was the faster
-#: past about 330-400 windows at l = 1-4 (past thousands at l = 10).
-_SHORT_WINDOWS = 1 << 8
-
-
-class _Sink:
-    """A record sink that holds the record's first piece of codes while
-    it may be the whole record, and hands the codes to a window tally as
-    soon as a second piece arrives or the first has more than
-    :data:`_SHORT_WINDOWS` windows."""
-
-    __slots__ = ("params", "whole", "tally")
-
-    def __init__(self, params: PpnParams):
-        self.params, self.whole, self.tally = params, None, None
-
-    def feed(self, codes) -> None:
-        if self.tally is None:
-            short = len(codes) <= _SHORT_WINDOWS * (self.params.stride + 1)
-            if self.whole is None and short:
-                self.whole = codes
-                return
-            self.tally = _WindowTally(self.params)
-            if self.whole is not None:
-                self.tally.feed(self.whole)
-                self.whole = None
-        self.tally.feed(codes)
-
-
 def _vectors(args, params: PpnParams):
-    """Yield ``(id, vector)`` per FASTA record in file order.
-
-    A record that arrives in one piece of at most
-    :data:`_SHORT_WINDOWS` windows waits in a batch, whose vectors come
-    from one pass over its codes; the batch is flushed before it would
-    pass :data:`_CHUNK` codes, before a longer record's vector and at
-    the end.  A longer record is counted by its own window tally as its
-    blocks arrive.  So one block of the input and at most ``_CHUNK``
-    batched codes are held at a time.
-    """
-    ids, pieces, held = [], [], 0
-    for seq_id, _, sink in seqio._scan(args.input, args.policy, lambda: _Sink(params)):
-        whole = sink.whole
-        if ids and (whole is None or held + len(whole) > _CHUNK):
-            yield from zip(ids, _batch_vectors(pieces, params))
-            ids, pieces, held = [], [], 0
-        if whole is None:
-            yield seq_id, sink.tally.vector()
-        else:
-            ids.append(seq_id)
-            pieces.append(whole)
-            held += len(whole)
-    if ids:
-        yield from zip(ids, _batch_vectors(pieces, params))
+    """Yield ``(id, vector)`` per FASTA record in file order; a record
+    longer than one block is never held whole."""
+    records = seqio._scan(args.input, args.policy, functools.partial(_WindowTally, params))
+    return _record_vectors(((i, codes, tally) for i, _, codes, tally in records), params)
 
 
 def _fasta_matrix(args, params: PpnParams) -> phylo.DistanceMatrix:
@@ -318,11 +267,11 @@ def run_bench(
     """Time vector computation (and the full matrix stage when there are
     at least two sequences) for each (species, length) size.
 
-    Each run computes every vector once, timed as the vector stage, and
-    builds the matrix from those vectors.  Wall times are means over
-    ``reps`` runs after one untimed warm-up;
-    peak memory is the maximum resident set reported by the OS across
-    the runs.  Generation is excluded from the timings.
+    Each run computes every vector once, as the CLI does, timed as the
+    vector stage, and builds the matrix from those vectors.  Wall times
+    are means over ``reps`` runs after one untimed warm-up; peak memory
+    is the maximum resident set reported by the OS across the runs.
+    Generation is excluded from the timings.
     """
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
@@ -337,7 +286,8 @@ def run_bench(
 
         def one_run():
             t0 = time.perf_counter()
-            vectors = [ppn_vector(s, params) for s in seqs]
+            records = ((s.id, s.codes, None) for s in seqs)
+            vectors = [vec for _, vec in _record_vectors(records, params)]
             t_vec = time.perf_counter() - t0
             if species >= 2:
                 phylo._vector_matrix(

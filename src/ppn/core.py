@@ -82,8 +82,13 @@ _PRODUCT_LIMIT = 2**63
 
 #: Codes per chunk of the window tally: a feed walks its codes this many
 #: at a time through one buffer of prefix sums made for the call.  A
-#: batch of short records in the CLI holds at most this many codes.
+#: batch of short records holds at most this many codes.
 _CHUNK = 1 << 15
+#: Most windows of a record that :func:`_record_vectors` batches.  A batch
+#: costs one row of 24 products per window, a tally a fixed set of numpy
+#: calls per record: on a 2-vCPU host with numpy 2.4 the tally was the
+#: faster past about 330-400 windows at l = 1-4 (past thousands at l = 10).
+_SHORT_WINDOWS = 1 << 8
 #: Windows per chunk of a batch: each product array of a chunk holds
 #: this many rows of 24 int64, 192 KiB.
 _BATCH_WINDOWS = 1 << 10
@@ -597,6 +602,35 @@ def ppn_vector(seq: EncodedSequence, params: PpnParams) -> PpnVector:
     tally = _WindowTally(params)
     tally.feed(seq.codes)
     return tally.vector()
+
+
+def _record_vectors(records, params: PpnParams):
+    """Yield ``(id, vector)`` for each record ``(id, codes, tally)`` in order.
+
+    A record is whole ``codes`` (``tally`` None) or the tally its codes
+    were fed to.  Whole codes of at most :data:`_SHORT_WINDOWS` windows
+    wait in a batch for one :func:`_batch_vectors` pass, flushed before
+    it would pass :data:`_CHUNK` codes, before any other vector and at
+    the end; longer ones go to a tally of their own.
+    """
+    short = _SHORT_WINDOWS * (params.stride + 1)
+    ids, pieces, held = [], [], 0
+    for seq_id, codes, tally in records:
+        batched = tally is None and len(codes) <= short
+        if ids and (not batched or held + len(codes) > _CHUNK):
+            yield from zip(ids, _batch_vectors(pieces, params))
+            ids, pieces, held = [], [], 0
+        if batched:
+            ids.append(seq_id)
+            pieces.append(codes)
+            held += len(codes)
+            continue
+        if tally is None:
+            tally = _WindowTally(params)
+            tally.feed(codes)
+        yield seq_id, tally.vector()
+    if ids:
+        yield from zip(ids, _batch_vectors(pieces, params))
 
 
 def _shifted_rows(vectors: list[PpnVector], metric: Metric) -> np.ndarray:

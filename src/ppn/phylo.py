@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EncodedSequence, PpnParams, _distance_rows, ppn_vector
+from .core import EncodedSequence, PpnParams, _distance_rows, _record_vectors
 from .errors import (
     DuplicateIdError,
     DuplicateLeafError,
@@ -100,12 +100,13 @@ def pairwise_matrix(
 ) -> DistanceMatrix:
     """All-pairs distance matrix over a sequence set.
 
-    Each vector is computed once, in one in-order loop on the calling
-    thread, after the ids are checked.  Each vector's distances to all
-    later vectors are one exact row from the code behind
-    :func:`ppn.core.distance`, mirrored below the diagonal.
+    Each vector is computed once, after the ids are checked, by the
+    CLI's route: short sequences batched, longer ones tallied.  Each
+    vector's distances to all later vectors are one exact row from the
+    code behind :func:`ppn.core.distance`, mirrored below the diagonal.
     """
-    vectors = (ppn_vector(s, params) for s in seqs)
+    records = ((s.id, s.codes, None) for s in seqs)
+    vectors = (vec for _, vec in _record_vectors(records, params))
     return _vector_matrix([s.id for s in seqs], vectors, params.metric, normalized)
 
 

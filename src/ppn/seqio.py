@@ -55,7 +55,7 @@ def _blocks(source):
 
     Text is encoded one Latin-1 byte per character (``'?'`` for a
     character outside Latin-1), so offsets into the bytes are offsets
-    into the text.
+    into the text, and a header is taken from the text itself.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
@@ -90,60 +90,80 @@ def _line_end(buf: bytes, start: int) -> int:
 
 
 class _Record:
-    """The open record of a scan: its id, its sink and running counts."""
+    """The open record of a scan: its id, its dropped count and the codes
+    of the one block that brought bases, or the sink of a longer record."""
 
-    __slots__ = ("id", "strict", "sink", "dropped", "nucleotides")
+    __slots__ = ("id", "strict", "new_sink", "dropped", "codes", "sink")
 
-    def __init__(self, seq_id: str, strict: bool, sink):
-        self.id, self.strict, self.sink = seq_id, strict, sink
-        self.dropped = self.nucleotides = 0
+    def __init__(self, seq_id: str, strict: bool, new_sink):
+        self.id, self.strict, self.new_sink = seq_id, strict, new_sink
+        self.dropped, self.codes, self.sink = 0, None, None
 
     def feed(self, body: bytes) -> None:
+        """Take one block's share of the body."""
         kept, dropped = _sanitize(body, self.strict, self.id)
         self.dropped += dropped
-        if kept:
-            self.nucleotides += len(kept)
-            self.sink.feed(np.frombuffer(kept, dtype=np.int8))
+        if not kept:
+            return
+        codes = np.frombuffer(kept, dtype=np.int8)
+        if self.codes is None and self.sink is None:
+            self.codes = codes
+            return
+        if self.sink is None:  # a second block with bases
+            self.sink = self.new_sink()
+            self.sink.feed(self.codes)
+            self.codes = None
+        self.sink.feed(codes)
 
     def end(self):
-        if not self.nucleotides:
+        if self.codes is None and self.sink is None:
             raise _no_bases(self.id)
-        return self.id, self.dropped, self.sink
+        return self.id, self.dropped, self.codes, self.sink
 
 
 def _scan(source, policy: str, new_sink):
-    """Read FASTA block by block; yield ``(id, dropped, sink)`` as each
-    record ends.
+    """Read FASTA block by block; yield ``(id, dropped, codes, sink)`` as
+    each record ends.
 
-    ``new_sink()`` makes a record's sink once its header is checked;
-    each block's share of the record body goes to ``sink.feed`` as an
-    int8 code array, so no more than one block of the input is held at
-    a time.  Checks and errors are those of :func:`read_fasta`, raised
-    in file order; ``policy`` is checked before any input is read.
-    Line breaks are counted once per block, a CRLF split across two
-    blocks as one; an error that names a line adds the breaks of its
-    own block up to where it occurs.
+    A record whose bases all lie in one block comes as its int8
+    ``codes``, with ``sink`` None.  When a second block brings bases,
+    ``new_sink()`` makes the record's sink, and every block's codes go
+    to ``sink.feed``, with ``codes`` None; so one block of the input and
+    one block's codes are held at a time.  A header line of byte input
+    is decoded as UTF-8 once it is whole.  Checks and errors are those
+    of :func:`read_fasta`, raised in file order; ``policy`` is checked
+    before any input is read.  Line breaks are counted once per block, a
+    CRLF split across two blocks as one; an error that names a line adds
+    the breaks of its own block up to where it occurs.
     """
     strict = _is_strict(policy)
     seen: set[str] = set()
     lines = 0  # line breaks before buf
     last = 0x0A  # the byte that ended the last block; LF before the first
-    title = None  # pieces of a header line not yet ended
+    title = None  # pieces of a header line not yet ended, bytes or text like the input
     record = None
 
     def open_record(end=None) -> _Record:
         """The record headed by ``title``, whose line ends at ``buf[end]``,
         or at the end of the input when ``end`` is None."""
         nonlocal title
-        header, title = "".join(title).strip(), None
-        if not header:
+
+        def fault(message: str) -> MalformedFastaError:
             line = 1 + lines + (0 if end is None else _breaks(buf, 0, end))
-            raise MalformedFastaError(f"line {line}: empty FASTA header")
+            return MalformedFastaError(f"line {line}: {message}")
+
+        try:
+            header = b"".join(title).decode() if text is None else "".join(title)
+        except UnicodeDecodeError:
+            raise fault("FASTA header is not valid UTF-8") from None
+        header, title = header.strip(), None
+        if not header:
+            raise fault("empty FASTA header")
         seq_id = header.split()[0]
         if seq_id in seen:
             raise DuplicateIdError(f"duplicate record id {seq_id!r}")
         seen.add(seq_id)
-        return _Record(seq_id, strict, new_sink())
+        return _Record(seq_id, strict, new_sink)
 
     for buf, text in _blocks(source):
         if last == 0x0D and buf[0] == 0x0A:
@@ -153,7 +173,7 @@ def _scan(source, policy: str, new_sink):
         while i < n:
             if title is not None:  # a header line, from the last block or this one
                 end = _line_end(buf, i)
-                title.append(buf[i:end].decode("latin-1") if text is None else text[i:end])
+                title.append(buf[i:end] if text is None else text[i:end])
                 if end == n:
                     break
                 record = open_record(end)
@@ -201,21 +221,24 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     once, in blocks of :data:`_BLOCK` bytes, so apart from the returned
     codes memory stays within one block.  LF, CRLF and CR-only line
     endings are all accepted.  A header is a line that opens with '>';
-    record ids are its first whitespace-delimited token.  Each block's
-    share of a record body, line breaks included, is encoded as in
-    :func:`encode`, so errors come in file order.  Blank lines (only
-    spaces, tabs, CR, LF, VT, FF) are ignored.
+    record ids are its first whitespace-delimited token.  The headers of
+    a path or byte stream are read as UTF-8.  Each block's share of a
+    record body, line breaks included, is encoded as in :func:`encode`,
+    so errors come in file order.  A record whose bases lie in one block
+    keeps that block's codes as they are; a longer one joins its blocks'
+    codes once.  Blank lines (only spaces, tabs, CR, LF, VT, FF) are
+    ignored.
 
     Raises :class:`ValidationError`, before any input is read, for a
     ``policy`` other than ``"drop"`` or ``"strict"``;
     :class:`MalformedFastaError` for data before the first header, an
-    empty header, or an input with no records at all;
-    :class:`DuplicateIdError` for repeated ids; and
+    empty header, a header that is not valid UTF-8, or an input with no
+    records at all; :class:`DuplicateIdError` for repeated ids; and
     :class:`EmptySequenceError` for records with no usable nucleotides.
     """
     return [
-        EncodedSequence(seq_id, np.concatenate(pieces), dropped)
-        for seq_id, dropped, pieces in _scan(source, policy, _Pieces)
+        EncodedSequence(seq_id, np.concatenate(pieces) if codes is None else codes, dropped)
+        for seq_id, dropped, codes, pieces in _scan(source, policy, _Pieces)
     ]
 
 

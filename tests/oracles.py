@@ -57,19 +57,19 @@ def line_fasta_records(data: bytes) -> list[tuple[str, str, int]]:
     """(id, bases, dropped) per record, reading ``data`` one line at a time.
 
     Lines end at CRLF, CR or LF.  A line opening with '>' starts a record
-    whose id is the header's first whitespace-delimited token; every other
-    line belongs to the record above it.  A/C/G/T in either case are kept
-    (upper-cased), ASCII whitespace is skipped, and any other character
-    counts as dropped.  Input must be well formed: no data before the
-    first header and no empty header.
+    whose id is the header's first whitespace-delimited token, the header
+    read as UTF-8; every other line belongs to the record above it.
+    A/C/G/T in either case are kept (upper-cased), ASCII whitespace is
+    skipped, and any other byte counts as dropped.  Input must be well
+    formed: no data before the first header, no empty header and no
+    header that is not UTF-8.
     """
     records = []
     for line in re.split(rb"\r\n|\r|\n", data):
-        text = line.decode("latin-1")
-        if text.startswith(">"):
-            records.append([text[1:].split()[0], [], 0])
+        if line.startswith(b">"):
+            records.append([line[1:].decode("utf-8").split()[0], [], 0])
             continue
-        for ch in text:
+        for ch in line.decode("latin-1"):
             if ch in "ACGTacgt":
                 records[-1][1].append(ch.upper())
             elif ch not in " \t\r\n\x0b\x0c":
@@ -77,26 +77,37 @@ def line_fasta_records(data: bytes) -> list[tuple[str, str, int]]:
     return [(seq_id, "".join(bases), dropped) for seq_id, bases, dropped in records]
 
 
-def line_fasta_outcome(text: str, policy: str = "drop"):
-    """What reading FASTA ``text`` gives, worked out one line at a time.
+def line_fasta_outcome(source: str | bytes, policy: str = "drop"):
+    """What reading FASTA ``source`` gives, worked out one line at a time.
 
     Returns the records as (id, bases, dropped), or the (error class
     name, message) of the first fault in file order: data before the
-    first header, an empty header, a repeated id, a non-base character
-    under the ``"strict"`` policy, a record without bases, or no record
-    at all.  Lines end at CRLF, CR or LF; a header is a line that opens
-    with '>'.  Bytes are read as Latin-1 text; a body character outside
-    Latin-1 is reported as '?'.
+    first header, a header that is not UTF-8, an empty header, a
+    repeated id, a non-base character under the ``"strict"`` policy, a
+    record without bases, or no record at all.  Lines end at CRLF, CR or
+    LF; a header is a line that opens with '>'.  Of bytes, a header line
+    is read as UTF-8 and every other line as Latin-1; of text, a body
+    character outside Latin-1 is reported as '?'.
     """
     records = []
 
     def no_bases(seq_id):
         return ("EmptySequenceError", f"sequence {seq_id!r}: no A/C/G/T content")
 
-    for number, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
-        if line.startswith(">"):
+    if isinstance(source, bytes):
+        lines = re.split(rb"\r\n|\r|\n", source)
+    else:
+        lines = re.split(r"\r\n|\r|\n", source)
+    for number, line in enumerate(lines, start=1):
+        if line[:1] in (">", b">"):
             if records and not records[-1][1]:
                 return no_bases(records[-1][0])
+            if isinstance(line, bytes):
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError:
+                    return ("MalformedFastaError",
+                            f"line {number}: FASTA header is not valid UTF-8")
             title = line[1:].strip()
             if not title:
                 return ("MalformedFastaError", f"line {number}: empty FASTA header")
@@ -105,6 +116,8 @@ def line_fasta_outcome(text: str, policy: str = "drop"):
                 return ("DuplicateIdError", f"duplicate record id {seq_id!r}")
             records.append([seq_id, [], 0])
             continue
+        if isinstance(line, bytes):
+            line = line.decode("latin-1")
         for ch in line:
             if ch in " \t\x0b\x0c":
                 continue

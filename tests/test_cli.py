@@ -23,7 +23,7 @@ from ppn import (
     window_count,
     write_fasta,
 )
-from ppn import cli, core, phylo
+from ppn import cli, core
 from ppn.cli import main, run_bench
 from ppn.phylo import _NQD_MAX_LEAVES
 
@@ -138,12 +138,13 @@ class TestMatrix:
         path = tmp_path / "short.fa"
         write_fasta(simulate(SimulationSpec(300, 200, 3)), str(path))
         calls = []
+        batch = core._batch_vectors
 
         def counting(pieces, params):
             calls.append(sum(len(codes) for codes in pieces))
-            return core._batch_vectors(pieces, params)
+            return batch(pieces, params)
 
-        monkeypatch.setattr(cli, "_batch_vectors", counting)
+        monkeypatch.setattr(core, "_batch_vectors", counting)
         assert run(["matrix", "--input", str(path)], capsys)[0] == 0
         assert sum(calls) == 300 * 200
         assert len(calls) <= -(-300 * 200 // core._CHUNK) + 1
@@ -351,18 +352,27 @@ class TestBench:
             assert float(fields[4]) > 0.0
             assert int(fields[5]) > 0
 
-    def test_vectors_are_computed_once_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("caller", ["pairwise_matrix", "run_bench"])
+    def test_vectors_are_computed_once_per_run(self, caller, monkeypatch):
+        """300 sequences of 200 nt take a few batch calls per run, each of
+        at most ``_CHUNK`` codes, in the library as in the CLI."""
         calls = []
+        batch = core._batch_vectors
 
-        def counting(seq, params):
-            calls.append(seq.id)
-            return ppn_vector(seq, params)
+        def counting(pieces, params):
+            calls.append(sum(len(codes) for codes in pieces))
+            return batch(pieces, params)
 
-        monkeypatch.setattr(cli, "ppn_vector", counting)
-        monkeypatch.setattr(phylo, "ppn_vector", counting)
-        run_bench([(3, 200)], reps=2, seed=1, params=PpnParams())
-        # one untimed warm-up run and two timed runs, three vectors each
-        assert len(calls) == 3 * 3
+        monkeypatch.setattr(core, "_batch_vectors", counting)
+        if caller == "pairwise_matrix":
+            pairwise_matrix(simulate(SimulationSpec(300, 200, 1)), PpnParams())
+            runs = 1
+        else:
+            run_bench([(300, 200)], reps=2, seed=1, params=PpnParams())
+            runs = 3  # one untimed warm-up run and two timed runs
+        assert sum(calls) == runs * 300 * 200
+        assert len(calls) <= runs * (-(-300 * 200 // core._CHUNK) + 1)
+        assert max(calls) <= core._CHUNK
 
     def test_bad_reps_exits_2(self, capsys):
         code, _, err = run(
@@ -525,7 +535,7 @@ class TestEncoding:
 
     def test_c_locale_writes_and_reads_utf8(self, tmp_path):
         (tmp_path / "in.fa").write_bytes(
-            b">s\xe9q1 x\nACGTACGTACGTACGT\n>b\nTTGCAAGCTTGCAAGC\n>c\nACGTTCGTACGTTCGT\n"
+            b">s\xc3\xa9q1 x\nACGTACGTACGTACGT\n>b\nTTGCAAGCTTGCAAGC\n>c\nACGTTCGTACGTTCGT\n"
             b">d\nGGGCCCAAATTTGGGC\n"
         )
         env = {k: v for k, v in os.environ.items()
@@ -551,6 +561,15 @@ class TestEncoding:
         assert ppn_run("treedist", "-i", "direct.nwk", "-i", "staged.nwk") == (
             b"nRF\t0.0000\nnQD\t0.0000\n"
         )
+
+
+    def test_header_that_is_not_utf8_exits_3_naming_its_line(self, tmp_path, capsys):
+        # a Latin-1 'é'
+        path = tmp_path / "latin1.fa"
+        path.write_bytes(b">a\nAC\n>s\xe9q\nACGT\n")
+        code, out, err = run(["vector", "--input", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "ppn vector: line 3: FASTA header is not valid UTF-8\n"
 
 
 class TestMemory:

@@ -3,7 +3,11 @@ the FASTA, Newick and PHYLIP readers, the distance matrix, UPGMA and the
 two tree distances."""
 
 import argparse
+import contextlib
 import io
+import os
+import re
+import tempfile
 import warnings
 from collections import Counter
 from itertools import combinations, product
@@ -37,6 +41,7 @@ from ppn import (
     upgma,
     window_centers,
     window_counts_at,
+    write_fasta,
     write_phylip,
 )
 from ppn import cli, core, seqio
@@ -202,7 +207,7 @@ def mixed_records(draw):
         body = b"A" + bytes(rng.choice(list(b"ACGTacgtN"), size=n - 1))
         lines = [body[j : j + width] for j in range(0, n, width)]
         out += [b">r%d" % i, ending, ending.join(lines), ending]
-    short = draw(st.sampled_from([1, 3, 40, cli._SHORT_WINDOWS]))
+    short = draw(st.sampled_from([1, 3, 40, core._SHORT_WINDOWS]))
     chunk = draw(st.sampled_from([1, 7, 300, _CHUNK]))
     return b"".join(out), radius, stride, short, chunk
 
@@ -219,8 +224,7 @@ def test_cli_vectors_of_batched_and_long_records_equal_record_vectors(case, bloc
     args = argparse.Namespace(input=io.BytesIO(data), policy="drop")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqio, "_BLOCK", block)
-        mp.setattr(cli, "_SHORT_WINDOWS", short)
-        mp.setattr(cli, "_CHUNK", chunk)
+        mp.setattr(core, "_SHORT_WINDOWS", short)
         mp.setattr(core, "_CHUNK", chunk)
         mp.setattr(core, "_BATCH_WINDOWS", windows)
         assert list(cli._vectors(args, params)) == expected
@@ -244,12 +248,19 @@ def fasta_files(draw):
     out = [draw(st.sampled_from([b"", b"\n", b" \r\n"]))]
     for seq_id in ids:
         desc = draw(st.sampled_from([b"", b" some description", b"\tx y", b" a>b >"]))
-        out += [b">", seq_id.encode("latin-1"), desc, draw(_ENDINGS)]
+        out += [b">", seq_id.encode("utf-8"), desc, draw(_ENDINGS)]
         for line in draw(st.lists(_BODY_LINE, max_size=6)):
             out += [line, draw(_ENDINGS)]
     if draw(st.booleans()):
         out.pop()
     return b"".join(out)
+
+
+def _as_text(data: bytes) -> str:
+    """FASTA bytes as the text they read as: header lines in UTF-8, the
+    rest in Latin-1."""
+    lines = re.split(rb"(\r\n|\r|\n)", data)
+    return "".join(line.decode("utf-8" if line[:1] == b">" else "latin-1") for line in lines)
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,7 +273,7 @@ def test_read_fasta_matches_a_line_by_line_reader(data):
         except EmptySequenceError:
             return
         raise AssertionError("a record without bases was accepted")
-    for source in (io.BytesIO(data), io.StringIO(data.decode("latin-1"))):
+    for source in (io.BytesIO(data), io.StringIO(_as_text(data))):
         got = [(r.id, r.bases(), r.dropped) for r in read_fasta(source)]
         assert got == want
 
@@ -304,17 +315,20 @@ _WIDE_TOKEN = st.one_of(_TOKEN, st.sampled_from(["\u540d", "\u2003", "\U0001f9ec
 
 @settings(max_examples=400, deadline=None)
 @given(
-    st.one_of(fasta_files(), st.lists(_TOKEN, max_size=40).map("".join).map(
-        lambda text: text.encode("latin-1"))),
+    # tokens in Latin-1 put undecodable bytes in headers, in UTF-8 two-byte
+    # characters that a block edge may split
+    st.one_of(fasta_files(), st.builds(
+        str.encode, st.lists(_TOKEN, max_size=40).map("".join),
+        st.sampled_from(["latin-1", "utf-8"]))),
     st.integers(1, 64),
     st.sampled_from(["drop", "strict"]),
 )
 def test_streamed_read_fasta_matches_the_line_oracle_at_any_block_size(data, block, policy):
-    want = line_fasta_outcome(data.decode("latin-1"), policy)
+    text = data.decode("latin-1")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqio, "_BLOCK", block)
-        assert _read_outcome(io.BytesIO(data), policy) == want
-        assert _read_outcome(io.StringIO(data.decode("latin-1")), policy) == want
+        assert _read_outcome(io.BytesIO(data), policy) == line_fasta_outcome(data, policy)
+        assert _read_outcome(io.StringIO(text), policy) == line_fasta_outcome(text, policy)
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,15 +343,86 @@ def test_streamed_text_keeps_ids_outside_latin1_at_any_block_size(text, block, p
 @settings(max_examples=200, deadline=None)
 @given(fasta_files(), st.integers(1, 64), st.integers(1, 5), st.integers(1, 3))
 def test_streamed_vectors_equal_vectors_of_whole_records(data, block, radius, stride):
-    want = line_fasta_outcome(data.decode("latin-1"))
-    if not isinstance(want, list):
+    if not isinstance(line_fasta_outcome(data), list):
         return
     params = _gapped_params(radius, stride)
     expected = [(r.id, ppn_vector(r, params)) for r in read_fasta(io.BytesIO(data))]
+    got = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqio, "_BLOCK", block)
-        records = seqio._scan(io.BytesIO(data), "drop", lambda: _WindowTally(params))
-        assert [(seq_id, tally.vector()) for seq_id, _, tally in records] == expected
+        for seq_id, _, codes, tally in seqio._scan(
+            io.BytesIO(data), "drop", lambda: _WindowTally(params)
+        ):
+            if tally is None:
+                tally = _WindowTally(params)
+                tally.feed(codes)
+            got.append((seq_id, tally.vector()))
+    assert got == expected
+
+
+def _base_blocks(data: bytes, block: int) -> list[set[int]]:
+    """Per record of well-formed FASTA ``data``, the indices of the
+    ``block``-byte blocks that hold its bases."""
+    records = []
+    for line in re.finditer(rb"[^\r\n]*", data):
+        if line[0].startswith(b">"):
+            records.append(set())
+            continue
+        for at, byte in enumerate(line[0], start=line.start()):
+            if byte in b"ACGTacgt":
+                records[-1].add(at // block)
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(fasta_files(), st.integers(1, 64))
+# the body ends at a block edge, its '>' or its line break opening the next block
+@example(b">a\nACGT\n>b\nGG\n", 8)
+@example(b">a\nACGT\n>b\nGG\n", 7)
+# a header ends one block, with or without its line break, and its body
+# lies in the next
+@example(b">ab\nAC\n>c\nT\n", 4)
+@example(b">ab\nAC\n>c\nT\n", 3)
+def test_scan_gives_codes_exactly_for_a_record_whose_bases_lie_in_one_block(data, block):
+    if not isinstance(line_fasta_outcome(data), list):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqio, "_BLOCK", block)
+        scanned = list(seqio._scan(io.BytesIO(data), "drop", seqio._Pieces))
+        records = read_fasta(io.BytesIO(data))
+    assert len(scanned) == len(records)
+    for (seq_id, dropped, codes, pieces), blocks, record in zip(
+        scanned, _base_blocks(data, block), records
+    ):
+        assert (codes is None, pieces is None) == (len(blocks) > 1, len(blocks) == 1)
+        # a sink gets one array of codes per block that holds bases
+        assert pieces is None or len(pieces) == len(blocks)
+        whole = codes if pieces is None else np.concatenate(pieces)
+        assert (seq_id, dropped) == (record.id, record.dropped)
+        assert np.array_equal(whole, record.codes)
+
+
+#: printable ids of characters that take two to four bytes in UTF-8
+_WIDE_ID = st.text(
+    st.characters(min_codepoint=0x80, exclude_categories=("Z", "C")), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_WIDE_ID, min_size=1, max_size=4, unique=True), st.integers(1, 7))
+# the 'é' of '>é' is split between the first two blocks
+@example(["\xe9"], 2)
+def test_utf8_ids_round_trip_through_write_fasta_read_fasta_and_ppn_vector(ids, block):
+    seqs = [encode("ACGTTGCA"[: 1 + k], seq_id=seq_id) for k, seq_id in enumerate(ids)]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "ids.fa")
+        write_fasta(seqs, path)
+        mp.setattr(seqio, "_BLOCK", block)
+        assert read_fasta(path) == seqs
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["vector", "--input", path]) == 0
+    assert [row.split("\t")[0] for row in out.getvalue().splitlines()] == ids
 
 
 # -- Newick and PHYLIP ---------------------------------------------------------------

@@ -182,12 +182,18 @@ class TestBlockEdges:
                                       ("MalformedFastaError", "line 3: empty FASTA header")),
         "empty_header_blanks_split": (b">a\r\nAC\r\n>  \t \r\n>b\r\nA", "drop",
                                       ("MalformedFastaError", "line 3: empty FASTA header")),
+        # a header is UTF-8, decoded whole when a block edge splits a
+        # character; a Latin-1 byte fails on the header's own line
+        "utf8_header": ("> s\u00e9q\U0001f9ec x\r\nAC\n>\u540d\nG\n".encode(), "drop", [
+            ("s\u00e9q\U0001f9ec", "AC", 0), ("\u540d", "G", 0)]),
+        "latin1_header": (b">a\nAC\r\n>s\xe9q\nG\n", "drop",
+                          ("MalformedFastaError", "line 3: FASTA header is not valid UTF-8")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bytes_at_every_block_size(self, name, monkeypatch):
         data, policy, want = self.CASES[name]
-        assert line_fasta_outcome(data.decode("latin-1"), policy) == want
+        assert line_fasta_outcome(data, policy) == want
         for block in range(1, len(data) + 2):
             monkeypatch.setattr(seqio, "_BLOCK", block)
             assert _outcome(io.BytesIO(data), policy) == want, block
