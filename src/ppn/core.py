@@ -11,8 +11,9 @@ between their vectors.
 
 Unique factorization makes the per-window product an injective encoding
 of the count tuple, so all arithmetic here is exact: products stay below
-2**63 (enforced via the radius cap), sums use Python's unbounded ints,
-and floating point appears only in the final metric reduction.
+2**63 (enforced via the radius cap), sums that could pass 2**63 are
+summed as int64 limbs of their products and joined as Python ints, and
+floating point appears only in the final metric reduction.
 """
 
 from __future__ import annotations
@@ -408,6 +409,27 @@ def _products(radius: int, a, c, g, t) -> np.ndarray:
     return products
 
 
+def _limb_shifts(windows: int, span: int) -> range:
+    """The bit offsets at which a window product is cut into int64 limbs,
+    ``step`` bits each: as few limbs as cover 7**span, the largest
+    product, while ``windows`` of any one limb sum below 2**63."""
+    return range(0, (7**span).bit_length(), 63 - (windows - 1).bit_length())
+
+
+def _limbs(products: np.ndarray, shifts: range) -> list[np.ndarray]:
+    """The limbs of ``products`` at ``shifts``, or the products as they are."""
+    if len(shifts) == 1:
+        return [products]
+    return [(products >> s) & ((1 << shifts.step) - 1) for s in shifts]
+
+
+def _join(sums, shifts: range):
+    """The sums of whole products from the sums of their limbs."""
+    if len(shifts) == 1:
+        return sums[0]
+    return sum(part.astype(object) << s for part, s in zip(sums, shifts))
+
+
 def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVector]:
     """The vectors of whole records, given as their code arrays, from one
     pass over their concatenation.
@@ -417,10 +439,9 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     key ``P[o + e] - P[o + s]``, full or cut short by an end alike.  The
     windows go through :data:`_BATCH_WINDOWS` at a time: their keys are
     decoded into count tuples, each tuple's 24 products come from
-    :func:`_products`, and one ``np.add.reduceat`` adds them into their
-    records' sums.  The sums are int64 while no record's windows *
-    7**(2l+1) reaches 2**63; past that each product is split into its
-    low and high 32 bits, summed apart and joined as a Python int.
+    :func:`_products`, and one ``np.add.reduceat`` per limb (see
+    :func:`_limb_shifts`, for the record with the most windows) adds them
+    into their records' sums.
     """
     radius, step, span = params.radius, params.stride + 1, 2 * params.radius + 1
     base = span + 1
@@ -433,8 +454,8 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     sums = np.zeros(int(lengths.sum()) + 1, dtype=np.int64)
     np.take(weights, np.concatenate(pieces), out=sums[1:], mode="clip")
     np.cumsum(sums, out=sums)
-    wide = int(windows.max()) * 7**span >= _PRODUCT_LIMIT
-    parts = np.zeros((1 + wide, len(pieces), len(PERMUTATIONS)), dtype=np.int64)
+    shifts = _limb_shifts(int(windows.max()), span)
+    parts = np.zeros((len(shifts), len(pieces), len(PERMUTATIONS)), dtype=np.int64)
     for lo in range(0, total, _BATCH_WINDOWS):
         index = np.arange(lo, min(lo + _BATCH_WINDOWS, total))
         record = np.searchsorted(firsts, index, side="right") - 1
@@ -446,10 +467,9 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
         products = _products(radius, a, c, g, end - start - a - c - g)
         first, last = record[0], record[-1]
         segments = np.concatenate([[0], firsts[first + 1 : last + 1] - lo])
-        split = (products & 0xFFFFFFFF, products >> 32) if wide else (products,)
-        for part, values in zip(parts, split):
-            part[first : last + 1] += np.add.reduceat(values, segments)
-    rows = (parts[1].astype(object) << 32) + parts[0] if wide else parts[0]
+        for part, limb in zip(parts, _limbs(products, shifts)):
+            part[first : last + 1] += np.add.reduceat(limb, segments)
+    rows = _join(parts, shifts)
     return [
         PpnVector(tuple(row), sequence_length=n, windows=w, params=params)
         for row, n, w in zip(rows.tolist(), lengths.tolist(), windows.tolist())
@@ -560,9 +580,8 @@ class _WindowTally:
         windows = window_count(self.length, self.params.stride)
         # products[d, j] is row d's window product under assignment j
         products = _products(self._radius, *counts.T)
-        # no sum exceeds windows * 7**(2l+1): int64 below 2**63, else Python ints
-        exact = np.int64 if windows * 7 ** self._span < _PRODUCT_LIMIT else object
-        sums = multiplicity.astype(exact) @ products.astype(exact)
+        shifts = _limb_shifts(windows, self._span)
+        sums = _join([multiplicity @ limb for limb in _limbs(products, shifts)], shifts)
         return PpnVector(
             components=tuple(sums.tolist()),
             sequence_length=self.length,

@@ -10,6 +10,7 @@ are insensitive to root placement.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +39,6 @@ __all__ = [
     "write_phylip",
     "read_phylip",
 ]
-
-# square brackets open and close Newick comments, which are not supported
-_NEWICK_RESERVED = set("():,;[]")
-
 
 class DistanceMatrix:
     """Symmetric non-negative matrix over labeled taxa.
@@ -228,20 +225,33 @@ def upgma(matrix: DistanceMatrix) -> PhyloTree:
 
 # -- Newick ------------------------------------------------------------------
 
-def _fmt_length(x: float) -> str:
-    return repr(float(x))
+# The Newick lexicon, each rule once, for the reader and both writers:
+# whitespace is what str.isspace accepts (\s, on every code point); a label
+# is a run of anything but whitespace and ():,;[] that opens with no quote
+# ('[' opens a comment); a length is ':' amid whitespace, then a number.
+_WHITESPACE = re.compile(r"\s*")
+_LABEL = re.compile(r"(?!')[^\s():,;\[\]]+")
+_LENGTH = re.compile(r"\s*:\s*([\d+\-.eE]*)")
 
 
 def _check_label(label: str) -> str:
+    """``label`` if it is one whole :data:`_LABEL`, so that
+    :func:`from_newick` reads it back, else a :class:`ValidationError`."""
     if not label:
         raise ValidationError("empty node label cannot be serialized")
-    if any(c in _NEWICK_RESERVED or c.isspace() for c in label):
-        raise ValidationError(
-            f"label {label!r} contains whitespace or a reserved Newick character"
-        )
-    if label.startswith("'"):
+    if _LABEL.fullmatch(label):
+        return label
+    if label[0] == "'" and _LABEL.fullmatch("_" + label[1:]):
         raise ValidationError(f"label {label!r} would read as a quoted label")
-    return label
+    raise ValidationError(
+        f"label {label!r} contains whitespace or a reserved Newick character"
+    )
+
+
+def _label_text(node: TreeNode) -> str:
+    """A node's checked label (none for an unnamed fork) and exact length."""
+    text = "" if node.name is None and node.children else _check_label(node.name)
+    return text if node.length is None else f"{text}:{float(node.length)!r}"
 
 
 def to_newick(tree: PhyloTree) -> str:
@@ -251,121 +261,84 @@ def to_newick(tree: PhyloTree) -> str:
     hitting the interpreter recursion limit.
     """
     parts: list[str] = []
-    stack: list[tuple[str, object]] = [("node", tree.root)]
+    stack: list[str | TreeNode] = [";", tree.root]
     while stack:
-        kind, payload = stack.pop()
-        if kind == "text":
-            parts.append(payload)
-            continue
-        node = payload
-        if node.is_leaf:
-            chunk = _check_label(node.name)
-            if node.length is not None:
-                chunk += ":" + _fmt_length(node.length)
-            parts.append(chunk)
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.is_leaf:
+            parts.append(_label_text(item))
         else:
-            tail = ")"
-            if node.name is not None:
-                tail += _check_label(node.name)
-            if node.length is not None:
-                tail += ":" + _fmt_length(node.length)
-            stack.append(("text", tail))
-            for i in range(len(node.children) - 1, -1, -1):
-                stack.append(("node", node.children[i]))
-                if i:
-                    stack.append(("text", ","))
             parts.append("(")
-    parts.append(";")
+            stack += [")" + _label_text(item), item.children[-1]]
+            for child in reversed(item.children[:-1]):
+                stack += [",", child]
     return "".join(parts)
 
 
 def from_newick(text: str) -> PhyloTree:
     """Parse Newick text; branch lengths and multifurcations optional.
 
+    A leaf is a :data:`_LABEL`, a fork a parenthesized list of nodes and
+    an optional label right after the ')'; either may end in a finite
+    :data:`_LENGTH`.  :data:`_WHITESPACE` may stand between any two of
+    those parts but a ')' and a label.
+
     Errors carry the character offset at which parsing failed.  The
     parser keeps its own stack of open groups instead of recursing.
     Comments (``[...]``) and quoted labels are rejected, not read as labels.
     """
-    pos = 0
-    n = len(text)
     bracket = text.find("[")
     if bracket >= 0:
         raise NewickParseError("Newick comments ('[...]') are not supported", bracket)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_label() -> str | None:
-        nonlocal pos
-        if pos < n and text[pos] == "'":
-            raise NewickParseError("quoted labels are not supported", pos)
-        start = pos
-        while pos < n and text[pos] not in _NEWICK_RESERVED and not text[pos].isspace():
-            pos += 1
-        return text[start:pos] if pos > start else None
-
-    def parse_length() -> float | None:
-        nonlocal pos
-        skip_ws()
-        if pos >= n or text[pos] != ":":
-            return None
-        pos += 1
-        skip_ws()
-        start = pos
-        while pos < n and (text[pos] in "+-.eE" or text[pos].isdigit()):
-            pos += 1
-        try:
-            length = float(text[start:pos])
-        except ValueError:
-            raise NewickParseError("expected a branch length after ':'", start) from None
-        if not math.isfinite(length):
-            raise NewickParseError("branch length is not finite", start)
-        return length
-
     frames: list[list[TreeNode]] = []
-    completed: TreeNode | None = None
-    need_element = True
-    while True:
-        skip_ws()
-        if need_element:
-            if pos < n and text[pos] == "(":
-                pos += 1
+    node = None  # the node just read, or None while one is expected
+    pos = 0
+    while node is None or frames:
+        pos = _WHITESPACE.match(text, pos).end()
+        if node is None:
+            if text.startswith("(", pos):
                 frames.append([])
+                pos += 1
                 continue
-            label = parse_label()
-            if label is None:
-                found = text[pos] if pos < n else "end of input"
-                raise NewickParseError(f"expected a leaf label, found {found!r}", pos)
-            completed = TreeNode(name=label)
-            completed.length = parse_length()
-            need_element = False
-        if not frames:
-            break
-        frames[-1].append(completed)
-        skip_ws()
-        if pos >= n:
-            raise NewickParseError("expected ',' or ')'", pos)
-        ch = text[pos]
-        if ch == ",":
-            pos += 1
-            need_element = True
-        elif ch == ")":
-            pos += 1
-            completed = TreeNode(name=parse_label(), children=frames.pop())
-            completed.length = parse_length()
+            node = TreeNode()
         else:
-            raise NewickParseError(f"expected ',' or ')', found {ch!r}", pos)
-
-    skip_ws()
-    if pos >= n or text[pos] != ";":
+            frames[-1].append(node)
+            if text.startswith(",", pos):
+                node, pos = None, pos + 1
+                continue
+            if not text.startswith(")", pos):
+                found = f", found {text[pos]!r}" if pos < len(text) else ""
+                raise NewickParseError(f"expected ',' or ')'{found}", pos)
+            node, pos = TreeNode(children=frames.pop()), pos + 1
+        # the label and the length of the leaf or fork just begun
+        label = _LABEL.match(text, pos)
+        if label:
+            node.name, pos = label[0], label.end()
+        elif text.startswith("'", pos):
+            raise NewickParseError("quoted labels are not supported", pos)
+        elif node.is_leaf:
+            found = text[pos : pos + 1] or "end of input"
+            raise NewickParseError(f"expected a leaf label, found {found!r}", pos)
+        length = _LENGTH.match(text, pos)
+        if length:
+            start, pos = length.span(1)
+            try:
+                # a digit that \d leaves out, such as \u00b2, spoils the number
+                if text[pos : pos + 1].isdigit():
+                    raise ValueError
+                node.length = float(length[1])
+            except ValueError:
+                raise NewickParseError("expected a branch length after ':'", start) from None
+            if not math.isfinite(node.length):
+                raise NewickParseError("branch length is not finite", start)
+    pos = _WHITESPACE.match(text, pos).end()
+    if not text.startswith(";", pos):
         raise NewickParseError("expected ';'", pos)
-    pos += 1
-    skip_ws()
-    if pos < n:
+    pos = _WHITESPACE.match(text, pos + 1).end()
+    if pos < len(text):
         raise NewickParseError("unexpected text after ';'", pos)
-    return PhyloTree(completed)
+    return PhyloTree(node)
 
 
 # -- unrooted structure ------------------------------------------------------
@@ -520,9 +493,11 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     pairs that both nodes separate count the quartets resolved alike in
     both trees, and those separated under any two pairings count the
     quartets resolved in both.  Both follow from each node pair's table
-    of shared leaf counts, so the count is an exact integer.  The work is
-    O(k^2) table cells for binary trees, and memory is O(k^2) for any
-    shape.
+    of shared leaf counts, so the count is an exact integer.  For binary
+    trees there are O(k^2) table cells, but filling them takes the int16
+    product of the two membership tables, O(k^3) multiply-adds with no
+    BLAS for integers, and each node of the first tree costs some 40
+    numpy calls on top.  Memory is O(k^2) for any shape.
     """
     column = _check_comparable(t1, t2)
     k = len(column)

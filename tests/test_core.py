@@ -36,7 +36,7 @@ from ppn import (
     window_product_sum,
     window_products,
 )
-from ppn.core import _shifted_rows
+from ppn.core import _join, _limb_shifts, _limbs, _shifted_rows
 from ppn.phylo import _vector_matrix
 from oracles import decimal_euclidean, exact_manhattan, naive_vector, scalar_distance
 
@@ -370,6 +370,26 @@ class TestVector:
         products = window_products(seq, PpnParams(radius=10, stride=1), 0)
         assert vec.components[0] == sum(products)
         assert max(products) == 7**21
+
+    @pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
+    def test_limbs_sum_in_int64_and_cover_every_product(self, radius):
+        # three or more limbs only occur past 2**33 windows, which no
+        # sequence in the tests reaches, so this is their only check
+        span = 2 * radius + 1
+        top = 7**span
+        near_powers = {2**e + d for e in range(1, 62) for d in (-1, 0, 1)}
+        for windows in sorted(near_powers | {1, 2**62}):
+            shifts = _limb_shifts(windows, span)
+            assert windows * ((1 << shifts.step) - 1) < 2**63
+            assert top < 1 << (shifts.step * len(shifts))
+            assert len(shifts) == -(-top.bit_length() // shifts.step)
+        rng = np.random.default_rng(radius)
+        products = rng.integers(0, top, size=(5, 24), dtype=np.int64, endpoint=True)
+        ones = np.ones(5, dtype=np.int64)
+        for windows in (5, 2**40, 2**62):
+            shifts = _limb_shifts(windows, span)
+            sums = _join([ones @ limb for limb in _limbs(products, shifts)], shifts)
+            assert sums.tolist() == [sum(col) for col in zip(*products.tolist())]
 
 
 # -- distances -----------------------------------------------------------------

@@ -270,6 +270,10 @@ class TestNewick:
         text = "((A:1.0,B:2.0)ab:3.0,C:4.0)root;"
         assert to_newick(from_newick(text)) == text
 
+    def test_fork_label_may_precede_whitespace_and_its_length(self):
+        t = from_newick("(A,B)x :1;")
+        assert (t.root.name, t.root.length) == ("x", 1.0)
+
     def test_lengths_are_optional(self):
         t = from_newick("((A,B),C);")
         assert sorted(t.leaf_names()) == ["A", "B", "C"]
@@ -290,6 +294,13 @@ class TestNewick:
             ("(a,'b c');", 3),
             ("(a,'b');", 3),
             ("(A:1e999,B:1);", 3),
+            ("(A,B) x;", 6),
+            ("(A:1x,B);", 4),
+            ("(A:1\u00b2,B);", 3),
+            ("(A,B):;", 6),
+            (";", 0),
+            ("(A,B);\u00a0x", 7),
+            ("(A:1:2,B);", 4),
         ],
     )
     def test_parse_errors_carry_offsets(self, text, offset):

@@ -26,6 +26,7 @@ from ppn import (
     PpnError,
     PpnParams,
     TreeNode,
+    ValidationError,
     count_histogram,
     distance,
     encode,
@@ -46,6 +47,7 @@ from ppn import (
 )
 from ppn import cli, core, seqio
 from ppn.core import _CHUNK, _WindowTally, _product_table, _products
+from ppn.phylo import _check_label
 from oracles import (
     line_fasta_outcome,
     line_fasta_records,
@@ -460,6 +462,48 @@ def newick_trees(draw):
 @given(newick_trees())
 def test_newick_round_trips_exactly(tree):
     assert from_newick(to_newick(tree)).root == tree.root
+
+
+# Newick text in tokens: one punctuation mark, or a label or a number
+_NEWICK_TOKEN = re.compile(r"[(),:;]|[^(),:;]+")
+
+
+@settings(max_examples=200, deadline=None)
+@given(newick_trees(), st.data())
+def test_whitespace_between_newick_tokens_changes_no_tree(tree, data):
+    """Runs of tab, CRLF, no-break space and em space at every boundary
+    between tokens of ``to_newick(tree)``, and before and after it, but
+    between a ')' and a fork label, where whitespace is an error."""
+    tokens = _NEWICK_TOKEN.findall(to_newick(tree))
+    runs = st.lists(st.sampled_from(["\t", "\r\n", "\u00a0", "\u2003"]), max_size=3)
+    space = runs.map("".join)
+    text = ""
+    for before, token in zip([""] + tokens, tokens):
+        if not (before == ")" and token not in "(),:;"):
+            text += data.draw(space)
+        text += token
+    text += data.draw(space)
+    assert from_newick(text).root == tree.root
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(
+        st.sampled_from(list("():,;[]'\"AB\u00e9\u4e2d\u00b2 \t\n\u00a0\u2003"))
+        | st.characters(),
+        max_size=6,
+    ).filter(lambda s: s != "B")
+)
+def test_the_writers_accept_exactly_the_labels_the_reader_reads_back(label):
+    try:
+        read = label in from_newick(f"({label},B);").leaf_names()
+    except PpnError:
+        read = False
+    try:
+        written = _check_label(label) == label
+    except ValidationError:
+        written = False
+    assert read == written
 
 
 @settings(max_examples=300, deadline=None)
