@@ -1,14 +1,16 @@
 """Command-line interface: vectors, matrices, trees, tree comparison,
 simulation, and scaling benchmarks.
 
-Each subcommand writes its text into the buffer :func:`main` hands it;
+Each subcommand writes its text into the writer :func:`main` hands it;
 only :func:`main` touches stdout, stderr, the output file and the exit
 code.  Exit codes: 0 success, 1 I/O failure, 2 invalid parameters or
-inconsistent inputs, 3 malformed input data.  A finished run's buffer
-goes to the ``--output`` path ('-' for stdout, the default) through a
-temp path renamed into place, so a failed run writes nothing.  Errors
-and notices (a library ``UserWarning``) go to stderr as one
-``ppn <command>: <message>`` line each.
+inconsistent inputs, 3 malformed input data.  The writer streams UTF-8
+into a temp file as the subcommand runs, so no output is held whole.
+The temp file reaches the ``--output`` path only when the run succeeds:
+it is renamed over a file, or copied to stdout for '-' (the default),
+so a failed run writes nothing.  Errors and notices (a library
+``UserWarning``) go to stderr as one ``ppn <command>: <message>`` line
+each.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import io
 import os
 import resource
+import shutil
 import stat
 import sys
 import tempfile
@@ -34,41 +37,78 @@ EXIT_VALIDATION = 2
 EXIT_MALFORMED = 3
 
 
-def _write_output(path: str, text: str) -> None:
-    """Atomically write ``text`` as UTF-8 to ``path``; '-' streams to stdout.
+class _Output:
+    """The writer :func:`main` hands a subcommand, as a context manager.
 
-    Its one caller is :func:`main`, once per run, with the whole output
-    of a subcommand that finished.  A new file gets the mode a plain
+    ``write(text)`` sends ``text`` as UTF-8 straight to a temp file, so no
+    Python-side buffer lives while the subcommand computes.  The text
+    reaches ``path`` ('-' for stdout) only if the ``with`` block ends
+    without an exception.  For a file the temp file is ``.ppn-*.tmp`` in
+    the destination's directory, renamed over the destination on success
+    and removed on failure.  A new file gets the mode a plain
     ``open(path, "w")`` would give it (0666 less the umask); a replaced
-    file keeps its mode.
+    file keeps its mode.  For '-' the temp file is an anonymous one in the
+    system temp directory, copied to stdout on success.
     """
-    data = text.encode("utf-8")
-    if path == "-":
-        out = getattr(sys.stdout, "buffer", None)
-        if out is None:  # a text-only stream, such as io.StringIO
-            sys.stdout.write(text)
-        else:
-            sys.stdout.flush()
-            out.write(data)
-            out.flush()
-        return
-    try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ppn-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fd, mode)
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    __slots__ = ("path", "tmp", "fd")
+
+    def __init__(self, path: str):
+        self.path = path
+        if path == "-":
+            self.tmp = tempfile.TemporaryFile(prefix=".ppn-", buffering=0)
+            self.fd = self.tmp.fileno()
+            return
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        directory = os.path.dirname(os.path.abspath(path))
+        self.fd, self.tmp = tempfile.mkstemp(
+            dir=directory, prefix=".ppn-", suffix=".tmp"
+        )
+        try:
+            os.fchmod(self.fd, mode)
+        except BaseException:
+            os.close(self.fd)
+            os.unlink(self.tmp)
+            raise
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode("utf-8"))
+        while data:
+            data = data[os.write(self.fd, data) :]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, failure, *_) -> None:
+        if self.path == "-":
+            with self.tmp:
+                if failure is None:
+                    self.tmp.seek(0)
+                    _copy_to_stdout(self.tmp)
+            return
+        try:
+            os.close(self.fd)
+            if failure is None:
+                os.replace(self.tmp, self.path)
+        finally:
+            if os.path.exists(self.tmp):
+                os.unlink(self.tmp)
+
+
+def _copy_to_stdout(tmp) -> None:
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stream, such as io.StringIO
+        with io.TextIOWrapper(tmp, encoding="utf-8", newline="") as text:
+            shutil.copyfileobj(text, sys.stdout)
+    else:
+        sys.stdout.flush()
+        shutil.copyfileobj(tmp, out)
+        out.flush()
 
 
 def _params(args) -> PpnParams:
@@ -366,16 +406,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = io.StringIO()
     try:
-        with warnings.catch_warnings():
+        with _Output(args.output) as out, warnings.catch_warnings():
             # a notice is one diagnostic line, whatever the interpreter's filters
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = lambda message, *where: _diagnostic(
                 args.command, message
             )
             _COMMANDS[args.command](args, out)
-        _write_output(args.output, out.getvalue())
         return 0
     except ValidationError as exc:
         _diagnostic(args.command, exc)

@@ -40,6 +40,10 @@ __all__ = [
     "read_phylip",
 ]
 
+#: cells in one block of :class:`DistanceMatrix`'s checks
+_CHECK_CELLS = 1 << 15
+
+
 class DistanceMatrix:
     """Symmetric non-negative matrix over labeled taxa.
 
@@ -64,12 +68,18 @@ class DistanceMatrix:
             raise ValidationError(
                 f"matrix shape {values.shape} does not match {k} labels"
             )
-        if not np.array_equal(values, values.T, equal_nan=True):
-            raise ValidationError("distance matrix is not exactly symmetric")
+        # checked in blocks of rows: no temporary has more than about
+        # _CHECK_CELLS cells, where a k x k one would rival the matrix
+        step = max(1, _CHECK_CELLS // k)
+        for a in range(0, k, step):
+            upper, lower = values[a : a + step, a:], values[a:, a : a + step].T
+            differ = upper != lower  # True at NaN, which must face NaN
+            if not (np.isnan(upper[differ]) & np.isnan(lower[differ])).all():
+                raise ValidationError("distance matrix is not exactly symmetric")
         if np.any(np.diagonal(values) != 0.0):
             raise ValidationError("distance matrix diagonal must be exactly zero")
         with np.errstate(invalid="ignore"):
-            if np.any(values < 0.0):
+            if any((values[a : a + step] < 0.0).any() for a in range(0, k, step)):
                 raise ValidationError("distance matrix entries must be non-negative")
         # a new array, with -0.0 + 0.0 == +0.0
         values = values + 0.0
@@ -576,12 +586,15 @@ def read_phylip(source) -> DistanceMatrix:
     """Read a relaxed PHYLIP matrix written by :func:`write_phylip`.
 
     A value must be a number ``float`` reads from ASCII with no ``_``;
-    anything else raises :class:`ValidationError` naming its row.
+    anything else raises :class:`ValidationError` naming its row.  Rows
+    are parsed as they are read, and the whole input is read before any
+    error is raised: text that is not UTF-8 anywhere, then a wrong row
+    count, win over the first bad row.
     """
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     fh = open(source, encoding="utf-8") if own else source
     try:
-        lines = [line.strip() for line in fh if line.strip()]
+        return _parse_phylip(line for line in map(str.strip, fh) if line)
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"distance matrix file is not valid {exc.encoding} text: {exc.reason}"
@@ -589,37 +602,53 @@ def read_phylip(source) -> DistanceMatrix:
     finally:
         if own:
             fh.close()
-    if not lines:
+
+
+def _parse_phylip(lines) -> DistanceMatrix:
+    """The matrix of the stripped non-blank ``lines`` of a PHYLIP text."""
+    first = next(lines, None)
+    if first is None:
         raise ValidationError("empty distance matrix file")
     try:
-        k = int(lines[0])
+        k = int(first)
     except ValueError:
+        for _ in lines:  # text that is not UTF-8 further on wins
+            pass
         raise ValidationError(
-            f"expected a taxon count on the first line, found {lines[0]!r}"
+            f"expected a taxon count on the first line, found {first!r}"
         ) from None
-    if len(lines) - 1 != k:
-        raise ValidationError(f"expected {k} matrix rows, found {len(lines) - 1}")
-    labels = []
-    values = np.zeros((k, k), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
+    labels, values = [], None
+    error, rows = None, 0  # the first bad row's message; rows read
+    for rows, line in enumerate(lines, 1):
+        if error is not None or rows > k:
+            continue
         parts = line.split()
         if len(parts) != k + 1:
-            raise ValidationError(
-                f"matrix row {i + 1}: expected a label and {k} values, "
+            error = (
+                f"matrix row {rows}: expected a label and {k} values, "
                 f"found {len(parts)} fields"
             )
-        labels.append(parts[0])
+            continue
         # float() also reads "1_5" as 15.0 and non-ASCII digits such as
         # "\u0661" as 1.0; the fields are looked at one by one only when
         # the row holds "_" past its label or is not all ASCII
         if line.find("_", len(parts[0])) >= 0 or not line.isascii():
             bad = next((p for p in parts[1:] if "_" in p or not p.isascii()), None)
             if bad is not None:
-                raise ValidationError(
-                    f"matrix row {i + 1}: {bad!r} is not an ASCII decimal number"
-                )
+                error = f"matrix row {rows}: {bad!r} is not an ASCII decimal number"
+                continue
         try:
-            values[i] = [float(p) for p in parts[1:]]
+            row = [float(p) for p in parts[1:]]
         except ValueError as exc:
-            raise ValidationError(f"matrix row {i + 1}: {exc}") from None
-    return DistanceMatrix(labels, values)
+            error = f"matrix row {rows}: {exc}"
+            continue
+        if values is None:
+            # a row of k + 1 fields bounds k by the input's own size
+            values = np.zeros((k, k), dtype=np.float64)
+        values[rows - 1] = row
+        labels.append(parts[0])
+    if rows != k:
+        raise ValidationError(f"expected {k} matrix rows, found {rows}")
+    if error is not None:
+        raise ValidationError(error)
+    return DistanceMatrix(labels, np.zeros((0, 0)) if values is None else values)

@@ -253,12 +253,10 @@ def write_fasta(seqs: list[EncodedSequence], dest, width: int = FASTA_LINE_WIDTH
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8") if own else dest
     try:
-        for seq in seqs:
-            fh.write(f">{seq.id}\n")
+        for seq in seqs:  # one write per record
             text = seq.bases()
-            for i in range(0, len(text), width):
-                fh.write(text[i : i + width])
-                fh.write("\n")
+            lines = [text[i : i + width] for i in range(0, len(text), width)]
+            fh.write("\n".join([f">{seq.id}", *lines, ""]))
     finally:
         if own:
             fh.close()

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -466,32 +467,62 @@ class TestExitCodes:
 
 
 class TestFailedRunWritesNothing:
-    """A run that fails on the second record writes no byte of the first."""
+    """A run that fails late writes no byte of what it had already
+    streamed, and leaves no temp file behind."""
+
+    BAD_FASTA = ">alpha\nACGTACGTACGTACGTACGT\n>\nTTGCAAGCTTGCAAGCTTGC\n"
+    # command: (input files, exit code, message); the first record's row,
+    # the matrix rows but the last and the first tree come before the fault
+    CASES = {
+        "vector": ((("bad.fa", BAD_FASTA),), 3, "line 3: empty FASTA header"),
+        "matrix": ((("bad.fa", BAD_FASTA),), 3, "line 3: empty FASTA header"),
+        "tree": (
+            (("bad.phy", "3\na\t0.0\t1.0\t2.0\nb\t1.0\t0.0\t3.0\nc\t2.0\t3.0\n"),),
+            2,
+            "matrix row 3: expected a label and 3 values, found 3 fields",
+        ),
+        "treedist": (
+            (("good.nwk", "((A,B),(C,D));\n"), ("bad.nwk", "((A,B),(C,D);\n")),
+            3,
+            "expected ',' or ')', found ';' (at offset 12)",
+        ),
+    }
 
     @pytest.fixture
-    def bad_path(self, tmp_path):
-        path = tmp_path / "bad.fa"
-        path.write_text(">alpha\nACGTACGTACGTACGTACGT\n>\nTTGCAAGCTTGCAAGCTTGC\n")
-        return str(path)
+    def argv(self, tmp_path, monkeypatch, request):
+        """The failing command line; the system temp directory is moved
+        under ``tmp_path`` so that every temp file lands where it is looked for."""
+        command = request.param
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "sys-tmp"))
+        (tmp_path / "sys-tmp").mkdir()
+        argv = [command]
+        for name, text in self.CASES[command][0]:
+            (tmp_path / name).write_text(text)
+            argv += ["--input", str(tmp_path / name)]
+        return argv
 
-    @pytest.mark.parametrize("command", ["vector", "matrix"])
-    def test_stdout_stays_empty(self, bad_path, capsys, command):
-        code, out, err = run([command, "--input", bad_path, "--output", "-"], capsys)
-        assert (code, out) == (3, "")
-        assert "empty FASTA header" in err
+    @staticmethod
+    def _no_temp_files(tmp_path):
+        return [p for p in tmp_path.rglob("*") if p.name.startswith(".ppn-")] == []
 
-    @pytest.mark.parametrize("command", ["vector", "matrix"])
-    def test_existing_file_keeps_its_bytes_and_mode(
-        self, bad_path, tmp_path, capsys, command
-    ):
+    @pytest.mark.parametrize("argv", CASES, indirect=True)
+    def test_stdout_stays_empty(self, argv, tmp_path, capsys):
+        code, out, err = run([*argv, "--output", "-"], capsys)
+        _, want, message = self.CASES[argv[0]]
+        assert (code, out, err) == (want, "", f"ppn {argv[0]}: {message}\n")
+        assert self._no_temp_files(tmp_path)
+        assert list((tmp_path / "sys-tmp").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", CASES, indirect=True)
+    def test_existing_file_keeps_its_bytes_and_mode(self, argv, tmp_path, capsys):
         dest = tmp_path / "out.txt"
         dest.write_bytes(b"old\n")
         dest.chmod(0o640)
-        code, _, _ = run([command, "--input", bad_path, "--output", str(dest)], capsys)
-        assert code == 3
+        code, _, _ = run([*argv, "--output", str(dest)], capsys)
+        assert code == self.CASES[argv[0]][1]
         assert dest.read_bytes() == b"old\n"
         assert stat.S_IMODE(dest.stat().st_mode) == 0o640
-        assert [p for p in os.listdir(tmp_path) if p.startswith(".ppn-")] == []
+        assert self._no_temp_files(tmp_path)
 
 
 class TestStdout:
@@ -583,9 +614,8 @@ class TestMemory:
                 fh.write(b">r%d\n" % r + b"\n".join(lines) + b"\n")
 
     @staticmethod
-    def _vector_peak(path, tmp_path):
-        """The traced peak of ``ppn vector`` on ``path``, in bytes."""
-        argv = ["vector", "--input", str(path), "--output", str(tmp_path / "v.tsv")]
+    def _peak(argv):
+        """The traced peak of ``ppn argv``, in bytes."""
         assert main(argv) == 0  # imports and first-call set-up happen untraced
         tracemalloc.start()
         try:
@@ -593,6 +623,11 @@ class TestMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @classmethod
+    def _vector_peak(cls, path, tmp_path):
+        """The traced peak of ``ppn vector`` on ``path``, in bytes."""
+        return cls._peak(["vector", "--input", str(path), "--output", str(tmp_path / "v.tsv")])
 
     def test_vector_peak_does_not_grow_with_the_record(self, tmp_path):
         """The traced peak of ``ppn vector`` on a 4 Mnt record is within
@@ -617,6 +652,38 @@ class TestMemory:
             self._fasta(path, records, 1_000_000, rng)
             peaks.append(self._vector_peak(path, tmp_path))
         assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    K = 300
+
+    @pytest.fixture
+    def short_fasta(self, tmp_path):
+        """``K`` simulated records of 200 nt."""
+        path = tmp_path / "short.fa"
+        write_fasta(simulate(SimulationSpec(species_count=self.K, length=200, seed=1)), path)
+        return path
+
+    def test_matrix_peak_is_the_text_and_one_matrix(self, short_fasta, tmp_path):
+        """``ppn matrix --output f`` peaks below the PHYLIP text plus one
+        k x k float64 matrix plus 0.5 MB, at k = 300.  Measured with
+        ``tracemalloc`` around a second ``main`` call on simulated
+        records of 200 nt (seeds 1 to 3): the peak was 0.11 MB above the
+        text's size (1.65 MB) plus the matrix (0.72 MB), with the text
+        streamed and ``write_phylip``'s formatted strings held instead;
+        when the output was held whole it was 1.04 MB above."""
+        dest = tmp_path / "m.phy"
+        peak = self._peak(["matrix", "--input", str(short_fasta), "--output", str(dest)])
+        assert peak < dest.stat().st_size + self.K**2 * 8 + 0.5e6, peak
+
+    def test_tree_peak_on_a_matrix_file_is_two_matrices(self, short_fasta, tmp_path):
+        """``ppn tree --input dist.phy`` peaks below two k x k float64
+        matrices plus 0.5 MB, at k = 300: the parsed rows and the
+        ``DistanceMatrix`` copy, never the file's text.  Measured as in
+        the matrix test: the peak was 0.17 MB above the two matrices
+        (1.44 MB); when all lines were kept it was 2.71 MB above."""
+        phy = tmp_path / "m.phy"
+        assert main(["matrix", "--input", str(short_fasta), "--output", str(phy)]) == 0
+        peak = self._peak(["tree", "--input", str(phy), "--output", str(tmp_path / "t.nwk")])
+        assert peak < 2 * self.K**2 * 8 + 0.5e6, peak
 
     def test_feed_peak_does_not_grow_with_the_chunks_in_a_block(self):
         """The traced peak of one ``feed`` of eight chunks is within 1.1x of

@@ -4,6 +4,7 @@ tree distances."""
 import io
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -43,7 +44,7 @@ from oracles import (
     splits_by_edge_cut,
     weighted_leaf_distances,
 )
-from ppn.phylo import _check_comparable, _splits
+from ppn.phylo import _CHECK_CELLS, _check_comparable, _splits
 
 
 def square(rows):
@@ -98,6 +99,28 @@ class TestDistanceMatrix:
     def test_negative_zero_in_one_triangle_reads_the_same_both_ways(self):
         m = DistanceMatrix(["a", "b"], square([[0, -0.0], [0, 0]]))
         assert repr(m["a", "b"]) == repr(m["b", "a"]) == "0.0"
+
+    @pytest.mark.parametrize("cell", [(0, 1), (5, 390), (200, 201), (398, 399), (399, 3)])
+    def test_checks_reach_every_block_of_rows(self, cell):
+        k = 400  # several row blocks
+        assert _CHECK_CELLS // k < k // 3
+        rng = np.random.default_rng(8)
+        values = rng.random((k, k))
+        values = values + values.T
+        np.fill_diagonal(values, 0.0)
+        i, j = cell
+        values[i, j] = values[j, i] = math.nan  # NaN facing NaN is symmetric
+        labels = [f"t{n}" for n in range(k)]
+        assert math.isnan(DistanceMatrix(labels, values).values[j, i])
+        for wrong in (1.0, -1.0):
+            bad = values.copy()
+            bad[j, i] = wrong
+            with pytest.raises(ValidationError, match="symmetric"):
+                DistanceMatrix(labels, bad)
+        bad = values.copy()
+        bad[i, j] = bad[j, i] = -1.0
+        with pytest.raises(ValidationError, match="non-negative"):
+            DistanceMatrix(labels, bad)
 
     def test_values_are_a_read_only_copy(self):
         src = square([[0, 1], [1, 0]])
@@ -491,6 +514,29 @@ class TestPhylip:
     def test_rejects_non_numeric_values(self):
         with pytest.raises(ValidationError, match="row 1: .*'x'"):
             read_phylip(io.StringIO("2\na 0 x\nb 1 0\n"))
+
+    @pytest.mark.parametrize("rows", ["a 0 x\nb 1 0\n", "a 0\nb 1 0\n", "a 0 1_5\nb 1 0\n"])
+    def test_wrong_row_count_beats_an_earlier_bad_row(self, rows):
+        with pytest.raises(ValidationError, match="expected 3 matrix rows, found 2"):
+            read_phylip(io.StringIO("3\n" + rows))
+
+    @pytest.mark.parametrize("head", ["2\na 0 x\n", "2\na 0\n", "nope\n"])
+    def test_text_that_is_not_utf8_after_a_bad_row_beats_it(self, tmp_path, head):
+        path = tmp_path / "m.phy"
+        path.write_bytes(head.encode() + b"b 1 \xff0\n")
+        with pytest.raises(ValidationError, match="not valid utf-8 text"):
+            read_phylip(path)
+
+    @pytest.mark.parametrize("count", ["-1", "0", "1000000000000"])
+    def test_count_line_allocates_nothing_its_rows_do_not_show(self, count):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                read_phylip(io.StringIO(f"{count}\na 0\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValidationError, match="empty"):
