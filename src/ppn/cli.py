@@ -4,13 +4,13 @@ simulation, and scaling benchmarks.
 Each subcommand writes its text into the writer :func:`main` hands it;
 only :func:`main` touches stdout, stderr, the output file and the exit
 code.  Exit codes: 0 success, 1 I/O failure, 2 invalid parameters or
-inconsistent inputs, 3 malformed input data.  The writer streams UTF-8
-into a temp file as the subcommand runs, so no output is held whole.
-The temp file reaches the ``--output`` path only when the run succeeds:
-it is renamed over a file, or copied to stdout for '-' (the default),
-so a failed run writes nothing.  Errors and notices (a library
-``UserWarning``) go to stderr as one ``ppn <command>: <message>`` line
-each.
+inconsistent inputs, 3 malformed input data.  The writer gathers
+UTF-8 text up to 16 KiB at a time and streams it into a temp file as the
+subcommand runs, so no output is held whole.  The temp file reaches the
+``--output`` path only when the run succeeds: it is renamed over a file,
+or copied to stdout for '-' (the default), so a failed run writes
+nothing.  Errors and notices (a library ``UserWarning``) go to stderr as
+one ``ppn <command>: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -36,12 +36,17 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_MALFORMED = 3
 
+#: Most bytes of encoded text :class:`_Output` holds between system calls.
+_HOLD = 1 << 14
+
 
 class _Output:
     """The writer :func:`main` hands a subcommand, as a context manager.
 
-    ``write(text)`` sends ``text`` as UTF-8 straight to a temp file, so no
-    Python-side buffer lives while the subcommand computes.  The text
+    ``write(text)`` encodes ``text`` as UTF-8 and holds it; what is held
+    goes to a temp file in one ``os.write`` before it would pass
+    :data:`_HOLD` bytes, and a text of that size or more goes as it is,
+    so the writer never holds more than :data:`_HOLD` bytes.  The text
     reaches ``path`` ('-' for stdout) only if the ``with`` block ends
     without an exception.  For a file the temp file is ``.ppn-*.tmp`` in
     the destination's directory, renamed over the destination on success
@@ -51,10 +56,11 @@ class _Output:
     system temp directory, copied to stdout on success.
     """
 
-    __slots__ = ("path", "tmp", "fd")
+    __slots__ = ("path", "tmp", "fd", "held")
 
     def __init__(self, path: str):
         self.path = path
+        self.held = bytearray()
         if path == "-":
             self.tmp = tempfile.TemporaryFile(prefix=".ppn-", buffering=0)
             self.fd = self.tmp.fileno()
@@ -77,7 +83,17 @@ class _Output:
             raise
 
     def write(self, text: str) -> None:
-        data = memoryview(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        if len(self.held) + len(data) > _HOLD:
+            self._send(self.held)
+            self.held.clear()
+        if len(data) >= _HOLD:
+            self._send(data)
+        else:
+            self.held += data
+
+    def _send(self, data) -> None:
+        data = memoryview(data)
         while data:
             data = data[os.write(self.fd, data) :]
 
@@ -88,11 +104,16 @@ class _Output:
         if self.path == "-":
             with self.tmp:
                 if failure is None:
+                    self._send(self.held)
                     self.tmp.seek(0)
                     _copy_to_stdout(self.tmp)
             return
         try:
-            os.close(self.fd)
+            try:
+                if failure is None:
+                    self._send(self.held)
+            finally:
+                os.close(self.fd)
             if failure is None:
                 os.replace(self.tmp, self.path)
         finally:

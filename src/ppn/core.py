@@ -82,7 +82,7 @@ _POW = {p: tuple(p**e for e in range(_MAX_EXPONENT + 1)) for p in PRIMES}
 _PRODUCT_LIMIT = 2**63
 
 #: Codes per chunk of the window tally: a feed walks its codes this many
-#: at a time through one buffer of prefix sums made for the call.  A
+#: at a time through one buffer of int16 weights made for the call.  A
 #: batch of short records holds at most this many codes.
 _CHUNK = 1 << 15
 #: Most windows of a record that :func:`_record_vectors` batches.  A batch
@@ -434,9 +434,9 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     """The vectors of whole records, given as their code arrays, from one
     pass over their concatenation.
 
-    The tally's packed weights get one prefix sum P over all the codes,
-    and the window over codes s..e-1 of the record at offset o has the
-    key ``P[o + e] - P[o + s]``, full or cut short by an end alike.  The
+    The tally's packed weights get one int64 prefix sum P over all the
+    codes, and the window over codes s..e-1 of the record at offset o has
+    the key ``P[o + e] - P[o + s]``, full or cut short by an end alike.  The
     windows go through :data:`_BATCH_WINDOWS` at a time: their keys are
     decoded into count tuples, each tuple's 24 products come from
     :func:`_products`, and one ``np.add.reduceat`` per limb (see
@@ -476,28 +476,54 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     ]
 
 
+def _window_sums(
+    weights: np.ndarray, span: int, start: int, count: int, step: int
+) -> np.ndarray:
+    """The sums of ``span`` consecutive ``weights`` from ``start``,
+    ``start + step``, ..., ``count`` of them, as a strided view.
+
+    The sums of runs of width 1, 2, 4, ... each come from two shifted
+    views of the width before (the doubling scan of Hillis & Steele), and
+    the runs at the set bits of ``span`` are added end to end: about
+    log2(span) + popcount(span) contiguous vector adds, all in the dtype
+    of ``weights``, which must hold every full sum.
+    """
+    last = (count - 1) * step + 1
+    run = weights[start : start + last + span - 1]  # run[i]: width weights from start + i
+    parts, width, offset = [], 1, 0
+    while width <= span:
+        if span & width:
+            parts.append(run[offset : offset + last])
+            offset += width
+        if 2 * width <= span:
+            run = run[:-width] + run[width:]
+        width *= 2
+    return functools.reduce(np.add, parts)[::step]
+
+
 class _WindowTally:
     """Window-count histogram of one sequence whose codes arrive in blocks.
 
-    Each base weighs (2l+2)**b for A, C, G (b = 0, 1, 2) and T weighs
-    nothing, and the tally keeps prefix sums P of those weights, so the
-    window over codes s..e-1 has the packed key ``P[e] - P[s]`` =
-    ``A + C*B + G*B**2``.  P[n] <= n*B**2 stays below 2**63 while n <
-    2**63/B**2, about 1.9e16 nucleotides at l = 10, so int64 holds every
-    sum exactly.  Full windows, those holding 2*radius+1 nucleotides,
-    are counted as soon as their last code is fed: ``np.bincount`` over
-    the B**3 keys adds them to the running ``bins``.  T is implied by
-    the window's size.  A call walks its codes :data:`_CHUNK` at a time
-    through one buffer that starts with the sums kept from the last
-    chunk, so a window that straddles two blocks or two chunks takes the
-    same subtraction as any other, and working memory is bounded by the
-    chunk and block sizes, not by the sequence length.
+    Each base weighs B**b for A, C, G (b = 0, 1, 2) and T weighs nothing,
+    with B = 2l+2, so the window of codes s..e-1 has the packed key
+    ``A + C*B + G*B**2``, the sum of its weights; T is implied by the
+    window's size.  A key is at most (2l+1)*B**2 < B**3 <= 22**3 = 10 648
+    at the radius cap, and so is every partial sum, so the weights and
+    keys are int16, exact below 2**15.  Full windows, those holding
+    2*radius+1 nucleotides, are counted as soon as their last code is
+    fed: :func:`_window_sums` keys them and ``np.bincount`` over the
+    B**3 keys adds them to the running ``bins``.  A call walks its codes
+    :data:`_CHUNK` at a time through one buffer of weights that starts
+    with the weights kept from the last chunk, so a window that straddles
+    two blocks or two chunks is summed like any other, and working memory
+    is bounded by the chunk and block sizes, not by the sequence length.
 
-    Between calls the tally holds ``bins``, the first 2*radius+1 sums
-    P[0..2l] and the sums from the start of the next full window not yet
-    counted to P[n], at most 2*radius+1 of them.  The windows cut short
-    by either end of the sequence, at most 2*ceil(l/(t+1)), take their
-    keys from those sums in :meth:`finish`, once the length is known.
+    Between calls the tally holds ``bins``, the first 2*radius weights
+    and the weights from the start of the next full window not yet
+    counted to the end, fewer than 2*radius+1 of them.  The windows cut
+    short by either end of the sequence, at most 2*ceil(l/(t+1)), take
+    their keys from prefix and suffix sums of those weights in
+    :meth:`finish`, once the length is known.
     """
 
     def __init__(self, params: PpnParams):
@@ -506,47 +532,43 @@ class _WindowTally:
         self._step = params.stride + 1
         self._span = 2 * params.radius + 1
         base = self._span + 1
-        self._weights = np.array([1, base, base * base, 0], dtype=np.int64)
+        self._weights = np.array([1, base, base * base, 0], dtype=np.int16)
         self.bins = np.zeros(base**3, dtype=np.int64)
         self.length = 0
         # index of the first full window not yet counted
         self._next = -(-self._radius // self._step)
-        # P[0] .. P[min(2l, n)], and P[n + 1 - len(_tail)] .. P[n]
-        self._head = [0]
-        self._tail = [0]
+        # the weights of codes 0 .. min(2l, n) - 1, and n - len(_tail) .. n - 1
+        self._head = []
+        self._tail = []
 
     def feed(self, codes: np.ndarray) -> None:
         """Count every full window that ends inside the codes fed so far."""
         radius, step, span = self._radius, self._step, self._span
-        buf = np.empty(min(len(codes), _CHUNK) + span, dtype=np.int64)
+        buf = np.empty(min(len(codes), _CHUNK) + span, dtype=np.int16)
         kept = len(self._tail)
         buf[:kept] = self._tail
         for lo in range(0, len(codes), _CHUNK):
             chunk = codes[lo : lo + _CHUNK]
             hi = kept + len(chunk)
-            sums = buf[:hi]
+            weights = buf[:hi]
             # mode="clip" lets take write straight into buf; codes are 0..3
-            np.take(self._weights, chunk, out=sums[kept:], mode="clip")
-            np.cumsum(sums[kept - 1 :], out=sums[kept - 1 :])
-            first = self.length + 1 - kept  # sums[i] is P[first + i]
+            np.take(self._weights, chunk, out=weights[kept:], mode="clip")
+            first = self.length - kept  # weights[i] is code first + i's
             self.length += len(chunk)
-            if len(self._head) <= 2 * radius:
-                self._head += sums[len(self._head) - first : 2 * radius + 1 - first].tolist()
+            if len(self._head) < 2 * radius:
+                self._head += weights[len(self._head) - first : 2 * radius - first].tolist()
             start = self._next * step - radius - first
             done = (self.length - 1 - radius) // step + 1
             if done > self._next:
-                stop = start + (done - self._next - 1) * step + 1
-                # the keys are a temporary, freed before the next chunk's take
-                # makes its own copy of the codes as indices
                 self.bins += np.bincount(
-                    sums[start + span : stop + span : step] - sums[start:stop:step],
+                    _window_sums(weights, span, start, done - self._next, step),
                     minlength=len(self.bins),
                 )
                 start += (done - self._next) * step
                 self._next = done
-            # keep the sums from the next window's start, or only P[n] if it starts later
-            kept = hi - min(start, hi - 1)
-            buf[:kept] = sums[hi - kept :]
+            # keep the weights from the next window's start, none if it starts later
+            kept = hi - min(start, hi)
+            buf[:kept] = weights[hi - kept :]
         self._tail = buf[:kept].tolist()
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
@@ -557,12 +579,12 @@ class _WindowTally:
         n = self.length
         windows = window_count(n, step - 1)
         head, tail = self._head, self._tail
-        first = n + 1 - len(tail)
+        first = n - len(tail)
         # a window cut by the start covers codes 0..end-1, one cut by the
         # end covers start..n-1
         ends = [min(j * step + radius + 1, n) for j in range(min(-(-radius // step), windows))]
         starts = [j * step - radius for j in range(self._next, windows)]
-        cut = [head[e] for e in ends] + [tail[-1] - tail[s - first] for s in starts]
+        cut = [sum(head[:e]) for e in ends] + [sum(tail[s - first :]) for s in starts]
         seen = np.flatnonzero(self.bins)
         keys = np.concatenate([seen, np.array(cut, dtype=np.int64)])
         size = np.full(len(keys), span, dtype=np.int64)

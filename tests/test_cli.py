@@ -534,6 +534,43 @@ class TestStdout:
         assert out.count("\n") == 4
 
 
+class TestHeldWrites:
+    """``_Output`` gathers small texts into one ``os.write`` per
+    ``_HOLD`` bytes, and sends the bytes that one write per text sends."""
+
+    @pytest.mark.parametrize("dest", ["-", "out.tsv"])
+    def test_5000_records_take_few_writes_and_give_the_same_bytes(
+        self, tmp_path, monkeypatch, capsys, dest
+    ):
+        letters = np.frombuffer(b"ACGT", dtype=np.uint8)
+        rows = letters[np.random.default_rng(5).integers(0, 4, (5000, 50))]
+        fasta = tmp_path / "many.fa"
+        fasta.write_bytes(b"".join(b">r%d\n%s\n" % (i, r.tobytes()) for i, r in enumerate(rows)))
+        calls = []
+        write = os.write
+
+        def counted(fd, data):
+            calls.append(len(data))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", counted)
+
+        def vector(hold):
+            monkeypatch.setattr(cli, "_HOLD", hold)
+            calls.clear()
+            target = "-" if dest == "-" else str(tmp_path / dest)
+            assert main(["vector", "--input", str(fasta), "--output", target]) == 0
+            text = capsys.readouterr().out if dest == "-" else Path(target).read_text()
+            return text, len(calls)
+
+        hold = cli._HOLD
+        held, writes = vector(hold)
+        unheld, one_per_row = vector(0)
+        assert held == unheld and held.count("\n") == 5000
+        assert one_per_row == 5000
+        assert writes <= 2 * len(held.encode()) // hold + 1, writes
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_new_file_gets_the_mode_open_gives(self, fasta_path, tmp_path, umask):

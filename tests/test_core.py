@@ -36,7 +36,7 @@ from ppn import (
     window_product_sum,
     window_products,
 )
-from ppn.core import _join, _limb_shifts, _limbs, _shifted_rows
+from ppn.core import _CHUNK, _WindowTally, _join, _limb_shifts, _limbs, _shifted_rows
 from ppn.phylo import _vector_matrix
 from oracles import decimal_euclidean, exact_manhattan, naive_vector, scalar_distance
 
@@ -370,6 +370,26 @@ class TestVector:
         products = window_products(seq, PpnParams(radius=10, stride=1), 0)
         assert vec.components[0] == sum(products)
         assert max(products) == 7**21
+
+    def test_int16_keys_have_headroom_at_the_radius_cap(self):
+        # the tally keys windows in int16: every key is below B**3, B = 2l+2,
+        # so raising the radius cap past this bound must fail here first
+        assert (2 * MAX_RADIUS + 2) ** 3 <= 2**15
+
+    @pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
+    @pytest.mark.parametrize("base", BASES)
+    def test_single_base_run_fed_in_blocks_equals_the_closed_form(self, base, radius):
+        # one base throughout: every window of size s adds p**s under each
+        # assignment, and a run of G makes the largest key, (2l+1)*B**2
+        n = _CHUNK + 3 * (2 * radius + 1) + 5
+        tally = _WindowTally(PpnParams(radius=radius, stride=1))
+        codes = encode(base * n).codes
+        for lo in range(0, n, 10007):
+            tally.feed(codes[lo : lo + 10007])
+        sizes = [min(c + radius, n) - max(c - radius, 1) + 1 for c in window_centers(n, 1)]
+        b = BASES.index(base)
+        want = [sum(row[b] ** s for s in sizes) for row in PERMUTATIONS]
+        assert list(tally.vector().components) == want
 
     @pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
     def test_limbs_sum_in_int64_and_cover_every_product(self, radius):

@@ -133,7 +133,7 @@ def split_cases(draw):
     chunk size from 1 nt."""
     radius = draw(st.integers(1, MAX_RADIUS))
     stride = draw(st.integers(1, 2 * radius + 3))
-    alphabet = draw(st.sampled_from(["ACGT", "A", "T", "AT", "CG"]))
+    alphabet = draw(st.sampled_from(["ACGT", "A", "T", "AT", "CG", "G", "C"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     raw = "".join(rng.choice(list(alphabet), size=draw(st.integers(1, 300))))
     span = 2 * radius + 1
