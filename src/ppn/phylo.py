@@ -133,7 +133,7 @@ def _vector_matrix(ids, vectors, metric, normalized: bool) -> DistanceMatrix:
     return DistanceMatrix(ids, values)
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """One node of a rooted tree; leaves carry names, edges lengths."""
 
@@ -367,41 +367,55 @@ def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> dict[str, int]:
     return {name: i for i, name in enumerate(sorted(s1))}
 
 
-def _forks(tree: PhyloTree, column: dict[str, int]):
-    """A tree's forks (vertices with >= 2 children) and the leaves below them.
+def _forks(tree: PhyloTree, column: dict[str, int], leaves=None):
+    """A tree's forks (vertices with >= 2 children) and one table row per fork.
 
-    Returns the forks in walk order; per node id, its fork, or -1 - column
-    for a leaf (a unary vertex passes up its child's); and the forks' leaf
-    membership, ``int16`` forks x k, 1 where the leaf is below the fork.
+    Forks are numbered children first.  A fork's row is the sum of its
+    children's rows; a leaf's row is ``leaves[column]``, or, when
+    ``leaves`` is None, True in its own column only, which makes the
+    table the forks' leaf membership (bool, forks x k).  A unary vertex
+    passes up its child.  Returns per fork its leaf count and the forks
+    among its children, and the table.
     """
     order = list(tree.walk())
-    forks = [node for node in order if len(node.children) > 1]
-    fork_of = {id(node): f for f, node in enumerate(forks)}
-    below = np.zeros((len(forks), len(column)), dtype=np.int16)
-    ref: dict[int, int] = {}
+    count = sum(len(node.children) > 1 for node in order)
+    if leaves is None:
+        table = np.zeros((count, len(column)), dtype=bool)
+    else:
+        table = np.zeros((count, leaves.shape[1]), dtype=np.int16)
+    size, inner = [], []
+    # walked backwards, a vertex comes right after its children's subtrees,
+    # so the last entries here are its children's: a fork, or -1 - column
+    done: list[int] = []
     for node in reversed(order):
         if node.is_leaf:
-            ref[id(node)] = -1 - column[node.name]
-        elif len(node.children) == 1:
-            ref[id(node)] = ref[id(node.children[0])]
-        else:
-            f = ref[id(node)] = fork_of[id(node)]
-            for child in node.children:
-                c = ref[id(child)]
+            done.append(-1 - column[node.name])
+        elif len(node.children) > 1:
+            f, n = len(size), 0
+            kids = done[-len(node.children) :]
+            del done[-len(node.children) :]
+            for c in kids:
                 if c >= 0:
-                    below[f] += below[c]
+                    table[f] += table[c]
+                    n += size[c]
+                elif leaves is None:
+                    table[f, -1 - c] = True
+                    n += 1
                 else:
-                    below[f, -1 - c] = 1
-    return forks, ref, below
+                    table[f] += leaves[-1 - c]
+                    n += 1
+            size.append(n)
+            inner.append(tuple(c for c in kids if c >= 0))
+            done.append(f)
+    return size, inner, table
 
 
 def _splits(tree: PhyloTree, column: dict[str, int]) -> set[bytes]:
     """Nontrivial splits as membership-row bytes.  Only the edge above a
     fork cuts off 2 to k - 2 leaves; a row holding column 0 (the smallest
     label) is flipped, so both sides of an edge make one entry."""
-    below = _forks(tree, column)[2]
-    size = below.sum(axis=1).tolist()
-    below[below[:, 0] == 1] ^= 1
+    size, _, below = _forks(tree, column)
+    below[below[:, 0]] ^= True
     return {row.tobytes() for row, n in zip(below, size) if 2 <= n <= len(column) - 2}
 
 
@@ -411,9 +425,9 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
     The symmetric difference of the two nontrivial split sets, divided
     by their combined size (2(k-3) for two fully binary trees on k
     leaves).  Two trees with no nontrivial splits at all are identical
-    stars and score 0.  Splits are read off the same leaf-membership
-    table as nQD's (see :func:`_forks`), forks x k ``int16``, so memory
-    is at most 2k^2 bytes per tree.
+    stars and score 0.  Splits are read off the forks' leaf membership
+    (see :func:`_forks`), forks x k ``bool``, so memory is at most k^2
+    bytes per tree.
     """
     column = _check_comparable(t1, t2)
     s1, s2 = _splits(t1, column), _splits(t2, column)
@@ -423,15 +437,25 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
     return len(s1 ^ s2) / denom
 
 
-# One node pair's terms in nqd are at most k^4/4 (the cells of its table
-# partition the leaves) and a tree has at most 2k - 3 nodes, so the int64
-# sum over the second tree's nodes for one node of the first stays under
-# k^5/2 < 2^63 while k^5 < 2^64, i.e. k <= 7131; shared leaf counts (<= k)
-# fit int16.  Sums over the first tree's nodes are Python ints.
+# nqd at k leaves: shared leaf counts n are int16 (n <= k < 2^15), and
+# int32 in a chunk.  Leaf pairs per cell c = n(n-1)/2 (n(n-1) < k^2) and
+# branch-pair products n_i n_j are int32 (branches i, j of one node are
+# disjoint, so n_i + n_j <= k and n_i n_j <= k^2/4), and so are their sums
+# over one second-tree node's branches, which are disjoint too: at most
+# C(k, 2) and k^2/4.  Squares and all that follows are int64: one node
+# pair's terms are at most k^4/4 and the second tree has at most 2k - 3
+# nodes, so a signed sum over them stays under k^5/2 < 2^63 while
+# k^5 < 2^64, i.e. k <= 7131.  Sums over the first tree's nodes are
+# Python ints.
 _NQD_MAX_LEAVES = 7131
 
+#: cells (first-tree branches or branch pairs x second-tree branches) in
+#: one chunk of :func:`nqd`'s first-tree nodes; at its peak a chunk holds
+#: about 11 bytes per cell, so at 48 leaves the chunk is half of nqd's peak
+_NQD_CELLS = 1 << 11
 
-def _quartet_nodes(tree: PhyloTree, column: dict[str, int]):
+
+def _quartet_nodes(size: list[int], inner: list[tuple[int, ...]], k: int):
     """A tree's signed nodes for quartet counting, as flat branch arrays.
 
     Each internal edge is a node of sign +1 whose two sides are its
@@ -444,15 +468,11 @@ def _quartet_nodes(tree: PhyloTree, column: dict[str, int]):
     nodes.
 
     Every kept branch is the leaf set below a fork (a vertex with >= 2
-    children) or the complement of one.  Returns the forks' leaf
-    membership (``int16``, forks x k); per branch, its fork, whether it
-    is the complement, and the leaf count below its fork; and per node,
-    the index of its first branch and its sign.
+    children) or the complement of one.  Takes :func:`_forks`'s leaf
+    counts and child forks; returns per branch its fork, whether it is
+    the complement, and its leaf count (``int16``); and per node, the
+    index of its first branch and its sign.
     """
-    k = len(column)
-    forks, ref, below = _forks(tree, column)
-    size = below.sum(axis=1, dtype=np.int64)
-
     fork, complement, starts, signs = [], [], [], []
 
     def add(sign: int, node_forks: list[int], node_complement: list[bool]) -> None:
@@ -462,26 +482,31 @@ def _quartet_nodes(tree: PhyloTree, column: dict[str, int]):
             fork.extend(node_forks)
             complement.extend(node_complement)
 
-    for f, node in enumerate(forks):
+    for f, kids in enumerate(inner):
         outside = int(k - size[f] >= 2)
         if outside:
             add(1, [f, f], [False, True])
-        inner = [c for c in (ref[id(child)] for child in node.children) if c >= 0]
-        add(-1, inner + [f] * outside, [False] * len(inner) + [True] * outside)
-    fork = np.array(fork, dtype=np.intp)
+        add(-1, [*kids] + [f] * outside, [False] * len(kids) + [True] * outside)
+    inside = np.array(size, dtype=np.int16)[fork]
     complement = np.array(complement, dtype=bool)
-    return below, fork, complement, size[fork], np.array(starts, dtype=np.intp), signs
+    return (
+        np.array(fork, dtype=np.intp),
+        complement,
+        np.where(complement, np.int16(k) - inside, inside),
+        np.array(starts, dtype=np.intp),
+        np.array(signs, dtype=np.int64),
+    )
 
 
-def _resolved(width: np.ndarray, starts: np.ndarray, signs: list[int]) -> int:
+def _resolved(width: np.ndarray, starts: np.ndarray, signs: np.ndarray) -> int:
     """Quartets one tree resolves: per node, signed, the (quartet, pairing)
     pairs whose two pairs lie in two different branches."""
-    if not signs:
+    if not len(signs):
         return 0
-    pairs = width * (width - 1) // 2
+    pairs = width.astype(np.int64) * (width - 1) // 2
     total = np.add.reduceat(pairs, starts)
     per_node = (total * total - np.add.reduceat(pairs * pairs, starts)) // 2
-    return int(np.array(signs) @ per_node)
+    return int(signs @ per_node)
 
 
 def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
@@ -503,11 +528,15 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     pairs that both nodes separate count the quartets resolved alike in
     both trees, and those separated under any two pairings count the
     quartets resolved in both.  Both follow from each node pair's table
-    of shared leaf counts, so the count is an exact integer.  For binary
-    trees there are O(k^2) table cells, but filling them takes the int16
-    product of the two membership tables, O(k^3) multiply-adds with no
-    BLAS for integers, and each node of the first tree costs some 40
-    numpy calls on top.  Memory is O(k^2) for any shape.
+    of shared leaf counts, so the count is an exact integer.
+
+    The leaves below both of two forks are summed up the first tree in
+    the walk that finds its forks, each fork's row over the second
+    tree's forks being the sum of its children's, so no product of
+    membership tables is formed.  First-tree nodes with the same branch
+    count m are scored together, in chunks of about ``_NQD_CELLS`` table
+    cells, all C(m, 2) branch pairs at once (see :func:`_separated`).
+    Time and memory are O(k^2) for binary trees.
     """
     column = _check_comparable(t1, t2)
     k = len(column)
@@ -515,48 +544,118 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
         raise ValidationError(
             f"nQD is computed for at most {_NQD_MAX_LEAVES} leaves, got {k}"
         )
-    below1, fork1, complement1, inside1, starts1, signs1 = _quartet_nodes(t1, column)
-    below2, fork2, complement2, inside2, starts2, signs2 = _quartet_nodes(t2, column)
-    width1 = np.where(complement1, k - inside1, inside1)
-    width2 = np.where(complement2, k - inside2, inside2)
+    size2, inner2, below2 = _forks(t2, column)
+    # shared[f, g]: leaves below both fork f of t1 and fork g of t2
+    size1, inner1, shared = _forks(t1, column, below2.T)
+    del below2
+    fork1, complement1, width1, starts1, signs1 = _quartet_nodes(size1, inner1, k)
+    fork2, complement2, width2, starts2, signs2 = _quartet_nodes(size2, inner2, k)
     resolved = _resolved(width1, starts1, signs1) + _resolved(width2, starts2, signs2)
+    if not len(signs1) or not len(signs2):
+        return resolved / math.comb(k, 4)
+    second = _columns(size2, fork2, complement2, starts2, signs2)
+    chunks = _chunks(fork1, complement1, width1, starts1, signs1, len(fork2))
+    # dropped before the chunks: at 48 leaves they are a tenth of nqd's peak
+    del column, size1, inner1, size2, inner2, fork2, complement2, width2
 
     same = both = 0  # quartets resolved alike in both trees; resolved in both
-    if signs2:
-        sign2 = np.array(signs2, dtype=np.int64)
-        shared = below1 @ below2.T  # leaves below both forks
-        bounds = [*starts1.tolist(), len(fork1)]
-        for start, end, sign1 in zip(bounds, bounds[1:], signs1):
-            rows = slice(start, end)
-            # n[i, b]: leaves in branch i of this node and in branch b of
-            # the second tree, by |~A & B| = |B| - |A & B| on either side
-            n = shared[fork1[rows]][:, fork2].astype(np.int64)
-            n = np.where(complement1[rows, None], inside2 - n, n)
-            n = np.where(complement2, width1[rows, None] - n, n)
-            # P: two leaf pairs in cells on different rows and columns
-            c = n * (n - 1) // 2
-            row = np.add.reduceat(c, starts2, axis=1)
-            total = row.sum(axis=0)
-            col = c.sum(axis=0)
-            p = (
-                total * total
-                - (row * row).sum(axis=0)
-                - np.add.reduceat(col * col, starts2)
-                + np.add.reduceat((c * c).sum(axis=0), starts2)
-            ) // 2
-            # Q: a, b, c, d in cells (i, x), (i, y), (j, x), (j, y), i < j, x < y;
-            # one row i at a time keeps memory at the size of n
-            q = 0
-            for i in range(end - start - 1):
-                prod = n[i] * n[i + 1 :]
-                dot = np.add.reduceat(prod, starts2, axis=1)
-                q = q + (
-                    (dot * dot).sum(axis=0)
-                    - np.add.reduceat((prod * prod).sum(axis=0), starts2)
-                ) // 2
-            same += sign1 * int(sign2 @ p)
-            both += sign1 * int(sign2 @ (p + q))
+    for chunk in chunks:
+        chunk_same, chunk_both = _separated(shared, *chunk, second)
+        same += chunk_same
+        both += chunk_both
     return (resolved - same - both) / math.comb(k, 4)
+
+
+def _columns(size, fork, complement, starts, signs):
+    """The second tree as :func:`_separated` reads it: fork leaf counts
+    (``int16``), each branch's column, node starts and signs, and the
+    columns of nonzero weight with their weights.
+
+    A branch is the leaves below fork f (column f) or their complement
+    (column F + f).  A signed sum over branches of a value that depends
+    on the column alone is a weighted sum over columns, and most weigh
+    0: the edge above fork f (+1) has f and F + f, the vertex above it
+    (-1) has f, the vertex at f (-1) has F + f, unless dropped.
+    """
+    column = fork + len(size) * complement
+    branch_sign = np.repeat(signs, np.diff(starts, append=len(fork)))
+    weight = np.bincount(column, weights=branch_sign, minlength=2 * len(size))
+    weight = weight.astype(np.int64)
+    kept = np.flatnonzero(weight)
+    return np.array(size, dtype=np.int16), column, starts, signs, kept, weight[kept]
+
+
+def _chunks(fork, complement, width, starts, signs, branches: int):
+    """First-tree nodes with the same branch count m in chunks of about
+    ``_NQD_CELLS`` cells (a branch or branch pair x ``branches``).
+
+    Yields the nodes' signs; their branches' forks, complement flags and
+    widths (nodes x m); and ``triu_indices(m, 1)``.
+    """
+    count = np.diff(starts, append=len(fork))
+    for m in sorted(set(count.tolist())):
+        nodes = count == m
+        branch = starts[nodes, None] + np.arange(m)
+        group = signs[nodes], fork[branch], complement[branch], width[branch]
+        del nodes, branch
+        pairs = np.triu_indices(m, 1)
+        step = max(1, _NQD_CELLS // (branches * max(m, len(pairs[0]))))
+        for lo in range(0, len(group[0]), step):
+            yield *(a[lo : lo + step] for a in group), pairs
+
+
+def _separated(shared, signs, forks, complements, widths, pairs, second):
+    """Signed counts, as Python ints, of the (quartet, pairing) pairs that
+    a chunk of first-tree nodes and the second tree's nodes (``second``,
+    from :func:`_columns`) both separate: under one pairing (P) and
+    under any two (P + Q).
+
+    In a node pair's table of shared leaf counts, P counts the pairs of
+    leaf pairs in cells on different rows and columns, and Q the
+    quartets a, b, c, d in cells (i, x), (i, y), (j, x), (j, y), i < j,
+    x < y.
+    """
+    size2, column, starts2, signs2, kept, weights = second
+    # n[g, i, j]: leaves in branch i of node g and in column j of the
+    # second tree, by |~A & B| = |B| - |A & B| on either side
+    n = shared[forks.ravel()]
+    np.subtract(size2, n, out=n, where=complements.reshape(-1, 1))
+    n = np.concatenate((n, widths.reshape(-1, 1) - n), axis=1)
+    n = n.astype(np.int32).reshape(*forks.shape, -1)
+    c = n - 1
+    c *= n
+    c >>= 1  # leaf pairs per cell
+    # P = (total^2 - sum of row^2 - sum of col^2 + sum of c^2) / 2
+    row = np.add.reduceat(c[..., column], starts2, axis=2, dtype=np.int32)
+    row = row.astype(np.int64)
+    total = row.sum(axis=1)
+    total *= total
+    row *= row
+    total -= row.sum(axis=1)
+    del row
+    c = c[..., kept].astype(np.int64)
+    col = c.sum(axis=1)
+    col *= col
+    c *= c
+    col -= c.sum(axis=1)
+    p = (total @ signs2 - col @ weights) // 2
+    del c, total, col
+    # Q = sum over i < j of (dot^2 - sum of prod^2) / 2, prod = n_i n_j and
+    # dot its sum over a second-tree node; a node with many branches takes
+    # its pairs m or more at a time, so they cost no more memory than n
+    first, last = pairs
+    step = max(n.shape[1], _NQD_CELLS // (len(n) * len(column)))
+    q = 0
+    for lo in range(0, len(first), step):
+        prod = n[:, first[lo : lo + step]]
+        prod *= n[:, last[lo : lo + step]]
+        dot = np.add.reduceat(prod[..., column], starts2, axis=2, dtype=np.int32)
+        dot = dot.astype(np.int64)
+        dot *= dot
+        prod = prod[..., kept].astype(np.int64)
+        prod *= prod
+        q = q + (dot.sum(axis=1) @ signs2 - prod.sum(axis=1) @ weights) // 2
+    return sum((signs * p).tolist()), sum((signs * (p + q)).tolist())
 
 
 # -- PHYLIP interchange ------------------------------------------------------

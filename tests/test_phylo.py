@@ -44,7 +44,8 @@ from oracles import (
     splits_by_edge_cut,
     weighted_leaf_distances,
 )
-from ppn.phylo import _CHECK_CELLS, _check_comparable, _splits
+from ppn import phylo
+from ppn.phylo import _CHECK_CELLS, _NQD_MAX_LEAVES, _check_comparable, _splits
 
 
 def square(rows):
@@ -372,7 +373,7 @@ def split_label_sets(tree):
     column = _check_comparable(tree, tree)
     labels = np.array(list(column))
     return {
-        frozenset(labels[np.frombuffer(row, dtype=np.int16) == 1].tolist())
+        frozenset(labels[np.frombuffer(row, dtype=bool)].tolist())
         for row in _splits(tree, column)
     }
 
@@ -435,6 +436,21 @@ class TestNrf:
 
 # -- nQD -----------------------------------------------------------------------
 
+def contracted(tree, rng, prob):
+    """A copy of ``tree`` with each internal non-root edge contracted with
+    probability ``prob``, which makes it multifurcating."""
+    copy = from_newick(to_newick(tree))
+    for node in list(copy.walk()):
+        children = []
+        for child in node.children:
+            if child.children and rng.random() < prob:
+                children.extend(child.children)
+            else:
+                children.append(child)
+        node.children = children
+    return copy
+
+
 class TestNqd:
     def test_zero_on_identical_and_one_on_conflicting(self):
         a = from_newick("((A,B),(C,D));")
@@ -477,6 +493,37 @@ class TestNqd:
         b = from_newick("((A,B),(C,E));")
         with pytest.raises(LeafSetMismatchError):
             nqd(a, b)
+
+    def test_dtypes_have_headroom_at_the_leaf_cap(self):
+        # nqd keeps shared leaf counts in int16; leaf pairs per cell,
+        # branch-pair products and their sums over one node in int32; and
+        # sums over the second tree's nodes in int64: raising the cap past
+        # any of these bounds must fail here first
+        cap = _NQD_MAX_LEAVES
+        assert cap < 2**15
+        assert math.comb(cap, 2) < 2**31 and cap * (cap - 1) < 2**31
+        assert (cap // 2) ** 2 < 2**31 and (cap // 2) * (cap - cap // 2) < 2**31
+        assert cap**5 < 2**64 < (cap + 1) ** 5
+
+    @pytest.mark.parametrize("cells", [1, 2**62], ids=["one-node", "one-chunk"])
+    @pytest.mark.parametrize("shape", ["binary", "contracted", "resolution"])
+    @pytest.mark.parametrize("k", [48, 200])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, k, shape, cells):
+        # one node per chunk (and a node's branch pairs a slice at a time),
+        # or each branch count's nodes in one chunk, gives the same float
+        rng = random.Random(f"{k}-{shape}")
+        labels = [f"c{i:03d}" for i in range(k)]
+        t1 = random_binary_tree(rng, labels)
+        if shape == "binary":
+            t2 = random_binary_tree(rng, labels)
+        elif shape == "contracted":
+            t1 = contracted(t1, rng, 0.4)
+            t2 = contracted(random_binary_tree(rng, labels), rng, 0.4)
+        else:
+            t2 = contracted(t1, rng, 0.4)
+        want = [nqd(t1, t2).hex(), nqd(t2, t1).hex()]
+        monkeypatch.setattr(phylo, "_NQD_CELLS", cells)
+        assert [nqd(t1, t2).hex(), nqd(t2, t1).hex()] == want
 
 
 # -- PHYLIP --------------------------------------------------------------------

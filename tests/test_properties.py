@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from collections import Counter
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from ppn import (
     write_fasta,
     write_phylip,
 )
-from ppn import cli, core, seqio
+from ppn import cli, core, phylo, seqio
 from ppn.core import _CHUNK, _WindowTally, _product_table, _products
 from ppn.phylo import _check_label
 from oracles import (
@@ -724,6 +725,19 @@ def test_nqd_equals_the_per_quartet_oracle(pair):
     for node in mirrored.walk():
         node.children.reverse()
     assert nqd(mirrored, t2) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_pairs())
+def test_nqd_chunk_size_changes_no_bit(pair):
+    # one node per chunk (and a node's branch pairs a slice at a time), or
+    # each branch count's nodes in one chunk
+    t1, t2 = pair
+    want = [oracle_nqd(t1, t2).hex()] * 2
+    assert [nqd(t1, t2).hex(), nqd(t2, t1).hex()] == want
+    for cells in (1, 2**62):
+        with mock.patch.object(phylo, "_NQD_CELLS", cells):
+            assert [nqd(t1, t2).hex(), nqd(t2, t1).hex()] == want
 
 
 @settings(max_examples=200, deadline=None)
