@@ -43,6 +43,12 @@ __all__ = [
 #: cells in one block of :class:`DistanceMatrix`'s checks
 _CHECK_CELLS = 1 << 15
 
+#: rows in one block of :func:`write_phylip` and :func:`read_phylip`: a
+#: column holds one joined text per block above its row, and a block's
+#: strings are held one per pair while its rows are written; 8 held the
+#: least at k = 300 (writer peak 0.81 MB, against 0.98 at 16 and 1.58 at 32)
+_PHYLIP_ROWS = 8
+
 
 class DistanceMatrix:
     """Symmetric non-negative matrix over labeled taxa.
@@ -51,14 +57,39 @@ class DistanceMatrix:
     the diagonal are the same float, never recomputed values that merely
     agree approximately.  A zero is stored as +0.0 whatever its sign in
     the input, so a pair that differs only in the sign of a zero holds
-    the same float too.
+    the same float too.  The constructor keeps a read-only copy and
+    leaves the caller's array as it was; the matrix stages hand over
+    arrays they made themselves, which are frozen in place.
     """
 
     __slots__ = ("labels", "values")
 
     def __init__(self, labels, values):
-        labels = tuple(labels)
         values = np.asarray(values, dtype=np.float64)
+        self.labels = self._check(labels, values)
+        # a new array, with -0.0 + 0.0 == +0.0
+        values = values + 0.0
+        values.flags.writeable = False
+        self.values = values
+
+    @classmethod
+    def _adopt(cls, labels, values: np.ndarray) -> DistanceMatrix:
+        """The matrix over a fresh float64 array that no one else holds.
+
+        ``values`` is checked as the constructor checks it, then its
+        zeros are made +0.0 and it is frozen in place, with no copy.
+        """
+        matrix = cls.__new__(cls)
+        matrix.labels = cls._check(labels, values)
+        values += 0.0
+        values.flags.writeable = False
+        matrix.values = values
+        return matrix
+
+    @staticmethod
+    def _check(labels, values: np.ndarray) -> tuple:
+        """``labels`` as a tuple, once they and ``values`` are a valid matrix."""
+        labels = tuple(labels)
         k = len(labels)
         if k < 2:
             raise ValidationError(f"distance matrix needs >= 2 taxa, got {k}")
@@ -81,11 +112,7 @@ class DistanceMatrix:
         with np.errstate(invalid="ignore"):
             if any((values[a : a + step] < 0.0).any() for a in range(0, k, step)):
                 raise ValidationError("distance matrix entries must be non-negative")
-        # a new array, with -0.0 + 0.0 == +0.0
-        values = values + 0.0
-        values.flags.writeable = False
-        self.labels = labels
-        self.values = values
+        return labels
 
     @property
     def size(self) -> int:
@@ -130,7 +157,7 @@ def _vector_matrix(ids, vectors, metric, normalized: bool) -> DistanceMatrix:
     values = np.zeros((len(ids), len(ids)), dtype=np.float64)
     for i, row in enumerate(_distance_rows(list(vectors), metric, normalized)):
         values[i, i + 1 :] = values[i + 1 :, i] = row
-    return DistanceMatrix(ids, values)
+    return DistanceMatrix._adopt(ids, values)
 
 
 @dataclass(slots=True)
@@ -665,20 +692,48 @@ def write_phylip(matrix: DistanceMatrix, fh) -> None:
 
     Entries are printed with full round-trip precision so that reading
     the file back reproduces the exact same doubles.  Each unordered
-    pair is formatted once, as the matrix is exactly symmetric: row i is
-    the strings row j < i made for column i, the diagonal, then its own
-    entries right of the diagonal, which it hands on to their columns.
-    A column's strings are dropped once its row is written.
+    pair is formatted once, as the matrix is exactly symmetric.  Rows
+    are formatted :data:`_PHYLIP_ROWS` at a time; each block's strings
+    right of the diagonal are written in their own rows and, for every
+    column past the block, joined into one tab-separated text that
+    column's row writes left of its diagonal.  A column holds one text
+    per earlier block, never one string per pair, and drops them once
+    its row is written.
     """
-    fh.write(f"{matrix.size}\n")
-    columns = [[] for _ in matrix.labels]
-    for i, label in enumerate(matrix.labels):
-        upper = list(map(repr, matrix.values[i, i + 1 :].tolist()))
-        for column, text in zip(columns[i + 1 :], upper):
-            column.append(text)
-        left, columns[i] = columns[i], None
-        # DistanceMatrix stores the diagonal as +0.0
-        fh.write("\t".join([_check_label(label), *left, "0.0", *upper]) + "\n")
+    k = matrix.size
+    fh.write(f"{k}\n")
+    columns = [[] for _ in range(k)]
+    for a in range(0, k, _PHYLIP_ROWS):
+        b = min(a + _PHYLIP_ROWS, k)
+        block = [list(map(repr, matrix.values[i, i + 1 :].tolist())) for i in range(a, b)]
+        for i, upper in enumerate(block, a):
+            left = _above(columns, block[: i - a], i)
+            # DistanceMatrix stores the diagonal as +0.0
+            row = [_check_label(matrix.labels[i]), *left, "0.0", *upper]
+            fh.write("\t".join(row) + "\n")
+        _hand_down(columns, block, b)
+
+
+def _above(columns, block, i: int) -> list[str]:
+    """Column ``i``'s fields above row ``i``, which it then drops.
+
+    ``columns[i]`` holds one text per block above the current one, and
+    ``block`` the current block's rows above row ``i``, each as its
+    fields right of the diagonal.
+    """
+    a = i - len(block)
+    above, columns[i] = columns[i], None
+    above.extend(upper[i - p - 1] for p, upper in enumerate(block, a))
+    return above
+
+
+def _hand_down(columns, block, b: int) -> None:
+    """Give every column from ``b`` on one tab-joined text of its fields
+    in ``block``, the rows up to ``b``, each as its fields right of the
+    diagonal."""
+    tails = (upper[b - p - 1 :] for p, upper in enumerate(block, b - len(block)))
+    for column, texts in zip(columns[b:], zip(*tails)):
+        column.append("\t".join(texts))
 
 
 def read_phylip(source) -> DistanceMatrix:
@@ -688,7 +743,10 @@ def read_phylip(source) -> DistanceMatrix:
     anything else raises :class:`ValidationError` naming its row.  Rows
     are parsed as they are read, and the whole input is read before any
     error is raised: text that is not UTF-8 anywhere, then a wrong row
-    count, win over the first bad row.
+    count, win over the first bad row.  Where the lower triangle repeats
+    the upper one's fields, as :func:`write_phylip` writes it, each
+    unordered pair is converted once; other spellings of the same
+    numbers, other whitespace and CRLF read to the same floats.
     """
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     fh = open(source, encoding="utf-8") if own else source
@@ -704,7 +762,15 @@ def read_phylip(source) -> DistanceMatrix:
 
 
 def _parse_phylip(lines) -> DistanceMatrix:
-    """The matrix of the stripped non-blank ``lines`` of a PHYLIP text."""
+    """The matrix of the stripped non-blank ``lines`` of a PHYLIP text.
+
+    ``float`` reads each row's entries from its diagonal on.  The fields
+    left of the diagonal are joined with tabs and compared with the
+    fields the rows above had in the same column, held as
+    :func:`write_phylip` holds them; only when the two texts differ are
+    they read one by one.  Fields hold no whitespace, so equal texts
+    mean equal fields and so the same floats.
+    """
     first = next(lines, None)
     if first is None:
         raise ValidationError("empty distance matrix file")
@@ -716,7 +782,8 @@ def _parse_phylip(lines) -> DistanceMatrix:
         raise ValidationError(
             f"expected a taxon count on the first line, found {first!r}"
         ) from None
-    labels, values = [], None
+    labels, values, columns = [], None, None
+    block = []  # the block's rows so far, as their fields right of the diagonal
     error, rows = None, 0  # the first bad row's message; rows read
     for rows, line in enumerate(lines, 1):
         if error is not None or rows > k:
@@ -736,18 +803,28 @@ def _parse_phylip(lines) -> DistanceMatrix:
             if bad is not None:
                 error = f"matrix row {rows}: {bad!r} is not an ASCII decimal number"
                 continue
-        try:
-            row = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            error = f"matrix row {rows}: {exc}"
-            continue
+        r = rows - 1
         if values is None:
             # a row of k + 1 fields bounds k by the input's own size
             values = np.zeros((k, k), dtype=np.float64)
-        values[rows - 1] = row
+            columns = [[] for _ in range(k)]
+        mirrored = "\t".join(parts[1:rows]) == "\t".join(_above(columns, block, r))
+        try:
+            row = list(map(float, parts[rows if mirrored else 1 :]))
+        except ValueError as exc:
+            error = f"matrix row {rows}: {exc}"
+            continue
+        if mirrored:
+            values[r, :r] = values[:r, r]
+        values[r, k - len(row) :] = row
         labels.append(parts[0])
+        block.append(parts[rows + 1 :])
+        if len(block) == _PHYLIP_ROWS:
+            _hand_down(columns, block, rows)
+            block = []
+    columns = block = None  # released before the matrix is built
     if rows != k:
         raise ValidationError(f"expected {k} matrix rows, found {rows}")
     if error is not None:
         raise ValidationError(error)
-    return DistanceMatrix(labels, np.zeros((0, 0)) if values is None else values)
+    return DistanceMatrix._adopt(labels, np.zeros((0, 0)) if values is None else values)

@@ -701,22 +701,49 @@ class TestMemory:
 
     def test_matrix_peak_is_the_text_and_one_matrix(self, short_fasta, tmp_path):
         """``ppn matrix --output f`` peaks below the PHYLIP text plus one
-        k x k float64 matrix plus 0.5 MB, at k = 300.  Measured with
-        ``tracemalloc`` around a second ``main`` call on simulated
-        records of 200 nt (seeds 1 to 3): the peak was 0.11 MB above the
-        text's size (1.65 MB) plus the matrix (0.72 MB), with the text
-        streamed and ``write_phylip``'s formatted strings held instead;
-        when the output was held whole it was 1.04 MB above."""
+        k x k float64 matrix plus 0.5 MB, at k = 300: the text is
+        streamed, never held whole.  When the output was held whole the
+        peak was 1.04 MB above the text's size (1.65 MB) plus the matrix
+        (0.72 MB); the next test bounds what is held with no room for the
+        text at all."""
         dest = tmp_path / "m.phy"
         peak = self._peak(["matrix", "--input", str(short_fasta), "--output", str(dest)])
         assert peak < dest.stat().st_size + self.K**2 * 8 + 0.5e6, peak
 
+    def test_matrix_peak_is_one_matrix_and_the_held_text(self, short_fasta, tmp_path):
+        """``ppn matrix --output f`` peaks below one k x k float64 matrix
+        plus 1 MB, at k = 300.  Measured with ``tracemalloc`` around a
+        second ``main`` call on simulated records of 200 nt (seeds 1 to
+        3): the peak was 0.84 MB above the matrix (0.72 MB), most of it
+        ``write_phylip``'s tab-joined column texts; when it held one
+        string per pair until the pair's lower row was written the peak
+        was 1.78 MB above."""
+        dest = tmp_path / "m.phy"
+        peak = self._peak(["matrix", "--input", str(short_fasta), "--output", str(dest)])
+        assert peak < self.K**2 * 8 + 1e6, peak
+
+    def test_matrix_peak_at_1000_taxa_is_below_half_the_text(self, tmp_path):
+        """``ppn matrix --output f`` peaks below one k x k float64 matrix
+        plus half the PHYLIP text, at k = 1000.  Measured as above on
+        ``ppn simulate --seed 3`` records of 200 nt (seed 1 alike): the
+        peak was 15.2 MB, 7.2 MB above the matrix (8 MB), and the text is
+        18.4 MB; with one string held per pair it was 27.0 MB, 0.65 MB
+        above the matrix plus the whole text."""
+        k = 1000
+        path, dest = tmp_path / "k1000.fa", tmp_path / "m.phy"
+        write_fasta(simulate(SimulationSpec(species_count=k, length=200, seed=3)), path)
+        peak = self._peak(["matrix", "--input", str(path), "--output", str(dest)])
+        assert peak < k**2 * 8 + dest.stat().st_size / 2, peak
+
     def test_tree_peak_on_a_matrix_file_is_two_matrices(self, short_fasta, tmp_path):
         """``ppn tree --input dist.phy`` peaks below two k x k float64
-        matrices plus 0.5 MB, at k = 300: the parsed rows and the
-        ``DistanceMatrix`` copy, never the file's text.  Measured as in
-        the matrix test: the peak was 0.17 MB above the two matrices
-        (1.44 MB); when all lines were kept it was 2.71 MB above."""
+        matrices plus 0.5 MB, at k = 300: the matrix read and the working
+        copy ``upgma`` merges in, never the file's text.  ``read_phylip``
+        hands its array to ``DistanceMatrix`` without a copy; the text it
+        holds for the lower triangle is released before that.  Measured
+        as in the matrix tests: the peak was 0.15 MB above the two
+        matrices (1.44 MB); when all lines were kept it was 2.71 MB
+        above."""
         phy = tmp_path / "m.phy"
         assert main(["matrix", "--input", str(short_fasta), "--output", str(phy)]) == 0
         peak = self._peak(["tree", "--input", str(phy), "--output", str(tmp_path / "t.nwk")])

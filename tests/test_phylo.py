@@ -38,6 +38,7 @@ from ppn import (
 )
 from oracles import (
     oracle_nqd,
+    per_entry_phylip,
     scalar_distance,
     random_binary_tree,
     random_ultrametric,
@@ -130,6 +131,14 @@ class TestDistanceMatrix:
         assert m["a", "b"] == 1.0
         with pytest.raises(ValueError):
             m.values[0, 1] = 5.0
+
+    def test_public_constructor_neither_freezes_nor_changes_its_array(self):
+        src = square([[0, -0.0], [-0.0, -0.0]])
+        m = DistanceMatrix(["a", "b"], src)
+        assert src.flags.writeable
+        assert np.signbit(src).tolist() == [[False, True], [True, True]]
+        assert m.values is not src
+        assert [v.hex() for v in m.values.ravel().tolist()] == ["0x0.0p+0"] * 4
 
 
 class TestPairwiseMatrix:
@@ -528,6 +537,32 @@ class TestNqd:
 
 # -- PHYLIP --------------------------------------------------------------------
 
+def hexes(matrix):
+    """Every entry of ``matrix`` as ``float.hex``, row by row."""
+    return [v.hex() for v in matrix.values.ravel().tolist()]
+
+
+def pipeline_like(k, seed):
+    """A k-taxon matrix of edge values and square roots of integers, the
+    entries a Euclidean ``ppn matrix`` writes."""
+    rng = np.random.default_rng(seed)
+    roots = [math.sqrt(n) for n in rng.integers(1, 2**40, 64).tolist()]
+    pool = np.array([0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, *roots])
+    upper = np.triu_indices(k, 1)
+    values = np.zeros((k, k))
+    values[upper] = values[upper[::-1]] = rng.choice(pool, len(upper[0]))
+    return DistanceMatrix([f"t{i}" for i in range(k)], values)
+
+
+_ROWS = phylo._PHYLIP_ROWS
+#: 2 and 3 taxa, block multiples and one either side, and past three blocks
+_PHYLIP_SIZES = sorted(
+    {2, 3, 3 * _ROWS + 5} | {n * _ROWS + d for n in (1, 2, 3) for d in (-1, 0, 1)} - {1}
+)
+
+_CANONICAL = "3\na\t0.0\t1.5\t2.0\nb\t1.5\t0.0\t3.0\nc\t2.0\t3.0\t0.0\n"
+
+
 class TestPhylip:
     def test_round_trip_is_exact(self):
         seqs = simulate(SimulationSpec(species_count=5, length=333, seed=7))
@@ -594,6 +629,116 @@ class TestPhylip:
         text = f"2\na 0 {field}\nb {field} 0\n"
         with pytest.raises(ValidationError, match=f"row 1: '{field}' is not an ASCII"):
             read_phylip(io.StringIO(text))
+
+    @pytest.mark.parametrize("k", _PHYLIP_SIZES)
+    def test_writer_equals_a_writer_that_formats_every_cell(self, k, monkeypatch):
+        matrix = pipeline_like(k, seed=k)
+        want = io.StringIO()
+        per_entry_phylip(matrix, want)
+        # one row per block, the default, and every row in one block
+        for rows in (1, _ROWS, 2**20):
+            monkeypatch.setattr(phylo, "_PHYLIP_ROWS", rows)
+            buf = io.StringIO()
+            write_phylip(matrix, buf)
+            assert buf.getvalue() == want.getvalue()
+            back = read_phylip(io.StringIO(buf.getvalue()))
+            assert back.labels == matrix.labels
+            assert hexes(back) == hexes(matrix)
+
+    @pytest.mark.parametrize("k", _PHYLIP_SIZES)
+    def test_reader_converts_each_pair_of_its_writer_once(self, k, monkeypatch):
+        text = io.StringIO()
+        write_phylip(pipeline_like(k, seed=k), text)
+        converted = []
+
+        def counted(field):
+            converted.append(field)
+            return float(field)
+
+        monkeypatch.setattr(phylo, "float", counted, raising=False)
+        for rows in (1, _ROWS, 2**20):
+            monkeypatch.setattr(phylo, "_PHYLIP_ROWS", rows)
+            converted.clear()
+            read_phylip(io.StringIO(text.getvalue()))
+            assert len(converted) == k * (k + 1) // 2
+        # fields are compared, not the gaps between them
+        converted.clear()
+        read_phylip(io.StringIO(text.getvalue().replace("\t", "  ")))
+        assert len(converted) == k * (k + 1) // 2
+        # a row whose fields left of the diagonal are spelled otherwise is
+        # read whole
+        lines = text.getvalue().splitlines()
+        for r in range(1, k + 1):
+            label, *fields = lines[r].split("\t")
+            lines[r] = "\t".join([label, *("+" + f for f in fields[: r - 1]), *fields[r - 1 :]])
+        converted.clear()
+        read_phylip(io.StringIO("\n".join(lines)))
+        assert len(converted) == k * k
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3\na\t0.0\t1.5\t2.0\nb\t1.50\t0.0\t3.0\nc\t2.00\t3.000\t0.0\n",
+            "3\na 0.0 1.5 2.0\nb 15e-1 0.0 3.0\nc 20E-1 30e-1 0.0\n",
+            "3\na 0.0 1.5 2.0\nb +1.5 0.0 3.0\nc +2.0 +3.0 0.0\n",
+            "3\na 0.0 1.5 2.0\nb   1.5 \t 0.0 3.0\nc 2.0    3.0\t\t0.0\n",
+            "3\r\na 0.0 1.5 2.0\r\nb 1.5 0.0 3.0\r\nc 2.0 3.0 0.0\r\n",
+        ],
+    )
+    def test_lower_triangle_in_other_spellings_reads_the_same_floats(self, text):
+        want = read_phylip(io.StringIO(_CANONICAL))
+        got = read_phylip(io.StringIO(text))
+        assert got.labels == want.labels
+        assert hexes(got) == hexes(want)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "3\na 0.0 1.5 2.0\nb 1.5 0.0 3.0\nc 2.0 3.0000000000000004 0.0\n",
+                "distance matrix is not exactly symmetric",
+            ),
+            (
+                "3\na 0.0 1.5 2.0\nb 1_5 0.0 3.0\nc 2.0 3.0 0.0\n",
+                "matrix row 2: '1_5' is not an ASCII decimal number",
+            ),
+            (
+                "3\na 0.0 1.5 2.0\nb 1.5 0.0 3.0\nc \u0662 3.0 0.0\n",
+                "matrix row 3: '\u0662' is not an ASCII decimal number",
+            ),
+            (
+                "3\na 0.0 1.5 2.0\nb x 0.0 3.0\nc 2.0 3.0 0.0\n",
+                "matrix row 2: could not convert string to float: 'x'",
+            ),
+            (
+                "3\na 0.0 1.5 2.0\nb x 0.0 y\nc 2.0 3.0 0.0\n",
+                "matrix row 2: could not convert string to float: 'x'",
+            ),
+            (
+                "3\na 0.0 1.5 2.0\nb 1.5 0.0\nc x 3.0 0.0\n",
+                "matrix row 2: expected a label and 3 values, found 3 fields",
+            ),
+            ("3\na 0.0 1.5 2.0\nb x 0.0 3.0\n", "expected 3 matrix rows, found 2"),
+            ("2\na 0.0 1.5\nb x 0.0\nc 1 2\n", "expected 2 matrix rows, found 3"),
+        ],
+    )
+    def test_a_fault_left_of_the_diagonal_is_named_as_any_other(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            read_phylip(io.StringIO(text))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3\na 0.0 -0.0 2.0\nb 0.0 0.0 3.0\nc 2.0 3.0 0.0\n",
+            "3\na 0.0 0.0 2.0\nb -0.0 0.0 3.0\nc 2.0 3.0 0.0\n",
+            "3\na -0.0 -0.0 2.0\nb -0.0 -0.0 3.0\nc 2.0 3.0 -0.0\n",
+        ],
+    )
+    def test_negative_zero_in_either_triangle_reads_as_positive_zero(self, text):
+        m = read_phylip(io.StringIO(text))
+        assert hexes(m)[:2] + hexes(m)[3:5] == ["0x0.0p+0"] * 4
+        assert m["a", "c"] == 2.0 and not m.values.flags.writeable
 
     def test_non_ascii_labels_and_nan_still_read(self):
         m = read_phylip(io.StringIO("3\ns\u00e9q 0 nan 1\nb nan 0 inf\nc 1 inf 0\n"))

@@ -5,11 +5,13 @@ two tree distances."""
 import argparse
 import contextlib
 import io
+import math
 import os
 import re
 import tempfile
 import warnings
 from collections import Counter
+from decimal import Decimal
 from itertools import combinations, product
 from unittest import mock
 
@@ -607,6 +609,63 @@ def test_write_phylip_equals_the_per_entry_writer(matrix):
     write_phylip(matrix, buf)
     per_entry_phylip(matrix, want)
     assert buf.getvalue() == want.getvalue()
+
+
+_PIPELINE_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, math.inf, math.nan]),
+    st.integers(1, 2**53).map(math.sqrt),
+    st.floats(min_value=0.0),
+)
+
+
+@st.composite
+def blocked_matrices(draw):
+    """Matrices of 2 to past four blocks of PHYLIP rows, each entry drawn
+    from a few edge values, square roots of integers and other floats."""
+    k = draw(st.integers(2, 4 * phylo._PHYLIP_ROWS + 3))
+    pool = draw(st.lists(_PIPELINE_FLOATS, min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu_indices(k, 1)
+    values = np.zeros((k, k))
+    values[upper] = values[upper[::-1]] = rng.choice(np.array(pool), len(upper[0]))
+    return DistanceMatrix([f"t{i}" for i in range(k)], values)
+
+
+def _respelled(text: str, rnd) -> str:
+    """``text`` with every field left of the diagonal written another way
+    that ``float`` reads as the same number, amid runs of spaces and tabs."""
+    lines = text.splitlines()
+    for r in range(1, len(lines)):
+        label, *fields = lines[r].split("\t")
+        for j, field in enumerate(fields[: r - 1]):
+            how = rnd.randrange(4)
+            if how == 0 and "." in field and "e" not in field:
+                field += "0"
+            elif how == 1:
+                field = "+" + field
+            elif how == 2 and field not in ("inf", "nan"):
+                _, digits, exponent = Decimal(field).as_tuple()
+                field = "".join(map(str, digits)) + f"E{exponent}"
+            fields[j] = field
+        gaps = [rnd.choice(["\t", " ", "  ", " \t "]) for _ in fields]
+        lines[r] = label + "".join(gap + field for gap, field in zip(gaps, fields))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_matrices(), st.sampled_from([1, 2, 3, 8, 2**20]), st.randoms())
+def test_phylip_block_size_changes_no_byte_and_no_float(matrix, rows, rnd):
+    want = io.StringIO()
+    per_entry_phylip(matrix, want)
+    hexes = [v.hex() for v in matrix.values.ravel().tolist()]
+    with mock.patch.object(phylo, "_PHYLIP_ROWS", rows):
+        buf = io.StringIO()
+        write_phylip(matrix, buf)
+        assert buf.getvalue() == want.getvalue()
+        for text in (buf.getvalue(), _respelled(buf.getvalue(), rnd)):
+            back = read_phylip(io.StringIO(text))
+            assert back.labels == matrix.labels
+            assert [v.hex() for v in back.values.ravel().tolist()] == hexes
 
 
 # -- distance matrix and UPGMA ---------------------------------------------------------
