@@ -476,6 +476,24 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     ]
 
 
+@functools.cache
+def _tally_weights(base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The window tally's int16 weight of each code, 1, B, B**2 and 0 for
+    A, C, G and T, and the int32 weights of each pair of codes, read-only.
+
+    Two int8 codes viewed as one uint16 index the pair table, whose entry
+    viewed as two int16 holds their two weights in the same memory order,
+    on either byte order.  Codes are 0..3, so an index is at most 0x0303
+    and the table has 772 entries; those with a byte above 3 are never
+    read.
+    """
+    weights = np.array([1, base, base * base, 0], dtype=np.int16)
+    codes = np.arange(0x0303 + 1, dtype=np.uint16).view(np.int8)
+    pairs = weights.take(codes, mode="clip").view(np.int32)
+    weights.flags.writeable = pairs.flags.writeable = False
+    return weights, pairs
+
+
 def _window_sums(
     weights: np.ndarray, span: int, start: int, count: int, step: int
 ) -> np.ndarray:
@@ -517,6 +535,11 @@ class _WindowTally:
     with the weights kept from the last chunk, so a window that straddles
     two blocks or two chunks is summed like any other, and working memory
     is bounded by the chunk and block sizes, not by the sequence length.
+    A chunk's weights come from one ``np.take`` of the pair table of
+    :func:`_tally_weights`, indexed by the chunk's codes read two at a
+    time as uint16 and written into the buffer read as int32, so the
+    kept weights are placed to end at an even index; an odd chunk's last
+    code is looked up on its own.
 
     Between calls the tally holds ``bins``, the first 2*radius weights
     and the weights from the start of the next full window not yet
@@ -532,7 +555,7 @@ class _WindowTally:
         self._step = params.stride + 1
         self._span = 2 * params.radius + 1
         base = self._span + 1
-        self._weights = np.array([1, base, base * base, 0], dtype=np.int16)
+        self._weights, self._pairs = _tally_weights(base)
         self.bins = np.zeros(base**3, dtype=np.int64)
         self.length = 0
         # index of the first full window not yet counted
@@ -546,13 +569,22 @@ class _WindowTally:
         radius, step, span = self._radius, self._step, self._span
         buf = np.empty(min(len(codes), _CHUNK) + span, dtype=np.int16)
         kept = len(self._tail)
-        buf[:kept] = self._tail
+        at = kept % 2  # the kept weights end, and the chunk's start, at an even index
+        buf[at : at + kept] = self._tail
         for lo in range(0, len(codes), _CHUNK):
             chunk = codes[lo : lo + _CHUNK]
             hi = kept + len(chunk)
-            weights = buf[:hi]
-            # mode="clip" lets take write straight into buf; codes are 0..3
-            np.take(self._weights, chunk, out=weights[kept:], mode="clip")
+            weights = buf[at : at + hi]
+            paired = len(chunk) & ~1
+            # mode="clip" lets take write straight into buf; a pair is at most 0x0303
+            np.take(
+                self._pairs,
+                chunk[:paired].view(np.uint16),
+                out=weights[kept : kept + paired].view(np.int32),
+                mode="clip",
+            )
+            if paired < len(chunk):
+                weights[-1] = self._weights[chunk[-1]]
             first = self.length - kept  # weights[i] is code first + i's
             self.length += len(chunk)
             if len(self._head) < 2 * radius:
@@ -568,8 +600,9 @@ class _WindowTally:
                 self._next = done
             # keep the weights from the next window's start, none if it starts later
             kept = hi - min(start, hi)
-            buf[:kept] = weights[hi - kept :]
-        self._tail = buf[:kept].tolist()
+            at = kept % 2
+            buf[at : at + kept] = weights[hi - kept :]
+        self._tail = buf[at : at + kept].tolist()
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Window count tuples (A, C, G, T) as rows, and their multiplicities:

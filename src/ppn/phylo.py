@@ -477,9 +477,12 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
 _NQD_MAX_LEAVES = 7131
 
 #: cells (first-tree branches or branch pairs x second-tree branches) in
-#: one chunk of :func:`nqd`'s first-tree nodes; at its peak a chunk holds
-#: about 11 bytes per cell, so at 48 leaves the chunk is half of nqd's peak
+#: one chunk of :func:`nqd`'s first-tree nodes: at least this many, and at
+#: least the shared-leaf table's cells over ``_NQD_SHARE``, or large trees
+#: would take one node per chunk.  At its peak a chunk holds about 11
+#: bytes per cell, so at 48 leaves the chunk is half of nqd's peak
 _NQD_CELLS = 1 << 11
+_NQD_SHARE = 8
 
 
 def _quartet_nodes(size: list[int], inner: list[tuple[int, ...]], k: int):
@@ -562,7 +565,8 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     tree's forks being the sum of its children's, so no product of
     membership tables is formed.  First-tree nodes with the same branch
     count m are scored together, in chunks of about ``_NQD_CELLS`` table
-    cells, all C(m, 2) branch pairs at once (see :func:`_separated`).
+    cells or an ``_NQD_SHARE``-th of the shared-leaf table, whichever is
+    more, all C(m, 2) branch pairs at once (see :func:`_separated`).
     Time and memory are O(k^2) for binary trees.
     """
     column = _check_comparable(t1, t2)
@@ -581,13 +585,14 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     if not len(signs1) or not len(signs2):
         return resolved / math.comb(k, 4)
     second = _columns(size2, fork2, complement2, starts2, signs2)
-    chunks = _chunks(fork1, complement1, width1, starts1, signs1, len(fork2))
+    cells = max(_NQD_CELLS, shared.size // _NQD_SHARE)
+    chunks = _chunks(fork1, complement1, width1, starts1, signs1, len(fork2), cells)
     # dropped before the chunks: at 48 leaves they are a tenth of nqd's peak
     del column, size1, inner1, size2, inner2, fork2, complement2, width2
 
     same = both = 0  # quartets resolved alike in both trees; resolved in both
     for chunk in chunks:
-        chunk_same, chunk_both = _separated(shared, *chunk, second)
+        chunk_same, chunk_both = _separated(shared, *chunk, second, cells)
         same += chunk_same
         both += chunk_both
     return (resolved - same - both) / math.comb(k, 4)
@@ -612,9 +617,9 @@ def _columns(size, fork, complement, starts, signs):
     return np.array(size, dtype=np.int16), column, starts, signs, kept, weight[kept]
 
 
-def _chunks(fork, complement, width, starts, signs, branches: int):
+def _chunks(fork, complement, width, starts, signs, branches: int, cells: int):
     """First-tree nodes with the same branch count m in chunks of about
-    ``_NQD_CELLS`` cells (a branch or branch pair x ``branches``).
+    ``cells`` cells (a branch or branch pair x ``branches``).
 
     Yields the nodes' signs; their branches' forks, complement flags and
     widths (nodes x m); and ``triu_indices(m, 1)``.
@@ -626,16 +631,17 @@ def _chunks(fork, complement, width, starts, signs, branches: int):
         group = signs[nodes], fork[branch], complement[branch], width[branch]
         del nodes, branch
         pairs = np.triu_indices(m, 1)
-        step = max(1, _NQD_CELLS // (branches * max(m, len(pairs[0]))))
+        step = max(1, cells // (branches * max(m, len(pairs[0]))))
         for lo in range(0, len(group[0]), step):
             yield *(a[lo : lo + step] for a in group), pairs
 
 
-def _separated(shared, signs, forks, complements, widths, pairs, second):
+def _separated(shared, signs, forks, complements, widths, pairs, second, cells):
     """Signed counts, as Python ints, of the (quartet, pairing) pairs that
     a chunk of first-tree nodes and the second tree's nodes (``second``,
     from :func:`_columns`) both separate: under one pairing (P) and
-    under any two (P + Q).
+    under any two (P + Q).  Branch pairs go about ``cells`` cells at a
+    time.
 
     In a node pair's table of shared leaf counts, P counts the pairs of
     leaf pairs in cells on different rows and columns, and Q the
@@ -671,7 +677,7 @@ def _separated(shared, signs, forks, complements, widths, pairs, second):
     # dot its sum over a second-tree node; a node with many branches takes
     # its pairs m or more at a time, so they cost no more memory than n
     first, last = pairs
-    step = max(n.shape[1], _NQD_CELLS // (len(n) * len(column)))
+    step = max(n.shape[1], cells // (len(n) * len(column)))
     q = 0
     for lo in range(0, len(first), step):
         prod = n[:, first[lo : lo + step]]

@@ -236,8 +236,9 @@ def test_c09_vector_time_scales_linearly():
     rows = run_bench(sizes, reps=10, seed=90, params=PpnParams())
     for row in rows:
         RUNS.append((row.length, 1, window_count(row.length, 1)))
-    r21 = rows[1].mean_vector_s / rows[0].mean_vector_s
-    r42 = rows[2].mean_vector_s / rows[1].mean_vector_s
+    # best of the 10 timings: a mean takes in every stall of a loaded host
+    r21 = rows[1].best_vector_s / rows[0].best_vector_s
+    r42 = rows[2].best_vector_s / rows[1].best_vector_s
     elapsed = time.perf_counter() - started
     assert 1.6 <= r21 <= 2.6, f"1M->2M ratio {r21:.2f} outside [1.6, 2.6]"
     assert 1.6 <= r42 <= 2.6, f"2M->4M ratio {r42:.2f} outside [1.6, 2.6]"

@@ -764,3 +764,22 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_feed_peak_is_the_buffer_and_a_pair_index_per_chunk(self):
+        """One ``feed`` of 262 144 codes at l = 4 traces below 300 KB: the
+        int16 buffer of one chunk (64 KB), the intp index ``np.take`` makes
+        of one chunk's 16 384 code pairs (128 KB) and the window sums.
+        Measured with ``tracemalloc``: 272 KB; when the weights were taken
+        one int8 code at a time, whose intp index is 256 KB a chunk, it
+        was 329 KB."""
+        codes = np.random.default_rng(7).integers(0, 4, 8 * core._CHUNK).astype(np.int8)
+        params = PpnParams(radius=4, stride=1)
+        core._WindowTally(params).feed(codes[:100])  # the cached weight tables
+        tally = core._WindowTally(params)
+        tracemalloc.start()
+        try:
+            tally.feed(codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300_000, peak

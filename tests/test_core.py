@@ -36,7 +36,15 @@ from ppn import (
     window_product_sum,
     window_products,
 )
-from ppn.core import _CHUNK, _WindowTally, _join, _limb_shifts, _limbs, _shifted_rows
+from ppn.core import (
+    _CHUNK,
+    _WindowTally,
+    _join,
+    _limb_shifts,
+    _limbs,
+    _shifted_rows,
+    _tally_weights,
+)
 from ppn.phylo import _vector_matrix
 from oracles import decimal_euclidean, exact_manhattan, naive_vector, scalar_distance
 
@@ -390,6 +398,50 @@ class TestVector:
         b = BASES.index(base)
         want = [sum(row[b] ** s for s in sizes) for row in PERMUTATIONS]
         assert list(tally.vector().components) == want
+
+    @pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
+    def test_pair_table_holds_the_weights_of_both_codes(self, radius):
+        # the tally looks its weights up two codes at a time, by the pair's
+        # bytes read as one uint16, whichever the byte order
+        base = 2 * radius + 2
+        weights, pairs = _tally_weights(base)
+        assert weights.tolist() == [1, base, base * base, 0]
+        assert len(pairs) == 0x0303 + 1
+        assert not weights.flags.writeable and not pairs.flags.writeable
+        for a, b in product(range(4), repeat=2):
+            index = np.array([a, b], dtype=np.int8).view(np.uint16)
+            assert pairs[index].view(np.int16).tolist() == [weights[a], weights[b]]
+
+    @pytest.mark.parametrize("radius, stride", [(1, 1), (4, 1), (4, 4), (10, 1), (3, 20)])
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (300, [1]),
+            (300, [2]),
+            (300, [3]),
+            (300, [1, 2, 3, 2]),
+            (3 * _CHUNK + 5, [_CHUNK + 1, 3, 2 * _CHUNK]),
+        ],
+        ids=["ones", "twos", "threes", "mixed", "chunks"],
+    )
+    def test_blocks_at_odd_addresses_and_of_any_parity_give_the_whole_vector(
+        self, radius, stride, n, sizes
+    ):
+        # each block's codes start one byte into their buffer, so their
+        # pairs are unaligned uint16, and odd blocks shift the weights kept
+        # between calls from one buffer parity to the other
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            params = PpnParams(radius=radius, stride=stride, allow_gaps=True)
+        codes = np.random.default_rng(n + radius * stride).integers(0, 4, n).astype(np.int8)
+        tally = _WindowTally(params)
+        lo, k = 0, 0
+        while lo < n:
+            data = codes[lo : lo + sizes[k % len(sizes)]].tobytes()
+            block = np.frombuffer(b"\0" + data, np.int8)[1:]
+            tally.feed(block)
+            lo, k = lo + len(block), k + 1
+        assert tally.vector() == ppn_vector(EncodedSequence("x", codes), params)
 
     @pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
     def test_limbs_sum_in_int64_and_cover_every_product(self, radius):

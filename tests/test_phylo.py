@@ -532,7 +532,27 @@ class TestNqd:
             t2 = contracted(t1, rng, 0.4)
         want = [nqd(t1, t2).hex(), nqd(t2, t1).hex()]
         monkeypatch.setattr(phylo, "_NQD_CELLS", cells)
+        monkeypatch.setattr(phylo, "_NQD_SHARE", 2**62)  # the budget stays at cells
         assert [nqd(t1, t2).hex(), nqd(t2, t1).hex()] == want
+
+    @pytest.mark.parametrize("k", [48, 300])
+    def test_chunk_budget_grows_with_the_shared_table_past_48_leaves(self, monkeypatch, k):
+        labels = [f"c{i:03d}" for i in range(k)]
+        rng = random.Random(k)
+        t1, t2 = random_binary_tree(rng, labels), random_binary_tree(rng, labels)
+        budgets = set()
+        separated = phylo._separated
+
+        def spy(*args):
+            budgets.add(args[-1])
+            return separated(*args)
+
+        monkeypatch.setattr(phylo, "_separated", spy)
+        nqd(t1, t2)
+        # a binary tree on k leaves has k - 1 forks
+        assert budgets == {max(phylo._NQD_CELLS, (k - 1) ** 2 // phylo._NQD_SHARE)}
+        if k <= 48:
+            assert budgets == {phylo._NQD_CELLS}
 
 
 # -- PHYLIP --------------------------------------------------------------------

@@ -795,7 +795,10 @@ def test_nqd_chunk_size_changes_no_bit(pair):
     want = [oracle_nqd(t1, t2).hex()] * 2
     assert [nqd(t1, t2).hex(), nqd(t2, t1).hex()] == want
     for cells in (1, 2**62):
-        with mock.patch.object(phylo, "_NQD_CELLS", cells):
+        # _NQD_SHARE patched too, so the budget stays at cells
+        with mock.patch.object(phylo, "_NQD_CELLS", cells), mock.patch.object(
+            phylo, "_NQD_SHARE", 2**62
+        ):
             assert [nqd(t1, t2).hex(), nqd(t2, t1).hex()] == want
 
 
