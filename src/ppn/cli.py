@@ -334,8 +334,9 @@ def run_bench(
     Each run computes every vector once, as the CLI does, timed as the
     vector stage, and builds the matrix from those vectors.  Wall times
     are means over ``reps`` runs after one untimed warm-up, and the vector
-    stage's best run is kept too; peak memory is the maximum resident set
-    reported by the OS across the runs.
+    stage's best run is kept too; peak memory is the process's maximum
+    resident set as the OS reports it once after the runs, a high-water
+    mark that covers them all.
     Generation is excluded from the timings.
     """
     if reps < 1:
@@ -347,7 +348,6 @@ def run_bench(
         )
         wall_times = []
         vector_times = []
-        peak = 0
 
         def one_run():
             t0 = time.perf_counter()
@@ -365,7 +365,6 @@ def run_bench(
             t_total, t_vec = one_run()
             wall_times.append(t_total)
             vector_times.append(t_vec)
-            peak = max(peak, _peak_rss_kb())
         rows.append(
             BenchRow(
                 species=species,
@@ -373,7 +372,7 @@ def run_bench(
                 reps=reps,
                 mean_wall_s=sum(wall_times) / reps,
                 mean_vector_s=sum(vector_times) / reps,
-                peak_rss_kb=peak,
+                peak_rss_kb=_peak_rss_kb(),
                 best_vector_s=min(vector_times),
             )
         )

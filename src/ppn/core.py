@@ -83,12 +83,16 @@ _PRODUCT_LIMIT = 2**63
 
 #: Codes per chunk of the window tally: a feed walks its codes this many
 #: at a time through one buffer of int16 weights made for the call.  A
-#: batch of short records holds at most this many codes.
+#: batch of short records holds at most this many codes, each record's
+#: ``l`` T pad codes counted, plus the ``l`` after the last record; a
+#: record that passes it alone (possible from a stride of 127) is a batch
+#: of its own.
 _CHUNK = 1 << 15
 #: Most windows of a record that :func:`_record_vectors` batches.  A batch
 #: costs one row of 24 products per window, a tally a fixed set of numpy
 #: calls per record: on a 2-vCPU host with numpy 2.4 the tally was the
-#: faster past about 330-400 windows at l = 1-4 (past thousands at l = 10).
+#: faster past about 256 windows at l = 1, 380 at l = 4 and 500-700 at
+#: l = 10, so no other cut-off wins at every l.
 _SHORT_WINDOWS = 1 << 8
 #: Windows per chunk of a batch: each product array of a chunk holds
 #: this many rows of 24 int64, 192 KiB.
@@ -170,10 +174,12 @@ class EncodedSequence:
     ``codes`` must be a 1-D integer array of values 0..3, else
     :class:`ValidationError` naming the id; empty codes raise
     :class:`EmptySequenceError`.  They are stored as a contiguous int8
-    array that is read-only, so instances are safe to share across
-    threads; a contiguous int8 array passed in is kept without a copy,
-    and so becomes read-only itself.  ``dropped`` counts non-ACGT,
-    non-whitespace characters removed during sanitization.
+    array that is read-only, so the 0..3 check made here holds for the
+    instance's life: the window keys look codes up with ``mode="clip"``
+    and would silently miscount a code written later.  A contiguous int8
+    array passed in is kept without a copy, and so becomes read-only
+    itself.  ``dropped`` counts non-ACGT, non-whitespace characters
+    removed during sanitization.
     """
 
     id: str
@@ -434,37 +440,40 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     """The vectors of whole records, given as their code arrays, from one
     pass over their concatenation.
 
-    The tally's packed weights get one int64 prefix sum P over all the
-    codes, and the window over codes s..e-1 of the record at offset o has
-    the key ``P[o + e] - P[o + s]``, full or cut short by an end alike.  The
-    windows go through :data:`_BATCH_WINDOWS` at a time: their keys are
-    decoded into count tuples, each tuple's 24 products come from
-    :func:`_products`, and one ``np.add.reduceat`` per limb (see
-    :func:`_limb_shifts`, for the record with the most windows) adds them
-    into their records' sums.
+    The records are joined with a run of ``l`` T codes before, between
+    and after them.  T weighs nothing, so the window around code c of a
+    record, full or cut short by an end alike, has the key of the 2l+1
+    codes from c of its padded copy: the sum of their weights, ``A + C*B
+    + G*B**2`` as in :class:`_WindowTally`.  One :func:`_weigh` and one
+    :func:`_window_sums` key every position in int16, as the tally keys
+    its full windows.  The windows go through :data:`_BATCH_WINDOWS` at
+    a time: each takes its key from its record's start and center,
+    :func:`_counts` decodes the keys into count tuples, each tuple's 24
+    products come from :func:`_products`, and one ``np.add.reduceat`` per
+    limb (see :func:`_limb_shifts`, for the record with the most windows)
+    adds them into their records' sums.  The batch holds its codes, the
+    pads among them, once as int8 and twice as int16.
     """
     radius, step, span = params.radius, params.stride + 1, 2 * params.radius + 1
-    base = span + 1
     lengths = np.array([len(codes) for codes in pieces], dtype=np.int64)
     windows = 1 + (lengths - 1) // step
-    offsets = np.cumsum(lengths) - lengths
+    starts = np.cumsum(lengths + radius) - lengths - radius  # where each record's pad begins
     firsts = np.cumsum(windows) - windows  # each record's first window in the batch
     total = int(firsts[-1] + windows[-1])
-    weights = np.array([1, base, base * base, 0], dtype=np.int64)
-    sums = np.zeros(int(lengths.sum()) + 1, dtype=np.int64)
-    np.take(weights, np.concatenate(pieces), out=sums[1:], mode="clip")
-    np.cumsum(sums, out=sums)
+    pad = np.full(radius, BASES.index("T"), dtype=np.int8)
+    codes = np.concatenate([x for p in pieces for x in (pad, p)] + [pad], dtype=np.int8)
+    weights = np.empty(len(codes), dtype=np.int16)
+    _weigh(codes, weights, span + 1)
+    keys = _window_sums(weights, span, 0, len(codes) - span + 1, 1)
     shifts = _limb_shifts(int(windows.max()), span)
     parts = np.zeros((len(shifts), len(pieces), len(PERMUTATIONS)), dtype=np.int64)
     for lo in range(0, total, _BATCH_WINDOWS):
         index = np.arange(lo, min(lo + _BATCH_WINDOWS, total))
         record = np.searchsorted(firsts, index, side="right") - 1
         center = (index - firsts[record]) * step
-        start = np.maximum(center - radius, 0)
         end = np.minimum(center + radius + 1, lengths[record])
-        keys = sums[offsets[record] + end] - sums[offsets[record] + start]
-        a, c, g = keys % base, keys // base % base, keys // (base * base)
-        products = _products(radius, a, c, g, end - start - a - c - g)
+        size = end - np.maximum(center - radius, 0)
+        products = _products(radius, *_counts(keys[starts[record] + center], size, span))
         first, last = record[0], record[-1]
         segments = np.concatenate([[0], firsts[first + 1 : last + 1] - lo])
         for part, limb in zip(parts, _limbs(products, shifts)):
@@ -478,7 +487,7 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
 
 @functools.cache
 def _tally_weights(base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The window tally's int16 weight of each code, 1, B, B**2 and 0 for
+    """The int16 window-key weight of each code, 1, B, B**2 and 0 for
     A, C, G and T, and the int32 weights of each pair of codes, read-only.
 
     Two int8 codes viewed as one uint16 index the pair table, whose entry
@@ -492,6 +501,29 @@ def _tally_weights(base: int) -> tuple[np.ndarray, np.ndarray]:
     pairs = weights.take(codes, mode="clip").view(np.int32)
     weights.flags.writeable = pairs.flags.writeable = False
     return weights, pairs
+
+
+def _weigh(codes: np.ndarray, out: np.ndarray, base: int) -> None:
+    """Write the int16 weight of each int8 code into ``out``, two codes at a
+    time through the pair table of :func:`_tally_weights`: the codes read
+    as uint16, ``out`` as int32, so ``out`` should start at an even index
+    of an int16 buffer.  An odd count's last code is looked up on its own."""
+    weights, pairs = _tally_weights(base)
+    paired = len(codes) & ~1
+    # mode="clip" lets take write straight into out; a pair is at most 0x0303
+    np.take(
+        pairs, codes[:paired].view(np.uint16), out=out[:paired].view(np.int32), mode="clip"
+    )
+    if paired < len(codes):
+        out[paired] = weights[codes[-1]]
+
+
+def _counts(keys: np.ndarray, size, span: int) -> tuple:
+    """The counts (A, C, G, T) of windows of ``size`` codes from their keys
+    ``A + C*B + G*B**2``, B = span + 1; T is what the others leave."""
+    base = span + 1
+    a, c, g = keys % base, keys // base % base, keys // (base * base)
+    return a, c, g, size - a - c - g
 
 
 def _window_sums(
@@ -535,11 +567,10 @@ class _WindowTally:
     with the weights kept from the last chunk, so a window that straddles
     two blocks or two chunks is summed like any other, and working memory
     is bounded by the chunk and block sizes, not by the sequence length.
-    A chunk's weights come from one ``np.take`` of the pair table of
-    :func:`_tally_weights`, indexed by the chunk's codes read two at a
-    time as uint16 and written into the buffer read as int32, so the
-    kept weights are placed to end at an even index; an odd chunk's last
-    code is looked up on its own.
+    A chunk's weights come from :func:`_weigh`, two codes at a time into
+    the buffer read as int32, so the kept weights are placed to end at an
+    even index.  :func:`_batch_vectors` keys its windows with the same
+    weights and sums, and decodes them with the same :func:`_counts`.
 
     Between calls the tally holds ``bins``, the first 2*radius weights
     and the weights from the start of the next full window not yet
@@ -555,7 +586,6 @@ class _WindowTally:
         self._step = params.stride + 1
         self._span = 2 * params.radius + 1
         base = self._span + 1
-        self._weights, self._pairs = _tally_weights(base)
         self.bins = np.zeros(base**3, dtype=np.int64)
         self.length = 0
         # index of the first full window not yet counted
@@ -575,16 +605,7 @@ class _WindowTally:
             chunk = codes[lo : lo + _CHUNK]
             hi = kept + len(chunk)
             weights = buf[at : at + hi]
-            paired = len(chunk) & ~1
-            # mode="clip" lets take write straight into buf; a pair is at most 0x0303
-            np.take(
-                self._pairs,
-                chunk[:paired].view(np.uint16),
-                out=weights[kept : kept + paired].view(np.int32),
-                mode="clip",
-            )
-            if paired < len(chunk):
-                weights[-1] = self._weights[chunk[-1]]
+            _weigh(chunk, weights[kept:], span + 1)
             first = self.length - kept  # weights[i] is code first + i's
             self.length += len(chunk)
             if len(self._head) < 2 * radius:
@@ -622,9 +643,7 @@ class _WindowTally:
         keys = np.concatenate([seen, np.array(cut, dtype=np.int64)])
         size = np.full(len(keys), span, dtype=np.int64)
         size[len(seen) :] = ends + [n - s for s in starts]
-        base = span + 1
-        a, c, g = keys % base, keys // base % base, keys // (base * base)
-        counts = np.stack([a, c, g, size - a - c - g], axis=1)
+        counts = np.stack(_counts(keys, size, span), axis=1)
         return counts, np.concatenate([self.bins[seen], np.ones(len(cut), dtype=np.int64)])
 
     def vector(self) -> PpnVector:
@@ -684,20 +703,21 @@ def _record_vectors(records, params: PpnParams):
     A record is whole ``codes`` (``tally`` None) or the tally its codes
     were fed to.  Whole codes of at most :data:`_SHORT_WINDOWS` windows
     wait in a batch for one :func:`_batch_vectors` pass, flushed before
-    it would pass :data:`_CHUNK` codes, before any other vector and at
-    the end; longer ones go to a tally of their own.
+    it would pass :data:`_CHUNK` codes, each record's ``l`` pad codes
+    counted, before any other vector and at the end; longer ones go to a
+    tally of their own.
     """
     short = _SHORT_WINDOWS * (params.stride + 1)
     ids, pieces, held = [], [], 0
     for seq_id, codes, tally in records:
         batched = tally is None and len(codes) <= short
-        if ids and (not batched or held + len(codes) > _CHUNK):
+        if ids and (not batched or held + len(codes) + params.radius > _CHUNK):
             yield from zip(ids, _batch_vectors(pieces, params))
             ids, pieces, held = [], [], 0
         if batched:
             ids.append(seq_id)
             pieces.append(codes)
-            held += len(codes)
+            held += len(codes) + params.radius
             continue
         if tally is None:
             tally = _WindowTally(params)

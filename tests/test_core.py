@@ -39,6 +39,7 @@ from ppn import (
 from ppn.core import (
     _CHUNK,
     _WindowTally,
+    _batch_vectors,
     _join,
     _limb_shifts,
     _limbs,
@@ -411,6 +412,26 @@ class TestVector:
         for a, b in product(range(4), repeat=2):
             index = np.array([a, b], dtype=np.int8).view(np.uint16)
             assert pairs[index].view(np.int16).tolist() == [weights[a], weights[b]]
+
+    @pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
+    def test_batch_of_every_short_length_equals_the_tally(self, radius):
+        # a batch keys its windows from the T codes joined around each
+        # record: records of 1..2l+3 codes have windows cut at one end, at
+        # both, or at neither; runs of one base give the extreme keys
+        # (poly-G the largest), and a 40-window poly-T record adds a second
+        # limb at l = 10
+        rng = np.random.default_rng(radius)
+        lengths = range(1, 2 * radius + 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            geometries = [PpnParams(radius, t, allow_gaps=True) for t in lengths]
+        pieces = [rng.integers(0, 4, n).astype(np.int8) for n in lengths]
+        pieces += [np.full(n, b, dtype=np.int8) for b in range(4) for n in lengths]
+        for params in geometries:
+            long_t = np.full(40 * (params.stride + 1), 3, dtype=np.int8)
+            for batch in (pieces, [*pieces, long_t]):
+                want = [ppn_vector(EncodedSequence("x", codes), params) for codes in batch]
+                assert _batch_vectors(batch, params) == want, params
 
     @pytest.mark.parametrize("radius, stride", [(1, 1), (4, 1), (4, 4), (10, 1), (3, 20)])
     @pytest.mark.parametrize(
