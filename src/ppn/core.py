@@ -736,47 +736,37 @@ def _shifted_rows(vectors: list[PpnVector], metric: Metric) -> np.ndarray:
     differences sum(spread_j); when the metric's bound is below 2**63
     the rows are int64, else object dtype holding Python ints.
     """
-    columns = list(zip(*(v.components for v in vectors)))
-    low = [min(col) for col in columns]
-    spread = [max(col) - lo for col, lo in zip(columns, low)]
-    if metric is Metric.EUCLIDEAN:
-        bound = sum(s * s for s in spread)
-    else:
-        bound = sum(spread)
-    exact = np.int64 if bound < _PRODUCT_LIMIT else object
-    return np.array(
-        [[x - lo for x, lo in zip(v.components, low)] for v in vectors], dtype=exact
-    )
+    rows = np.array([v.components for v in vectors], dtype=object)
+    rows -= rows.min(axis=0)
+    spread = rows.max(axis=0)
+    bound = (spread * spread if metric is Metric.EUCLIDEAN else spread).sum()
+    return rows.astype(np.int64) if bound < _PRODUCT_LIMIT else rows
 
 
 def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     """Yield, for each vector in turn, its distances to every later vector.
 
-    Without ``normalized`` the rows come from :func:`_shifted_rows`.  In
-    int64, each row is one integer sum per pair, then one conversion to
-    float64 and, for Euclidean, ``np.sqrt``: the conversion rounds to
-    nearest-even like ``float(int)`` and IEEE square root is correctly
-    rounded, so the result is bit-identical to ``math.sqrt`` of the
-    exact sum.  Past the
-    bound, object dtype keeps every element a Python int, exact at any
-    width.  With ``normalized`` the rows are float64 arrays of the
-    correctly rounded ``x / windows``; each pair's terms are summed by
-    ``math.fsum``.
+    Without ``normalized`` the rows come from :func:`_shifted_rows`, and
+    each row is one exact integer sum per pair, in int64 or in Python
+    ints, then one conversion to float64 and, for Euclidean,
+    ``np.sqrt``: either conversion rounds to nearest-even like
+    ``float(int)`` and IEEE square root is correctly rounded, so the
+    result is bit-identical to ``math.sqrt`` of the exact sum.  With
+    ``normalized`` the rows are float64 arrays of the correctly rounded
+    ``x / windows``; each pair's terms are summed by ``math.fsum``.
     """
     if normalized:
         rows = np.array([[c / v.windows for c in v.components] for v in vectors])
     else:
         rows = _shifted_rows(vectors, metric)
     euclidean = metric is Metric.EUCLIDEAN
-    fixed = rows.dtype == np.int64
-    total = math.fsum if normalized else sum
     for i in range(len(vectors) - 1):
         diff = rows[i] - rows[i + 1 :]
         terms = diff * diff if euclidean else np.abs(diff)
-        if fixed:
-            sums = terms.sum(axis=1).astype(np.float64)
+        if normalized:
+            sums = np.array([math.fsum(t) for t in terms.tolist()])
         else:
-            sums = np.array([float(total(t)) for t in terms.tolist()])
+            sums = terms.sum(axis=1).astype(np.float64)
         yield np.sqrt(sums) if euclidean else sums
 
 

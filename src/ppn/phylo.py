@@ -65,53 +65,52 @@ class DistanceMatrix:
     __slots__ = ("labels", "values")
 
     def __init__(self, labels, values):
-        values = np.asarray(values, dtype=np.float64)
-        self.labels = self._check(labels, values)
-        # a new array, with -0.0 + 0.0 == +0.0
-        values = values + 0.0
-        values.flags.writeable = False
-        self.values = values
+        self._freeze(labels, np.array(values, dtype=np.float64))
 
     @classmethod
     def _adopt(cls, labels, values: np.ndarray) -> DistanceMatrix:
-        """The matrix over a fresh float64 array that no one else holds.
-
-        ``values`` is checked as the constructor checks it, then its
-        zeros are made +0.0 and it is frozen in place, with no copy.
-        """
+        """The matrix over a fresh float64 array that no one else holds,
+        frozen in place with no copy."""
         matrix = cls.__new__(cls)
-        matrix.labels = cls._check(labels, values)
-        values += 0.0
-        values.flags.writeable = False
-        matrix.values = values
+        matrix._freeze(labels, values)
         return matrix
 
-    @staticmethod
-    def _check(labels, values: np.ndarray) -> tuple:
-        """``labels`` as a tuple, once they and ``values`` are a valid matrix."""
-        labels = tuple(labels)
+    def _freeze(self, labels, values: np.ndarray) -> None:
+        """Check ``labels`` and ``values``, make the zeros +0.0, freeze."""
+        self.labels = labels = self._labels(labels)
         k = len(labels)
-        if k < 2:
-            raise ValidationError(f"distance matrix needs >= 2 taxa, got {k}")
-        if len(set(labels)) != k:
-            raise DuplicateIdError("distance matrix labels are not unique")
         if values.shape != (k, k):
             raise ValidationError(
                 f"matrix shape {values.shape} does not match {k} labels"
             )
-        # checked in blocks of rows: no temporary has more than about
-        # _CHECK_CELLS cells, where a k x k one would rival the matrix
-        step = max(1, _CHECK_CELLS // k)
-        for a in range(0, k, step):
-            upper, lower = values[a : a + step, a:], values[a:, a : a + step].T
-            differ = upper != lower  # True at NaN, which must face NaN
-            if not (np.isnan(upper[differ]) & np.isnan(lower[differ])).all():
-                raise ValidationError("distance matrix is not exactly symmetric")
+        # one pass in blocks of rows: no temporary has more than about
+        # _CHECK_CELLS cells, where a k x k one would rival the matrix;
+        # a symmetric matrix has its signs all in the upper triangle
+        step, negative = max(1, _CHECK_CELLS // k), False
+        with np.errstate(invalid="ignore"):
+            for a in range(0, k, step):
+                upper, lower = values[a : a + step, a:], values[a:, a : a + step].T
+                differ = upper != lower  # True at NaN, which must face NaN
+                if not (np.isnan(upper[differ]) & np.isnan(lower[differ])).all():
+                    raise ValidationError("distance matrix is not exactly symmetric")
+                negative = negative or (upper < 0.0).any()
         if np.any(np.diagonal(values) != 0.0):
             raise ValidationError("distance matrix diagonal must be exactly zero")
-        with np.errstate(invalid="ignore"):
-            if any((values[a : a + step] < 0.0).any() for a in range(0, k, step)):
-                raise ValidationError("distance matrix entries must be non-negative")
+        if negative:
+            raise ValidationError("distance matrix entries must be non-negative")
+        values += 0.0  # -0.0 + 0.0 == +0.0
+        values.flags.writeable = False
+        self.values = values
+
+    @staticmethod
+    def _labels(labels) -> tuple:
+        """``labels`` as a tuple, once they are two or more, all distinct."""
+        labels = tuple(labels)
+        if len(labels) < 2:
+            raise ValidationError(f"distance matrix needs >= 2 taxa, got {len(labels)}")
+        if len(set(labels)) != len(labels):
+            dup = next(x for x in labels if labels.count(x) > 1)
+            raise DuplicateIdError(f"duplicate taxon label {dup!r}")
         return labels
 
     @property
@@ -149,11 +148,7 @@ def _vector_matrix(ids, vectors, metric, normalized: bool) -> DistanceMatrix:
 
     The ids are checked before ``vectors``, any iterable, is read.
     """
-    if len(ids) < 2:
-        raise ValidationError(f"need >= 2 sequences, got {len(ids)}")
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise DuplicateIdError(f"duplicate sequence id {dup!r}")
+    ids = DistanceMatrix._labels(ids)
     values = np.zeros((len(ids), len(ids)), dtype=np.float64)
     for i, row in enumerate(_distance_rows(list(vectors), metric, normalized)):
         values[i, i + 1 :] = values[i + 1 :, i] = row
@@ -234,8 +229,6 @@ def upgma(matrix: DistanceMatrix) -> PhyloTree:
         a = int(min(tied, key=lambda i: key[i]))
         partners = np.nonzero(work[a] == best)[0]
         b = int(min(partners, key=lambda j: key[j]))
-        if key[b] < key[a]:
-            a, b = b, a
         h = best / 2.0
         first, second = node[a], node[b]
         first.length = h - height[a]

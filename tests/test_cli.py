@@ -470,6 +470,13 @@ class TestExitCodes:
         assert code == 3
         assert "duplicate" in err
 
+    def test_repeated_phylip_label_exits_3_and_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "dup.phy"
+        bad.write_text("3\nx 0 1 2\nsame 1 0 3\nsame 2 3 0\n")
+        code, _, err = run(["tree", "--input", str(bad)], capsys)
+        assert code == 3
+        assert "'same'" in err
+
     def test_strict_policy_rejects_ambiguity_codes_with_3(
         self, tmp_path, capsys
     ):

@@ -46,7 +46,14 @@ from oracles import (
     weighted_leaf_distances,
 )
 from ppn import phylo
-from ppn.phylo import _CHECK_CELLS, _NQD_MAX_LEAVES, _check_comparable, _splits
+from ppn.core import Metric
+from ppn.phylo import (
+    _CHECK_CELLS,
+    _NQD_MAX_LEAVES,
+    _check_comparable,
+    _splits,
+    _vector_matrix,
+)
 
 
 def square(rows):
@@ -124,6 +131,22 @@ class TestDistanceMatrix:
         with pytest.raises(ValidationError, match="non-negative"):
             DistanceMatrix(labels, bad)
 
+    @pytest.mark.parametrize("wrong, second, match", [
+        ((399, 398, 2.0), (1, 2, -1.0), "symmetric"),  # past the block with -1
+        ((399, 399, 1.0), (0, 1, -1.0), "diagonal"),
+    ])
+    def test_errors_take_precedence_whatever_block_they_sit_in(self, wrong, second, match):
+        k = 400
+        assert _CHECK_CELLS // k < 399
+        values = np.ones((k, k))
+        np.fill_diagonal(values, 0.0)
+        i, j, v = second
+        values[i, j] = values[j, i] = v
+        i, j, v = wrong
+        values[i, j] = v
+        with pytest.raises(ValidationError, match=match):
+            DistanceMatrix([f"t{n}" for n in range(k)], values)
+
     def test_values_are_a_read_only_copy(self):
         src = square([[0, 1], [1, 0]])
         m = DistanceMatrix(["a", "b"], src)
@@ -168,6 +191,19 @@ class TestPairwiseMatrix:
         seqs = simulate(SimulationSpec(species_count=2, length=50, seed=0))
         with pytest.raises(DuplicateIdError):
             pairwise_matrix([seqs[0], seqs[0]], PpnParams())
+
+    @pytest.mark.parametrize("ids, error, match", [
+        (["a"], ValidationError, "got 1"),
+        (["a", "b", "c", "b"], DuplicateIdError, "'b'"),
+    ])
+    def test_ids_are_checked_before_the_vectors_are_read(self, ids, error, match):
+        def vectors():
+            raise AssertionError("the vectors were read")
+            yield
+
+        with pytest.raises(error, match=match) as caught:
+            _vector_matrix(ids, vectors(), Metric.EUCLIDEAN, False)
+        assert type(caught.value) is error
 
     def test_entries_satisfy_triangle_inequality(self):
         params = PpnParams(radius=4, stride=1)
