@@ -11,6 +11,11 @@ subcommand runs, so no output is held whole.  The temp file reaches the
 or copied to stdout for '-' (the default), so a failed run writes
 nothing.  Errors and notices (a library ``UserWarning``) go to stderr as
 one ``ppn <command>: <message>`` line each.
+
+No command holds two k x k arrays.  ``ppn matrix`` writes the distance
+rows as they are made and holds no matrix; ``ppn tree`` builds one
+array, from the FASTA's rows or the PHYLIP file, runs on it the checks
+of :class:`ppn.phylo.DistanceMatrix` and merges in it, with no copy.
 """
 
 from __future__ import annotations
@@ -229,10 +234,11 @@ def _vectors(args, params: PpnParams):
     return _record_vectors(((i, codes, tally) for i, _, codes, tally in records), params)
 
 
-def _fasta_matrix(args, params: PpnParams) -> phylo.DistanceMatrix:
-    """The matrix from k vectors: the records' codes are never held whole."""
+def _fasta_rows(args, params: PpnParams):
+    """The checked ids and the distance rows of :func:`ppn.phylo._vector_rows`
+    over the FASTA's vectors: the records' codes are never held whole."""
     ids, vectors = zip(*_vectors(args, params))
-    return phylo._vector_matrix(ids, vectors, params.metric, args.normalize)
+    return phylo._vector_rows(ids, vectors, params.metric, args.normalize)
 
 
 def cmd_vector(args, out) -> None:
@@ -248,7 +254,7 @@ def cmd_vector(args, out) -> None:
 
 
 def cmd_matrix(args, out) -> None:
-    phylo.write_phylip(_fasta_matrix(args, _params(args)), out)
+    phylo._write_rows(*_fasta_rows(args, _params(args)), out)
 
 
 def _sniff_matrix(path: str) -> bool:
@@ -269,10 +275,12 @@ def cmd_tree(args, out) -> None:
                 "--l, --t, --metric, --allow-gaps, --normalize and --policy apply "
                 "only to FASTA input, not to a distance matrix"
             )
-        matrix = phylo.read_phylip(args.input)
+        labels, values = phylo._read_phylip(args.input)
     else:
-        matrix = _fasta_matrix(args, params)
-    out.write(phylo.to_newick(phylo.upgma(matrix)) + "\n")
+        labels, rows = _fasta_rows(args, params)
+        values = phylo._mirrored(rows, len(labels))
+    labels = phylo.DistanceMatrix._check(labels, values)
+    out.write(phylo.to_newick(phylo._upgma(labels, values)) + "\n")
 
 
 def cmd_treedist(args, out) -> None:

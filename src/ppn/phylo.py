@@ -9,6 +9,7 @@ are insensitive to root placement.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -59,7 +60,9 @@ class DistanceMatrix:
     the input, so a pair that differs only in the sign of a zero holds
     the same float too.  The constructor keeps a read-only copy and
     leaves the caller's array as it was; the matrix stages hand over
-    arrays they made themselves, which are frozen in place.
+    arrays they made themselves, which are frozen in place.  ``ppn tree``
+    runs the same checks (:meth:`_check`) on the array it builds and
+    merges in it unfrozen, with no matrix made at all.
     """
 
     __slots__ = ("labels", "values")
@@ -77,7 +80,16 @@ class DistanceMatrix:
 
     def _freeze(self, labels, values: np.ndarray) -> None:
         """Check ``labels`` and ``values``, make the zeros +0.0, freeze."""
-        self.labels = labels = self._labels(labels)
+        self.labels = self._check(labels, values)
+        values.flags.writeable = False
+        self.values = values
+
+    @classmethod
+    def _check(cls, labels, values: np.ndarray) -> tuple:
+        """``labels`` as :meth:`_labels` gives them, once ``values`` is
+        their exactly symmetric, non-negative float64 matrix with a zero
+        diagonal; its zeros are made +0.0 in place."""
+        labels = cls._labels(labels)
         k = len(labels)
         if values.shape != (k, k):
             raise ValidationError(
@@ -99,8 +111,7 @@ class DistanceMatrix:
         if negative:
             raise ValidationError("distance matrix entries must be non-negative")
         values += 0.0  # -0.0 + 0.0 == +0.0
-        values.flags.writeable = False
-        self.values = values
+        return labels
 
     @staticmethod
     def _labels(labels) -> tuple:
@@ -148,11 +159,28 @@ def _vector_matrix(ids, vectors, metric, normalized: bool) -> DistanceMatrix:
 
     The ids are checked before ``vectors``, any iterable, is read.
     """
+    ids, rows = _vector_rows(ids, vectors, metric, normalized)
+    return DistanceMatrix._adopt(ids, _mirrored(rows, len(ids)))
+
+
+def _vector_rows(ids, vectors, metric, normalized: bool):
+    """The checked ids, and their matrix's rows right of the diagonal
+    from :func:`ppn.core._distance_rows`, made one at a time: the first
+    k - 1 rows, as the last has no entries there.
+
+    The ids are checked before ``vectors``, any iterable, is read.
+    """
     ids = DistanceMatrix._labels(ids)
-    values = np.zeros((len(ids), len(ids)), dtype=np.float64)
-    for i, row in enumerate(_distance_rows(list(vectors), metric, normalized)):
+    return ids, _distance_rows(list(vectors), metric, normalized)
+
+
+def _mirrored(rows, k: int) -> np.ndarray:
+    """The k x k float64 array whose upper triangle is ``rows``, as
+    :func:`_vector_rows` makes them, mirrored below a zero diagonal."""
+    values = np.zeros((k, k), dtype=np.float64)
+    for i, row in enumerate(rows):
         values[i, i + 1 :] = values[i + 1 :, i] = row
-    return DistanceMatrix._adopt(ids, values)
+    return values
 
 
 @dataclass(slots=True)
@@ -206,17 +234,26 @@ def upgma(matrix: DistanceMatrix) -> PhyloTree:
 
     A merge rewrites the merged cluster's whole row and column at once
     and rescans only the rows whose cached minimum it may have retired.
+    The merges run in a copy of ``matrix.values``, so ``matrix`` is
+    left as it was; ``ppn tree`` hands :func:`_upgma` the array it built
+    and holds no copy.
     """
-    k = matrix.size
+    return _upgma(matrix.labels, matrix.values.copy())
+
+
+def _upgma(labels: tuple, work: np.ndarray) -> PhyloTree:
+    """:func:`upgma` of the matrix ``work`` over ``labels``, checked as
+    :meth:`DistanceMatrix._check` checks it, merged in ``work`` itself,
+    which it overwrites."""
+    k = len(labels)
     # a merge's sum reaches k times the largest entry (2x for rounding); NaN fails <=
-    if not matrix.values.max() <= np.finfo(np.float64).max / (2 * k):
+    if not work.max() <= np.finfo(np.float64).max / (2 * k):
         raise NonFiniteDistanceError("distance matrix has NaN, infinite or huge entries")
-    work = matrix.values.copy()
     np.fill_diagonal(work, np.inf)
-    key = list(matrix.labels)
+    key = list(labels)
     size = [1] * k
     height = [0.0] * k
-    node = [TreeNode(name=label) for label in matrix.labels]
+    node = [TreeNode(name=label) for label in labels]
     # cached per-row minima; retired rows and columns sit at inf, never win
     row_min = work.min(axis=1)
 
@@ -691,24 +728,38 @@ def write_phylip(matrix: DistanceMatrix, fh) -> None:
 
     Entries are printed with full round-trip precision so that reading
     the file back reproduces the exact same doubles.  Each unordered
-    pair is formatted once, as the matrix is exactly symmetric.  Rows
-    are formatted :data:`_PHYLIP_ROWS` at a time; each block's strings
-    right of the diagonal are written in their own rows and, for every
-    column past the block, joined into one tab-separated text that
-    column's row writes left of its diagonal.  A column holds one text
-    per earlier block, never one string per pair, and drops them once
-    its row is written.
+    pair is formatted once, as the matrix is exactly symmetric: the
+    rows right of the diagonal go to :func:`_write_rows`, which
+    ``ppn matrix`` feeds straight from the distance rows, with no
+    matrix made.
     """
-    k = matrix.size
+    values = matrix.values
+    _write_rows(matrix.labels, (values[i, i + 1 :] for i in range(matrix.size - 1)), fh)
+
+
+def _write_rows(labels, rows, fh) -> None:
+    """Write the PHYLIP matrix over ``labels`` whose upper triangle is
+    ``rows``, an iterator of k - 1 float64 arrays, each row's entries
+    right of the diagonal, which is +0.0.
+
+    Rows are read and formatted :data:`_PHYLIP_ROWS` at a time; each
+    block's strings right of the diagonal are written in their own rows
+    and, for every column past the block, joined into one tab-separated
+    text that column's row writes left of its diagonal.  A column holds
+    one text per earlier block, never one string per pair, and drops
+    them once its row is written.
+    """
+    k = len(labels)
     fh.write(f"{k}\n")
     columns = [[] for _ in range(k)]
     for a in range(0, k, _PHYLIP_ROWS):
         b = min(a + _PHYLIP_ROWS, k)
-        block = [list(map(repr, matrix.values[i, i + 1 :].tolist())) for i in range(a, b)]
+        block = [list(map(repr, row.tolist())) for row in itertools.islice(rows, b - a)]
+        if b == k:
+            block.append([])  # the last row has no entries right of the diagonal
         for i, upper in enumerate(block, a):
             left = _above(columns, block[: i - a], i)
-            # DistanceMatrix stores the diagonal as +0.0
-            row = [_check_label(matrix.labels[i]), *left, "0.0", *upper]
+            row = [_check_label(labels[i]), *left, "0.0", *upper]
             fh.write("\t".join(row) + "\n")
         _hand_down(columns, block, b)
 
@@ -747,6 +798,11 @@ def read_phylip(source) -> DistanceMatrix:
     unordered pair is converted once; other spellings of the same
     numbers, other whitespace and CRLF read to the same floats.
     """
+    return DistanceMatrix._adopt(*_read_phylip(source))
+
+
+def _read_phylip(source) -> tuple[list, np.ndarray]:
+    """The labels and the unchecked array :func:`read_phylip` reads."""
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     fh = open(source, encoding="utf-8") if own else source
     try:
@@ -760,13 +816,14 @@ def read_phylip(source) -> DistanceMatrix:
             fh.close()
 
 
-def _parse_phylip(lines) -> DistanceMatrix:
-    """The matrix of the stripped non-blank ``lines`` of a PHYLIP text.
+def _parse_phylip(lines) -> tuple[list, np.ndarray]:
+    """The labels and array of the stripped non-blank ``lines`` of a
+    PHYLIP text.
 
     ``float`` reads each row's entries from its diagonal on.  The fields
     left of the diagonal are joined with tabs and compared with the
     fields the rows above had in the same column, held as
-    :func:`write_phylip` holds them; only when the two texts differ are
+    :func:`_write_rows` holds them; only when the two texts differ are
     they read one by one.  Fields hold no whitespace, so equal texts
     mean equal fields and so the same floats.
     """
@@ -821,9 +878,8 @@ def _parse_phylip(lines) -> DistanceMatrix:
         if len(block) == _PHYLIP_ROWS:
             _hand_down(columns, block, rows)
             block = []
-    columns = block = None  # released before the matrix is built
     if rows != k:
         raise ValidationError(f"expected {k} matrix rows, found {rows}")
     if error is not None:
         raise ValidationError(error)
-    return DistanceMatrix._adopt(labels, np.zeros((0, 0)) if values is None else values)
+    return labels, np.zeros((0, 0)) if values is None else values

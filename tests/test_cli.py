@@ -26,7 +26,8 @@ from ppn import (
 )
 from ppn import cli, core
 from ppn.cli import main, run_bench
-from ppn.phylo import _NQD_MAX_LEAVES
+from ppn.core import Metric, _shifted_rows
+from ppn.phylo import _NQD_MAX_LEAVES, write_phylip
 
 FASTA = """\
 >alpha
@@ -151,6 +152,35 @@ class TestMatrix:
         )
         assert code_e == code_m == 0
         assert out_e != out_m
+
+    @pytest.mark.parametrize("k", [2, 7, 8, 9, 17])
+    @pytest.mark.parametrize("radius, dtype", [(4, np.int64), (10, object)])
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_streamed_rows_give_the_bytes_of_write_phylip(
+        self, tmp_path, k, radius, dtype, metric, normalize
+    ):
+        """``ppn matrix`` hands the distance rows to the PHYLIP writer as
+        they are made, and ``write_phylip`` hands it a matrix's rows; the
+        two give the same bytes.  The writer gets k - 1 rows, and at k = 8
+        and 9 they end one block of ``_PHYLIP_ROWS`` or spill one row into
+        the next.  At l = 10 a poly-T and a poly-A record take the exact
+        sums past int64, into Python ints."""
+        rng = np.random.default_rng(k)
+        bases = ["".join(rng.choice(list("ACGT"), 150)) for _ in range(k)]
+        if radius == 10:
+            bases[:2] = ["T" * 300, "A" * 300]
+        path, dest = tmp_path / "in.fa", tmp_path / "m.phy"
+        path.write_text("".join(f">r{i}\n{b}\n" for i, b in enumerate(bases)))
+        params = PpnParams(radius=radius, metric=metric)
+        seqs = read_fasta(path)
+        vectors = [ppn_vector(s, params) for s in seqs]
+        assert _shifted_rows(vectors, Metric(metric)).dtype == dtype
+        want = io.StringIO()
+        write_phylip(pairwise_matrix(seqs, params, normalized=normalize), want)
+        argv = ["matrix", "--input", str(path), "--l", str(radius), "--metric", metric]
+        assert main([*argv, *["--normalize"] * normalize, "--output", str(dest)]) == 0
+        assert dest.read_bytes() == want.getvalue().encode()
 
     def test_short_records_are_batched_not_vectored_one_by_one(
         self, tmp_path, capsys, monkeypatch
@@ -750,7 +780,14 @@ class TestMemory:
         peak = self._peak(["matrix", "--input", str(short_fasta), "--output", str(dest)])
         assert peak < self.K**2 * 8 + 1e6, peak
 
-    def test_matrix_peak_at_1000_taxa_is_below_half_the_text(self, tmp_path):
+    @pytest.fixture
+    def fasta_1000(self, tmp_path):
+        """1000 records of 200 nt from ``ppn simulate --seed 3``."""
+        path = tmp_path / "k1000.fa"
+        write_fasta(simulate(SimulationSpec(species_count=1000, length=200, seed=3)), path)
+        return path
+
+    def test_matrix_peak_at_1000_taxa_is_below_half_the_text(self, fasta_1000, tmp_path):
         """``ppn matrix --output f`` peaks below one k x k float64 matrix
         plus half the PHYLIP text, at k = 1000.  Measured as above on
         ``ppn simulate --seed 3`` records of 200 nt (seed 1 alike): the
@@ -758,24 +795,61 @@ class TestMemory:
         18.4 MB; with one string held per pair it was 27.0 MB, 0.65 MB
         above the matrix plus the whole text."""
         k = 1000
-        path, dest = tmp_path / "k1000.fa", tmp_path / "m.phy"
-        write_fasta(simulate(SimulationSpec(species_count=k, length=200, seed=3)), path)
-        peak = self._peak(["matrix", "--input", str(path), "--output", str(dest)])
+        dest = tmp_path / "m.phy"
+        peak = self._peak(["matrix", "--input", str(fasta_1000), "--output", str(dest)])
         assert peak < k**2 * 8 + dest.stat().st_size / 2, peak
+
+    def test_matrix_peak_at_1000_taxa_holds_no_matrix(self, fasta_1000, tmp_path):
+        """``ppn matrix --output f`` peaks below half the PHYLIP text, with
+        no k x k term, at k = 1000: the distance rows go to the writer as
+        they are made.  Measured as above (seeds 1 to 3): the peak was
+        8.77 to 8.82 MB, most of it the writer's column texts, and the
+        text is 18.4 MB, so the margin is 0.36 MB or more; when a matrix
+        was filled first the peak was 15.1 MB."""
+        dest = tmp_path / "m.phy"
+        peak = self._peak(["matrix", "--input", str(fasta_1000), "--output", str(dest)])
+        assert peak < dest.stat().st_size / 2, peak
+
+    def test_tree_peak_at_1000_taxa_is_one_matrix(self, fasta_1000, tmp_path):
+        """``ppn tree`` on a FASTA peaks below one k x k float64 matrix plus
+        3 MB, at k = 1000: it merges in the array it built, with no
+        working copy.  Measured as above (seeds 1 to 3): the peak was
+        10.34 MB, 2.34 MB above the matrix (8 MB), reached while the
+        array is filled and the vectors' shifted rows are made; with
+        ``upgma``'s copy it was 16.49 MB."""
+        k = 1000
+        out = tmp_path / "t.nwk"
+        peak = self._peak(["tree", "--input", str(fasta_1000), "--output", str(out)])
+        assert peak < k**2 * 8 + 3e6, peak
 
     def test_tree_peak_on_a_matrix_file_is_two_matrices(self, short_fasta, tmp_path):
         """``ppn tree --input dist.phy`` peaks below two k x k float64
-        matrices plus 0.5 MB, at k = 300: the matrix read and the working
-        copy ``upgma`` merges in, never the file's text.  ``read_phylip``
-        hands its array to ``DistanceMatrix`` without a copy; the text it
-        holds for the lower triangle is released before that.  Measured
-        as in the matrix tests: the peak was 0.15 MB above the two
-        matrices (1.44 MB); when all lines were kept it was 2.71 MB
-        above."""
+        matrices plus 0.5 MB, at k = 300: never the file's text.  The tree
+        is merged in the array ``read_phylip``'s parse fills, with no
+        working copy, and the next test bounds the peak with room for one
+        matrix only.  Measured as in the matrix tests: the peak was
+        1.47 MB, 0.03 MB above the two matrices (1.44 MB); with
+        ``upgma``'s copy it was 0.15 MB above, and when all lines were
+        kept 2.71 MB above."""
         phy = tmp_path / "m.phy"
         assert main(["matrix", "--input", str(short_fasta), "--output", str(phy)]) == 0
         peak = self._peak(["tree", "--input", str(phy), "--output", str(tmp_path / "t.nwk")])
         assert peak < 2 * self.K**2 * 8 + 0.5e6, peak
+
+    def test_tree_peak_on_a_matrix_file_is_one_matrix_and_the_held_text(
+        self, short_fasta, tmp_path
+    ):
+        """``ppn tree --input dist.phy`` peaks below one k x k float64
+        matrix plus half the file's text, at k = 300: the array read and
+        the tab-joined column texts the reader holds to compare each
+        lower row with its mirror.  Measured as in the matrix tests
+        (seeds 1 to 3): the peak was 1.47 MB, 0.75 MB above the matrix
+        (0.72 MB), and the text is 1.65 MB, so the margin is 0.07 MB;
+        with ``upgma``'s copy the peak was 1.60 MB, above the bound."""
+        phy = tmp_path / "m.phy"
+        assert main(["matrix", "--input", str(short_fasta), "--output", str(phy)]) == 0
+        peak = self._peak(["tree", "--input", str(phy), "--output", str(tmp_path / "t.nwk")])
+        assert peak < self.K**2 * 8 + phy.stat().st_size / 2, peak
 
     def test_feed_peak_does_not_grow_with_the_chunks_in_a_block(self):
         """The traced peak of one ``feed`` of eight chunks is within 1.1x of

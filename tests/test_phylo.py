@@ -295,6 +295,19 @@ class TestUpgma:
         assert max(depths) - min(depths) < 1e-9
         assert rng  # keep the fixture-free style honest
 
+    def test_leaves_its_matrix_as_it_was(self):
+        """``upgma`` merges in a copy: the matrix's values stay
+        bit-identical and read-only, and a second call gives the same
+        tree."""
+        rng = np.random.default_rng(24)
+        upper = np.triu(rng.random((20, 20)), 1)
+        m = DistanceMatrix([f"t{i}" for i in range(20)], upper + upper.T)
+        before = m.values.tobytes()
+        first = to_newick(upgma(m))
+        assert m.values.tobytes() == before
+        assert not m.values.flags.writeable
+        assert to_newick(upgma(m)) == first
+
     def test_rejects_non_finite_distances(self):
         bad = square([[0, np.inf], [np.inf, 0]])
         with pytest.raises(NonFiniteDistanceError):
