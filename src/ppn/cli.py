@@ -16,6 +16,8 @@ No command holds two k x k arrays.  ``ppn matrix`` writes the distance
 rows as they are made and holds no matrix; ``ppn tree`` builds one
 array, from the FASTA's rows or the PHYLIP file, runs on it the checks
 of :class:`ppn.phylo.DistanceMatrix` and merges in it, with no copy.
+``ppn treedist`` holds its two trees only until they are reduced to the
+tables that nRF and nQD read.
 """
 
 from __future__ import annotations
@@ -283,21 +285,23 @@ def cmd_tree(args, out) -> None:
     out.write(phylo.to_newick(phylo._upgma(labels, values)) + "\n")
 
 
+def _newick(path: str) -> phylo.PhyloTree:
+    """The tree in the Newick file ``path``, read as UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return phylo.from_newick(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise NewickParseError(f"{path} is not valid UTF-8", exc.start) from None
+
+
 def cmd_treedist(args, out) -> None:
     if len(args.input) != 2:
         raise ValidationError(
             f"treedist needs exactly two --input trees, got {len(args.input)}"
         )
-    trees = []
-    for path in args.input:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            trees.append(phylo.from_newick(data.decode("utf-8")))
-        except UnicodeDecodeError as exc:
-            raise NewickParseError(f"{path} is not valid UTF-8", exc.start) from None
-    qd = phylo.nqd(trees[0], trees[1])
-    rf = phylo.nrf(trees[0], trees[1])
+    # each tree is parsed when _compare asks for it and held only there
+    rf, qd = phylo._compare(map(_newick, args.input))
     out.write(f"nRF\t{rf:.4f}\nnQD\t{qd:.4f}\n")
 
 

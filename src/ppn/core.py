@@ -754,13 +754,15 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     result is bit-identical to ``math.sqrt`` of the exact sum.  With
     ``normalized`` the rows are float64 arrays of the correctly rounded
     ``x / windows``; each pair's terms are summed by ``math.fsum``.
+    The vectors are not held once the rows are made.
     """
     if normalized:
         rows = np.array([[c / v.windows for c in v.components] for v in vectors])
     else:
         rows = _shifted_rows(vectors, metric)
+    del vectors  # a list that no one else holds goes before the first row
     euclidean = metric is Metric.EUCLIDEAN
-    for i in range(len(vectors) - 1):
+    for i in range(len(rows) - 1):
         diff = rows[i] - rows[i + 1 :]
         terms = diff * diff if euclidean else np.abs(diff)
         if normalized:

@@ -9,6 +9,7 @@ are insensitive to root placement.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import re
@@ -49,6 +50,15 @@ _CHECK_CELLS = 1 << 15
 #: strings are held one per pair while its rows are written; 8 held the
 #: least at k = 300 (writer peak 0.81 MB, against 0.98 at 16 and 1.58 at 32)
 _PHYLIP_ROWS = 8
+
+
+def _check_distinct(items, error, what: str) -> None:
+    """Raise ``error`` naming the first of ``items``, a sequence, that
+    occurs more than once, if any does; each item is counted once."""
+    counts = collections.Counter(items)
+    if len(counts) != len(items):
+        dup = next(x for x in items if counts[x] > 1)
+        raise error(f"duplicate {what} {dup!r}")
 
 
 class DistanceMatrix:
@@ -119,9 +129,7 @@ class DistanceMatrix:
         labels = tuple(labels)
         if len(labels) < 2:
             raise ValidationError(f"distance matrix needs >= 2 taxa, got {len(labels)}")
-        if len(set(labels)) != len(labels):
-            dup = next(x for x in labels if labels.count(x) > 1)
-            raise DuplicateIdError(f"duplicate taxon label {dup!r}")
+        _check_distinct(labels, DuplicateIdError, "taxon label")
         return labels
 
     @property
@@ -175,10 +183,16 @@ def _vector_rows(ids, vectors, metric, normalized: bool):
 
 
 def _mirrored(rows, k: int) -> np.ndarray:
-    """The k x k float64 array whose upper triangle is ``rows``, as
-    :func:`_vector_rows` makes them, mirrored below a zero diagonal."""
-    values = np.zeros((k, k), dtype=np.float64)
+    """The k x k float64 array, k >= 2, whose upper triangle is ``rows``,
+    as :func:`_vector_rows` makes them, mirrored below a zero diagonal.
+
+    The array is made once the first row is, when the rows' source no
+    longer holds the vectors.
+    """
+    values = None
     for i, row in enumerate(rows):
+        if values is None:
+            values = np.zeros((k, k), dtype=np.float64)
         values[i, i + 1 :] = values[i + 1 :, i] = row
     return values
 
@@ -203,10 +217,7 @@ class PhyloTree:
 
     def __init__(self, root: TreeNode):
         self.root = root
-        names = self.leaf_names()
-        if len(set(names)) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
-            raise DuplicateLeafError(f"duplicate leaf label {dup!r}")
+        _check_distinct(self.leaf_names(), DuplicateLeafError, "leaf label")
 
     def walk(self):
         """Yield every node, parents before children."""
@@ -467,13 +478,15 @@ def _forks(tree: PhyloTree, column: dict[str, int], leaves=None):
     return size, inner, table
 
 
-def _splits(tree: PhyloTree, column: dict[str, int]) -> set[bytes]:
-    """Nontrivial splits as membership-row bytes.  Only the edge above a
-    fork cuts off 2 to k - 2 leaves; a row holding column 0 (the smallest
-    label) is flipped, so both sides of an edge make one entry."""
-    size, _, below = _forks(tree, column)
+def _splits(size: list[int], below: np.ndarray) -> set[bytes]:
+    """Nontrivial splits as membership-row bytes, from :func:`_forks`'s
+    leaf counts and membership table, whose rows it flips in place.
+    Only the edge above a fork cuts off 2 to k - 2 leaves; a row holding
+    column 0 (the smallest label) is flipped, so both sides of an edge
+    make one entry."""
     below[below[:, 0]] ^= True
-    return {row.tobytes() for row, n in zip(below, size) if 2 <= n <= len(column) - 2}
+    k = below.shape[1]
+    return {row.tobytes() for row, n in zip(below, size) if 2 <= n <= k - 2}
 
 
 def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
@@ -487,7 +500,13 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
     bytes per tree.
     """
     column = _check_comparable(t1, t2)
-    s1, s2 = _splits(t1, column), _splits(t2, column)
+    size1, _, below1 = _forks(t1, column)
+    size2, _, below2 = _forks(t2, column)
+    return _nrf(_splits(size1, below1), _splits(size2, below2))
+
+
+def _nrf(s1: set[bytes], s2: set[bytes]) -> float:
+    """:func:`nrf` of two trees' split sets."""
     denom = len(s1) + len(s2)
     if denom == 0:
         return 0.0
@@ -510,8 +529,11 @@ _NQD_MAX_LEAVES = 7131
 #: one chunk of :func:`nqd`'s first-tree nodes: at least this many, and at
 #: least the shared-leaf table's cells over ``_NQD_SHARE``, or large trees
 #: would take one node per chunk.  At its peak a chunk holds about 11
-#: bytes per cell, so at 48 leaves the chunk is half of nqd's peak
-_NQD_CELLS = 1 << 11
+#: bytes per cell.  ``ppn treedist`` drops both trees before the chunks,
+#: and at 48 leaves a chunk of 4 096 cells fits in what they held; the
+#: public :func:`nqd` keeps its caller's trees, so its own peak there is
+#: about 24 KB above what 2 048 cells gave
+_NQD_CELLS = 1 << 12
 _NQD_SHARE = 8
 
 
@@ -599,6 +621,20 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     more, all C(m, 2) branch pairs at once (see :func:`_separated`).
     Time and memory are O(k^2) for binary trees.
     """
+    return _compare((t1, t2), with_rf=False)[1]
+
+
+def _compare(trees, with_rf: bool = True) -> tuple[float | None, float]:
+    """:func:`nrf` (None unless ``with_rf``) and :func:`nqd` of the two
+    trees that the iterable ``trees`` gives, each check made once, in
+    :func:`nqd`'s order.
+
+    The trees are reduced to their :func:`_forks` tables, then dropped
+    with their leaf names before either metric is computed, so nQD's
+    chunks reuse their memory; ``ppn treedist`` hands over trees that
+    nothing else holds.
+    """
+    t1, t2 = trees
     column = _check_comparable(t1, t2)
     k = len(column)
     if k > _NQD_MAX_LEAVES:
@@ -608,24 +644,27 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     size2, inner2, below2 = _forks(t2, column)
     # shared[f, g]: leaves below both fork f of t1 and fork g of t2
     size1, inner1, shared = _forks(t1, column, below2.T)
-    del below2
+    below1 = _forks(t1, column)[2] if with_rf else None
+    del t1, t2, column
+    rf = _nrf(_splits(size1, below1), _splits(size2, below2)) if with_rf else None
+    del below1, below2
     fork1, complement1, width1, starts1, signs1 = _quartet_nodes(size1, inner1, k)
     fork2, complement2, width2, starts2, signs2 = _quartet_nodes(size2, inner2, k)
     resolved = _resolved(width1, starts1, signs1) + _resolved(width2, starts2, signs2)
     if not len(signs1) or not len(signs2):
-        return resolved / math.comb(k, 4)
+        return rf, resolved / math.comb(k, 4)
     second = _columns(size2, fork2, complement2, starts2, signs2)
     cells = max(_NQD_CELLS, shared.size // _NQD_SHARE)
     chunks = _chunks(fork1, complement1, width1, starts1, signs1, len(fork2), cells)
-    # dropped before the chunks: at 48 leaves they are a tenth of nqd's peak
-    del column, size1, inner1, size2, inner2, fork2, complement2, width2
+    # what the chunks do not read goes before them
+    del size1, inner1, size2, inner2, fork2, complement2, width2
 
     same = both = 0  # quartets resolved alike in both trees; resolved in both
     for chunk in chunks:
         chunk_same, chunk_both = _separated(shared, *chunk, second, cells)
         same += chunk_same
         both += chunk_both
-    return (resolved - same - both) / math.comb(k, 4)
+    return rf, (resolved - same - both) / math.comb(k, 4)
 
 
 def _columns(size, fork, complement, starts, signs):

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface, run in-process."""
 
+import gc
 import io
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -15,19 +17,26 @@ import pytest
 import ppn
 
 from ppn import (
+    PhyloTree,
     PpnParams,
     SimulationSpec,
+    TreeNode,
+    from_newick,
+    nqd,
+    nrf,
     pairwise_matrix,
     ppn_vector,
     read_fasta,
     simulate,
+    to_newick,
     window_count,
     write_fasta,
 )
-from ppn import cli, core
+from ppn import cli, core, phylo
 from ppn.cli import main, run_bench
 from ppn.core import Metric, _shifted_rows
 from ppn.phylo import _NQD_MAX_LEAVES, write_phylip
+from oracles import random_binary_tree
 
 FASTA = """\
 >alpha
@@ -344,6 +353,88 @@ class TestTreedist:
         )
         assert code == 3
         assert "UTF-8 (at offset 9)" in err
+
+    # Newick texts for the error corpus; "big" trees hold one leaf over the
+    # nQD cap, s0 to s7131
+    BIG = [f"s{i}" for i in range(_NQD_MAX_LEAVES + 1)]
+    TEXTS = {
+        "open": b"((A,B),(C,D)",
+        "comment": b"((A,B)[x],(C,D));",
+        "empty": b"",
+        "latin1": b"((A,B),(C\xff,D));",
+        "dup": b"((A,A),(C,D));",
+        "dup-late": b"((B,A),(A,B),C);",
+        "abcd": b"((A,B),(C,D));",
+        "abce": b"((A,B),(C,E));",
+        "abcde": b"((A,B),(C,(D,E)));",
+        "abc": b"(A,B,C);",
+        "abd": b"(A,B,D);",
+        "big": ("(" + ",".join(BIG) + ");").encode(),
+        "big-other": ("(" + ",".join(BIG[:-1] + ["zz"]) + ");").encode(),
+        "big-dup": ("(" + ",".join(BIG[:-1] + ["s0"]) + ");").encode(),
+    }
+
+    # each check in its order: parse errors, the first file's first, then
+    # leaf-set mismatch, too few leaves, and last the nQD cap
+    @pytest.mark.parametrize("first, second, code, message", [
+        ("open", "comment", 3, "expected ',' or ')' (at offset 12)"),
+        ("comment", "open", 3, "Newick comments ('[...]') are not supported (at offset 6)"),
+        ("abcd", "empty", 3, "expected a leaf label, found 'end of input' (at offset 0)"),
+        ("latin1", "open", 3, "{latin1} is not valid UTF-8 (at offset 9)"),
+        ("abcd", "latin1", 3, "{latin1} is not valid UTF-8 (at offset 9)"),
+        ("dup", "open", 3, "duplicate leaf label 'A'"),
+        ("abcd", "dup-late", 3, "duplicate leaf label 'B'"),
+        ("big", "big-dup", 3, "duplicate leaf label 's0'"),
+        ("big", "open", 3, "expected ',' or ')' (at offset 12)"),
+        ("abcd", "abce", 2,
+         "leaf sets differ (e.g. only in first: ['D'], only in second: ['E'])"),
+        ("abcde", "abcd", 2, "leaf sets differ (e.g. only in first: ['E'], only in second: [])"),
+        ("abc", "abd", 2, "leaf sets differ (e.g. only in first: ['C'], only in second: ['D'])"),
+        ("abc", "big", 2, "leaf sets differ (e.g. only in first: ['A', 'B', 'C'], "
+         "only in second: ['s0', 's1', 's10'])"),
+        ("big", "big-other", 2,
+         "leaf sets differ (e.g. only in first: ['s7131'], only in second: ['zz'])"),
+        ("abc", "abc", 2, "tree comparison needs >= 4 leaves, got 3"),
+        ("big", "big", 2, "nQD is computed for at most 7131 leaves, got 7132"),
+    ])
+    def test_errors_come_in_order(self, tmp_path, capsys, first, second, code, message):
+        paths = []
+        for name in (first, second):
+            paths.append(tmp_path / f"{name}.nwk")
+            paths[-1].write_bytes(self.TEXTS[name])
+        argv = ["treedist", "--input", str(paths[0]), "--input", str(paths[1])]
+        message = message.format(latin1=tmp_path / "latin1.nwk")
+        assert run(argv, capsys) == (code, "", f"ppn treedist: {message}\n")
+
+    def test_holds_no_tree_while_nqd_counts(self, tmp_path, capsys, monkeypatch):
+        """When nQD's first chunk is scored, no tree or node parsed by the
+        run is left: the trees were dropped once reduced to tables."""
+        rng = random.Random(7)
+        labels = [f"leaf{i}" for i in range(48)]
+        paths = []
+        for name in "ab":
+            paths.append(tmp_path / f"{name}.nwk")
+            paths[-1].write_text(to_newick(random_binary_tree(rng, labels)))
+        before = [o for o in gc.get_objects() if isinstance(o, (PhyloTree, TreeNode))]
+        known = {id(o) for o in before}  # held in ``before``, so no id is reused
+        left = []
+        separated = phylo._separated
+
+        def spy(*args):
+            if not left:
+                gc.collect()
+                left.append([
+                    o for o in gc.get_objects()
+                    if isinstance(o, (PhyloTree, TreeNode)) and id(o) not in known
+                ])
+            return separated(*args)
+
+        monkeypatch.setattr(phylo, "_separated", spy)
+        argv = ["treedist", "--input", str(paths[0]), "--input", str(paths[1])]
+        code, out, _ = run(argv, capsys)
+        trees = [from_newick(p.read_text()) for p in paths]
+        assert (code, out) == (0, f"nRF\t{nrf(*trees):.4f}\nnQD\t{nqd(*trees):.4f}\n")
+        assert left == [[]]
 
 
 class TestRepeatedMain:
@@ -821,6 +912,21 @@ class TestMemory:
         out = tmp_path / "t.nwk"
         peak = self._peak(["tree", "--input", str(fasta_1000), "--output", str(out)])
         assert peak < k**2 * 8 + 3e6, peak
+
+    def test_tree_peak_at_1000_taxa_holds_no_vectors_beside_the_matrix(
+        self, fasta_1000, tmp_path
+    ):
+        """``ppn tree`` on a FASTA peaks below one k x k float64 matrix plus
+        1.5 MB, at k = 1000: the array is made after the first distance
+        row, when the vectors (1.18 MB as Python ints) and the shifted
+        rows' object array are gone.  Measured as above (seeds 1 to 3):
+        the peak was 8.92 MB, most of the rest the int64 shifted rows and
+        the first row's differences; when the array was made before the
+        rows' source ran it was 10.34 MB."""
+        k = 1000
+        out = tmp_path / "t.nwk"
+        peak = self._peak(["tree", "--input", str(fasta_1000), "--output", str(out)])
+        assert peak < k**2 * 8 + 1.5e6, peak
 
     def test_tree_peak_on_a_matrix_file_is_two_matrices(self, short_fasta, tmp_path):
         """``ppn tree --input dist.phy`` peaks below two k x k float64

@@ -51,6 +51,7 @@ from ppn.phylo import (
     _CHECK_CELLS,
     _NQD_MAX_LEAVES,
     _check_comparable,
+    _forks,
     _splits,
     _vector_matrix,
 )
@@ -83,6 +84,38 @@ class TestDistanceMatrix:
         # duplicate labels mean malformed input, not a parameter problem
         with pytest.raises(DuplicateIdError):
             DistanceMatrix(["a", "a"], square([[0, 1], [1, 0]]))
+
+    # the label named is the first whose count is above 1, which is not
+    # always the first repeat a scan meets: in "a b b a" that is "b"
+    @pytest.mark.parametrize("labels, named", [
+        ("a b b a", "a"),
+        ("c a b b a", "a"),
+        ("a b c c b a", "a"),
+        ("x y z z y", "y"),
+        ("a b a b", "a"),
+        ("a b c d d", "d"),
+    ])
+    def test_names_the_first_label_that_repeats(self, labels, named):
+        labels = labels.split()
+        k = len(labels)
+        with pytest.raises(DuplicateIdError, match=f"duplicate taxon label {named!r}$"):
+            DistanceMatrix(labels, np.zeros((k, k)))
+
+    def test_counts_each_label_once(self):
+        # 20 000 labels with the repeat last compare a few labels, not k^2
+        compared = []
+
+        class Label(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                compared.append(1)
+                return str.__eq__(self, other)
+
+        labels = [Label(f"t{i}") for i in range(20_000)] + [Label("t19999")]
+        with pytest.raises(DuplicateIdError, match="'t19999'"):
+            DistanceMatrix._labels(labels)
+        assert len(compared) < 100
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
@@ -413,6 +446,18 @@ class TestNewick:
         with pytest.raises(DuplicateLeafError):
             from_newick("(A,(B,A));")
 
+    # leaves in walk order, which takes a fork's children last first: the
+    # leaf named is the first whose count is above 1, where a scan would
+    # meet another repeat first
+    @pytest.mark.parametrize("text, named", [
+        ("((B,A),(A,B),C);", "B"),  # walk order C B A A B
+        ("(A,B,B,A,C);", "A"),  # C A B B A
+        ("((A,B),(C,C),(B,A));", "A"),  # A B C C B A
+    ])
+    def test_names_the_first_leaf_that_repeats(self, text, named):
+        with pytest.raises(DuplicateLeafError, match=f"duplicate leaf label {named!r}$"):
+            from_newick(text)
+
     def test_deep_caterpillar_round_trips(self):
         k = 2000
         text = "(" * (k - 1) + "L0"
@@ -430,9 +475,10 @@ def split_label_sets(tree):
     """``_splits`` with each membership row mapped back to its leaf labels."""
     column = _check_comparable(tree, tree)
     labels = np.array(list(column))
+    size, _, below = _forks(tree, column)
     return {
         frozenset(labels[np.frombuffer(row, dtype=bool)].tolist())
-        for row in _splits(tree, column)
+        for row in _splits(size, below)
     }
 
 

@@ -803,6 +803,22 @@ def test_nqd_chunk_size_changes_no_bit(pair):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.integers(4, 60).flatmap(
+    lambda k: st.tuples(*[shaped_trees([f"x{i}" for i in range(k)])] * 2)
+))
+def test_treedist_core_equals_nrf_and_nqd(pair):
+    # the core of ppn treedist, which drops the trees it is given once
+    # reduced, and the public functions, which keep them
+    t1, t2 = pair
+    want = [nrf(t1, t2).hex(), nqd(t1, t2).hex()]
+    copies = (from_newick(to_newick(t)) for t in pair)
+    assert [d.hex() for d in phylo._compare(copies)] == want
+    assert [d.hex() for d in phylo._compare(iter((t2, t1)))] == [
+        nrf(t2, t1).hex(), nqd(t2, t1).hex()
+    ]
+
+
+@settings(max_examples=200, deadline=None)
 @given(tree_pairs())
 def test_nrf_equals_the_split_oracle(pair):
     t1, t2 = pair
