@@ -4,8 +4,8 @@ simulation, and scaling benchmarks.
 Each subcommand writes its text into the writer :func:`main` hands it;
 only :func:`main` touches stdout, stderr, the output file and the exit
 code.  Exit codes: 0 success, 1 I/O failure, 2 invalid parameters or
-inconsistent inputs, 3 malformed input data.  The writer gathers
-UTF-8 text up to 16 KiB at a time and streams it into a temp file as the
+inconsistent inputs, 3 malformed input data.  The writer streams
+UTF-8 text through Python's buffered I/O into a temp file as the
 subcommand runs, so no output is held whole.  The temp file reaches the
 ``--output`` path only when the run succeeds: it is renamed over a file,
 or copied to stdout for '-' (the default), so a failed run writes
@@ -43,34 +43,31 @@ EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_MALFORMED = 3
 
-#: Most bytes of encoded text :class:`_Output` holds between system calls.
-_HOLD = 1 << 14
-
-
 class _Output:
     """The writer :func:`main` hands a subcommand, as a context manager.
 
-    ``write(text)`` encodes ``text`` as UTF-8 and holds it; what is held
-    goes to a temp file in one ``os.write`` before it would pass
-    :data:`_HOLD` bytes, and a text of that size or more goes as it is,
-    so the writer never holds more than :data:`_HOLD` bytes.  The text
-    reaches ``path`` ('-' for stdout) only if the ``with`` block ends
-    without an exception.  For a file the temp file is ``.ppn-*.tmp`` in
-    the destination's directory, renamed over the destination on success
-    and removed on failure.  A new file gets the mode a plain
+    ``write(text)`` goes through Python's text and buffered layers,
+    ``io.TextIOWrapper`` (UTF-8, no newline translation) over
+    ``io.BufferedWriter`` with its default buffer, into a temp file.
+    The layers are made at the first ``write``, so a command that writes
+    only at its end holds no buffer while it computes.  The text reaches
+    ``path`` ('-' for stdout) only if the ``with`` block ends without an
+    exception.  For a file the temp file is ``.ppn-*.tmp`` in the
+    destination's directory, made here, renamed over the destination on
+    success and removed on failure.  A new file gets the mode a plain
     ``open(path, "w")`` would give it (0666 less the umask); a replaced
-    file keeps its mode.  For '-' the temp file is an anonymous one in the
-    system temp directory, copied to stdout on success.
+    file keeps its mode.  For '-' the temp file is an anonymous one in
+    the system temp directory, copied to stdout on success.  The temp
+    file is closed last, after the text layer is flushed on success, so
+    after a failure the upper layers are closed with nothing to flush.
     """
 
-    __slots__ = ("path", "tmp", "fd", "held")
+    __slots__ = ("path", "tmp", "raw", "text")
 
     def __init__(self, path: str):
-        self.path = path
-        self.held = bytearray()
+        self.path, self.text = path, None
         if path == "-":
-            self.tmp = tempfile.TemporaryFile(prefix=".ppn-", buffering=0)
-            self.fd = self.tmp.fileno()
+            self.raw = tempfile.TemporaryFile(prefix=".ppn-", buffering=0)
             return
         try:
             mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -79,52 +76,37 @@ class _Output:
             os.umask(umask)
             mode = 0o666 & ~umask
         directory = os.path.dirname(os.path.abspath(path))
-        self.fd, self.tmp = tempfile.mkstemp(
-            dir=directory, prefix=".ppn-", suffix=".tmp"
-        )
+        fd, self.tmp = tempfile.mkstemp(dir=directory, prefix=".ppn-", suffix=".tmp")
         try:
-            os.fchmod(self.fd, mode)
+            os.fchmod(fd, mode)
+            self.raw = open(fd, "wb", buffering=0)
         except BaseException:
-            os.close(self.fd)
+            os.close(fd)
             os.unlink(self.tmp)
             raise
 
     def write(self, text: str) -> None:
-        data = text.encode("utf-8")
-        if len(self.held) + len(data) > _HOLD:
-            self._send(self.held)
-            self.held.clear()
-        if len(data) >= _HOLD:
-            self._send(data)
-        else:
-            self.held += data
-
-    def _send(self, data) -> None:
-        data = memoryview(data)
-        while data:
-            data = data[os.write(self.fd, data) :]
+        if self.text is None:
+            self.text = io.TextIOWrapper(
+                io.BufferedWriter(self.raw), encoding="utf-8", newline=""
+            )
+        self.text.write(text)
 
     def __enter__(self):
         return self
 
     def __exit__(self, failure, *_) -> None:
-        if self.path == "-":
-            with self.tmp:
-                if failure is None:
-                    self._send(self.held)
-                    self.tmp.seek(0)
-                    _copy_to_stdout(self.tmp)
-            return
         try:
-            try:
-                if failure is None:
-                    self._send(self.held)
-            finally:
-                os.close(self.fd)
-            if failure is None:
+            with self.raw:
+                if failure is None and self.text is not None:
+                    self.text.flush()
+                if failure is None and self.path == "-":
+                    self.raw.seek(0)
+                    _copy_to_stdout(self.raw)
+            if failure is None and self.path != "-":
                 os.replace(self.tmp, self.path)
         finally:
-            if os.path.exists(self.tmp):
+            if self.path != "-" and os.path.exists(self.tmp):
                 os.unlink(self.tmp)
 
 

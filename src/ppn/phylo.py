@@ -12,7 +12,9 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import (
     TooFewLeavesError,
     ValidationError,
 )
+from .seqio import _opened
 
 __all__ = [
     "DistanceMatrix",
@@ -762,9 +765,11 @@ def _separated(shared, signs, forks, complements, widths, pairs, second, cells):
 
 # -- PHYLIP interchange ------------------------------------------------------
 
-def write_phylip(matrix: DistanceMatrix, fh) -> None:
+def write_phylip(matrix: DistanceMatrix, dest) -> None:
     """Write a relaxed PHYLIP matrix: count line, then label + full row.
 
+    ``dest`` may be a path (``str``, ``bytes`` or ``os.PathLike``), which
+    is written as UTF-8, or an open text stream, which is left open.
     Entries are printed with full round-trip precision so that reading
     the file back reproduces the exact same doubles.  Each unordered
     pair is formatted once, as the matrix is exactly symmetric: the
@@ -773,7 +778,8 @@ def write_phylip(matrix: DistanceMatrix, fh) -> None:
     matrix made.
     """
     values = matrix.values
-    _write_rows(matrix.labels, (values[i, i + 1 :] for i in range(matrix.size - 1)), fh)
+    with _opened(dest, "w") as fh:
+        _write_rows(matrix.labels, (values[i, i + 1 :] for i in range(matrix.size - 1)), fh)
 
 
 def _write_rows(labels, rows, fh) -> None:
@@ -828,43 +834,56 @@ def _hand_down(columns, block, b: int) -> None:
 def read_phylip(source) -> DistanceMatrix:
     """Read a relaxed PHYLIP matrix written by :func:`write_phylip`.
 
-    A value must be a number ``float`` reads from ASCII with no ``_``;
-    anything else raises :class:`ValidationError` naming its row.  Rows
-    are parsed as they are read, and the whole input is read before any
+    ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``),
+    read as UTF-8, or an open text stream, which is left open.  A value
+    must be a number ``float`` reads from ASCII with no ``_``; anything
+    else raises :class:`ValidationError` naming its row.  Rows are
+    parsed as they are read, and the whole input is read before any
     error is raised: text that is not UTF-8 anywhere, then a wrong row
     count, win over the first bad row.  Where the lower triangle repeats
     the upper one's fields, as :func:`write_phylip` writes it, each
     unordered pair is converted once; other spellings of the same
-    numbers, other whitespace and CRLF read to the same floats.
+    numbers, other whitespace and CRLF read to the same floats.  The
+    k x k array is made only once a row has k + 1 fields, and, for a
+    regular file, only when the file is large enough to hold k rows.
     """
     return DistanceMatrix._adopt(*_read_phylip(source))
 
 
 def _read_phylip(source) -> tuple[list, np.ndarray]:
     """The labels and the unchecked array :func:`read_phylip` reads."""
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, encoding="utf-8") if own else source
+    with _opened(source, "r") as fh:
+        try:
+            return _parse_phylip((line for line in map(str.strip, fh) if line), _size(fh))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"distance matrix file is not valid {exc.encoding} text: {exc.reason}"
+            ) from None
+
+
+def _size(fh):
+    """The bytes in the regular file under the stream ``fh``, or None for
+    a pipe, a stream with no file descriptor, or a file that reports no
+    size (as some virtual file systems do for files that hold text)."""
     try:
-        return _parse_phylip(line for line in map(str.strip, fh) if line)
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"distance matrix file is not valid {exc.encoding} text: {exc.reason}"
-        ) from None
-    finally:
-        if own:
-            fh.close()
+        st = os.fstat(fh.fileno())
+    except (AttributeError, OSError, ValueError):
+        return None
+    return st.st_size if stat.S_ISREG(st.st_mode) and st.st_size else None
 
 
-def _parse_phylip(lines) -> tuple[list, np.ndarray]:
+def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
     """The labels and array of the stripped non-blank ``lines`` of a
-    PHYLIP text.
+    PHYLIP text of ``size`` bytes, or of unknown size when that is None.
 
     ``float`` reads each row's entries from its diagonal on.  The fields
     left of the diagonal are joined with tabs and compared with the
     fields the rows above had in the same column, held as
     :func:`_write_rows` holds them; only when the two texts differ are
     they read one by one.  Fields hold no whitespace, so equal texts
-    mean equal fields and so the same floats.
+    mean equal fields and so the same floats.  A text of fewer than
+    k(2k + 1) bytes cannot hold k rows of k + 1 fields: its rows are
+    checked as any others, but no array is made.
     """
     first = next(lines, None)
     if first is None:
@@ -878,6 +897,7 @@ def _parse_phylip(lines) -> tuple[list, np.ndarray]:
             f"expected a taxon count on the first line, found {first!r}"
         ) from None
     labels, values, columns = [], None, None
+    room = size is None or size >= k * (2 * k + 1)  # k rows of one-character fields
     block = []  # the block's rows so far, as their fields right of the diagonal
     error, rows = None, 0  # the first bad row's message; rows read
     for rows, line in enumerate(lines, 1):
@@ -899,20 +919,23 @@ def _parse_phylip(lines) -> tuple[list, np.ndarray]:
                 error = f"matrix row {rows}: {bad!r} is not an ASCII decimal number"
                 continue
         r = rows - 1
-        if values is None:
+        if values is None and room:
             # a row of k + 1 fields bounds k by the input's own size
             values = np.zeros((k, k), dtype=np.float64)
             columns = [[] for _ in range(k)]
-        mirrored = "\t".join(parts[1:rows]) == "\t".join(_above(columns, block, r))
+        above = None if values is None else "\t".join(_above(columns, block, r))
+        mirrored = "\t".join(parts[1:rows]) == above
         try:
             row = list(map(float, parts[rows if mirrored else 1 :]))
         except ValueError as exc:
             error = f"matrix row {rows}: {exc}"
             continue
+        labels.append(parts[0])
+        if values is None:  # too small a file to fill the array
+            continue
         if mirrored:
             values[r, :r] = values[:r, r]
         values[r, k - len(row) :] = row
-        labels.append(parts[0])
         block.append(parts[rows + 1 :])
         if len(block) == _PHYLIP_ROWS:
             _hand_down(columns, block, rows)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +46,20 @@ class SimulationSpec:
             raise ValidationError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
 
 
+def _opened(target, mode: str):
+    """``target`` as an open file, for a ``with`` statement.
+
+    A path (``str``, ``bytes`` or any ``os.PathLike``) is opened in
+    ``mode``, as UTF-8 in text mode, and closed on exit; anything else
+    is an open stream, used as it is and left open.  This is the one
+    rule by which the library's readers and writers tell a path from a
+    stream.
+    """
+    if isinstance(target, (str, bytes, os.PathLike)):
+        return open(target, mode, encoding=None if "b" in mode else "utf-8")
+    return contextlib.nullcontext(target)
+
+
 #: Bytes (characters, for a text stream) that :func:`read_fasta` reads at a time.
 _BLOCK = 1 << 18
 
@@ -57,16 +72,12 @@ def _blocks(source):
     character outside Latin-1), so offsets into the bytes are offsets
     into the text, and a header is taken from the text itself.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            while block := fh.read(_BLOCK):
-                yield block, None
-        return
-    while data := source.read(_BLOCK):
-        if isinstance(data, str):
-            yield data.encode("latin-1", errors="replace"), data
-        else:
-            yield bytes(data), None
+    with _opened(source, "rb") as fh:
+        while data := fh.read(_BLOCK):
+            if isinstance(data, str):
+                yield data.encode("latin-1", errors="replace"), data
+            else:
+                yield bytes(data), None
 
 
 def _breaks(buf: bytes, start: int, stop: int) -> int:
@@ -217,9 +228,10 @@ class _Pieces(list):
 def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     """Parse FASTA into encoded sequences, preserving record order.
 
-    ``source`` may be a path or an open text/byte stream; it is read
-    once, in blocks of :data:`_BLOCK` bytes, so apart from the returned
-    codes memory stays within one block.  LF, CRLF and CR-only line
+    ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``) or
+    an open text/byte stream, which is left open; it is read once, in
+    blocks of :data:`_BLOCK` bytes, so apart from the returned codes
+    memory stays within one block.  LF, CRLF and CR-only line
     endings are all accepted.  A header is a line that opens with '>';
     record ids are its first whitespace-delimited token.  The headers of
     a path or byte stream are read as UTF-8.  Each block's share of a
@@ -245,21 +257,18 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
 def write_fasta(seqs: list[EncodedSequence], dest, width: int = FASTA_LINE_WIDTH) -> None:
     """Write sequences as FASTA with ``width``-column wrapped lines.
 
+    ``dest`` may be a path (``str``, ``bytes`` or ``os.PathLike``), which
+    is written as UTF-8, or an open text stream, which is left open.
     Raises :class:`ValidationError`, before anything is opened or
     written, unless ``width`` is an integer >= 1.
     """
     if not _is_int(width) or width < 1:
         raise ValidationError(f"width must be an integer >= 1, got {width!r}")
-    own = isinstance(dest, (str, Path))
-    fh = open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with _opened(dest, "w") as fh:
         for seq in seqs:  # one write per record
             text = seq.bases()
             lines = [text[i : i + width] for i in range(0, len(text), width)]
             fh.write("\n".join([f">{seq.id}", *lines, ""]))
-    finally:
-        if own:
-            fh.close()
 
 
 def simulate(spec: SimulationSpec) -> list[EncodedSequence]:

@@ -13,13 +13,35 @@ from __future__ import annotations
 
 import decimal
 import math
+import os
 import re
 from collections import deque
 from itertools import combinations
+from pathlib import Path, PurePosixPath
 
 from ppn.phylo import PhyloTree, TreeNode, _check_label
 
 BASES = "ACGT"
+
+
+class PathLike:
+    """An ``os.PathLike`` that is neither a ``str`` nor a ``pathlib`` path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
+#: every form of the same file path that a reader or writer must open
+PATH_FORMS = {
+    "str": str,
+    "bytes": os.fsencode,
+    "Path": Path,
+    "PurePosixPath": PurePosixPath,
+    "PathLike": lambda path: PathLike(str(path)),
+}
 
 
 # -- window products, the slow way --------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface, run in-process."""
 
+import errno
 import gc
 import io
 import os
@@ -290,6 +291,13 @@ class TestTree:
         assert (code, out) == (2, "")
         assert "row 2" in err and repr(field) in err
 
+    @pytest.mark.parametrize("text", ["", "\n \t\r\n\n"], ids=["empty", "blank"])
+    def test_empty_matrix_file_exits_2(self, tmp_path, capsys, text):
+        mat = tmp_path / "m.phy"
+        mat.write_text(text)
+        code, out, err = run(["tree", "--input", str(mat)], capsys)
+        assert (code, out, err) == (2, "", "ppn tree: empty distance matrix file\n")
+
     def test_undecodable_matrix_exits_2(self, tmp_path, capsys):
         mat = tmp_path / "m.phy"
         mat.write_bytes(b"\xff\xfe2")
@@ -406,16 +414,20 @@ class TestTreedist:
         message = message.format(latin1=tmp_path / "latin1.nwk")
         assert run(argv, capsys) == (code, "", f"ppn treedist: {message}\n")
 
-    def test_holds_no_tree_while_nqd_counts(self, tmp_path, capsys, monkeypatch):
+    def test_holds_no_tree_or_output_buffer_while_nqd_counts(
+        self, tmp_path, capsys, monkeypatch
+    ):
         """When nQD's first chunk is scored, no tree or node parsed by the
-        run is left: the trees were dropped once reduced to tables."""
+        run is left: the trees were dropped once reduced to tables; and the
+        output writer has made no buffer yet, as nothing was written."""
         rng = random.Random(7)
         labels = [f"leaf{i}" for i in range(48)]
         paths = []
         for name in "ab":
             paths.append(tmp_path / f"{name}.nwk")
             paths[-1].write_text(to_newick(random_binary_tree(rng, labels)))
-        before = [o for o in gc.get_objects() if isinstance(o, (PhyloTree, TreeNode))]
+        kinds = (PhyloTree, TreeNode, io.BufferedWriter, io.TextIOWrapper)
+        before = [o for o in gc.get_objects() if isinstance(o, kinds)]
         known = {id(o) for o in before}  # held in ``before``, so no id is reused
         left = []
         separated = phylo._separated
@@ -425,7 +437,7 @@ class TestTreedist:
                 gc.collect()
                 left.append([
                     o for o in gc.get_objects()
-                    if isinstance(o, (PhyloTree, TreeNode)) and id(o) not in known
+                    if isinstance(o, kinds) and id(o) not in known
                 ])
             return separated(*args)
 
@@ -524,6 +536,10 @@ class TestBench:
         assert code == 2
         assert "reps" in err
 
+    def test_size_list_with_no_value_exits_2(self, capsys):
+        code, out, err = run(["bench", "--species", ",", "--length", "10"], capsys)
+        assert (code, out, err) == (2, "", "ppn bench: --species needs at least one value\n")
+
     def test_bad_size_list_exits_2(self, capsys):
         code, _, err = run(
             ["bench", "--species", "1;2", "--length", "10"], capsys
@@ -544,6 +560,24 @@ class TestExitCodes:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("records", [4, 60], ids=["at-the-end", "as-it-runs"])
+    def test_full_disk_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, records):
+        """A temp file that takes no byte fails the run when its text is
+        flushed: at the end for 4 rows, before the end for 60."""
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        fasta = tmp_path / "in.fa"
+        fasta.write_text("".join(f">r{i}\n{'ACGT' * 150}\n" for i in range(records)))
+        monkeypatch.setattr(
+            tempfile, "TemporaryFile", lambda **_: open("/dev/full", "wb", buffering=0)
+        )
+        code, out, err = run(["vector", "--input", str(fasta)], capsys)
+        gc.collect()
+        assert (code, out) == (1, "")
+        assert err + capsys.readouterr().err == (
+            f"ppn vector: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        )
 
     def test_invalid_radius_exits_2(self, fasta_path, capsys):
         for bad in ("0", "11"):
@@ -620,20 +654,25 @@ class TestFailedRunWritesNothing:
     streamed, and leaves no temp file behind."""
 
     BAD_FASTA = ">alpha\nACGTACGTACGTACGTACGT\n>\nTTGCAAGCTTGCAAGCTTGC\n"
-    # command: (input files, exit code, message); the first record's row,
-    # the matrix rows but the last and the first tree come before the fault
+    # 60 records of 600 nt, each too long to be batched, so each record's
+    # row is written as it ends: more than a buffer's worth before the fault
+    LONG_BAD_FASTA = "".join(f">r{i}\n{'ACGT' * 150}\n" for i in range(60)) + ">\nACGT\n"
+    # command: (input files, exit code, message, output written before the
+    # fault); ppn matrix reads every vector before its first row
     CASES = {
-        "vector": ((("bad.fa", BAD_FASTA),), 3, "line 3: empty FASTA header"),
-        "matrix": ((("bad.fa", BAD_FASTA),), 3, "line 3: empty FASTA header"),
+        "vector": ((("bad.fa", LONG_BAD_FASTA),), 3, "line 121: empty FASTA header", True),
+        "matrix": ((("bad.fa", BAD_FASTA),), 3, "line 3: empty FASTA header", False),
         "tree": (
             (("bad.phy", "3\na\t0.0\t1.0\t2.0\nb\t1.0\t0.0\t3.0\nc\t2.0\t3.0\n"),),
             2,
             "matrix row 3: expected a label and 3 values, found 3 fields",
+            False,
         ),
         "treedist": (
             (("good.nwk", "((A,B),(C,D));\n"), ("bad.nwk", "((A,B),(C,D);\n")),
             3,
             "expected ',' or ')', found ';' (at offset 12)",
+            False,
         ),
     }
 
@@ -650,25 +689,45 @@ class TestFailedRunWritesNothing:
             argv += ["--input", str(tmp_path / name)]
         return argv
 
+    @pytest.fixture
+    def written(self, monkeypatch):
+        """The characters the command hands its writer, counted as it runs."""
+        count = [0]
+        write = cli._Output.write
+
+        def counted(out, text):
+            count[0] += len(text)
+            write(out, text)
+
+        monkeypatch.setattr(cli._Output, "write", counted)
+        return count
+
+    def _check_written(self, command, written):
+        if self.CASES[command][3]:
+            assert written[0] > io.DEFAULT_BUFFER_SIZE
+
     @staticmethod
     def _no_temp_files(tmp_path):
         return [p for p in tmp_path.rglob("*") if p.name.startswith(".ppn-")] == []
 
     @pytest.mark.parametrize("argv", CASES, indirect=True)
-    def test_stdout_stays_empty(self, argv, tmp_path, capsys):
+    def test_stdout_stays_empty(self, argv, tmp_path, capsys, written):
         code, out, err = run([*argv, "--output", "-"], capsys)
-        _, want, message = self.CASES[argv[0]]
+        _, want, message, _ = self.CASES[argv[0]]
         assert (code, out, err) == (want, "", f"ppn {argv[0]}: {message}\n")
+        self._check_written(argv[0], written)
         assert self._no_temp_files(tmp_path)
         assert list((tmp_path / "sys-tmp").iterdir()) == []
 
     @pytest.mark.parametrize("argv", CASES, indirect=True)
-    def test_existing_file_keeps_its_bytes_and_mode(self, argv, tmp_path, capsys):
+    def test_existing_file_keeps_its_bytes_and_mode(self, argv, tmp_path, capsys, written):
         dest = tmp_path / "out.txt"
         dest.write_bytes(b"old\n")
         dest.chmod(0o640)
-        code, _, _ = run([*argv, "--output", str(dest)], capsys)
-        assert code == self.CASES[argv[0]][1]
+        code, out, err = run([*argv, "--output", str(dest)], capsys)
+        _, want, message, _ = self.CASES[argv[0]]
+        assert (code, out, err) == (want, "", f"ppn {argv[0]}: {message}\n")
+        self._check_written(argv[0], written)
         assert dest.read_bytes() == b"old\n"
         assert stat.S_IMODE(dest.stat().st_mode) == 0o640
         assert self._no_temp_files(tmp_path)
@@ -683,41 +742,42 @@ class TestStdout:
         assert out.count("\n") == 4
 
 
-class TestHeldWrites:
-    """``_Output`` gathers small texts into one ``os.write`` per
-    ``_HOLD`` bytes, and sends the bytes that one write per text sends."""
+def _write_calls():
+    """The write system calls this process has made, or None where the
+    kernel does not report them."""
+    try:
+        with open("/proc/self/io") as fh:
+            fields = dict(line.split(":") for line in fh.read().splitlines())
+    except OSError:
+        return None
+    return int(fields["syscw"])
 
-    @pytest.mark.parametrize("dest", ["-", "out.tsv"])
-    def test_5000_records_take_few_writes_and_give_the_same_bytes(
-        self, tmp_path, monkeypatch, capsys, dest
-    ):
+
+class TestBufferedWrites:
+    """5 000 short rows reach stdout and a file as the same bytes, those of
+    ``read_fasta`` + ``ppn_vector``, in few write system calls."""
+
+    def test_5000_records_give_the_library_rows_in_few_writes(self, tmp_path, capsys):
+        if _write_calls() is None:
+            pytest.skip("the kernel reports no write system call count")
         letters = np.frombuffer(b"ACGT", dtype=np.uint8)
         rows = letters[np.random.default_rng(5).integers(0, 4, (5000, 50))]
         fasta = tmp_path / "many.fa"
         fasta.write_bytes(b"".join(b">r%d\n%s\n" % (i, r.tobytes()) for i, r in enumerate(rows)))
-        calls = []
-        write = os.write
-
-        def counted(fd, data):
-            calls.append(len(data))
-            return write(fd, data)
-
-        monkeypatch.setattr(os, "write", counted)
-
-        def vector(hold):
-            monkeypatch.setattr(cli, "_HOLD", hold)
-            calls.clear()
-            target = "-" if dest == "-" else str(tmp_path / dest)
+        params = PpnParams()
+        want = "".join(
+            "\t".join(map(str, [r.id, r.length, v.windows, 4, 1, *v.components])) + "\n"
+            for r in read_fasta(fasta)
+            for v in [ppn_vector(r, params)]
+        )
+        dest = tmp_path / "out.tsv"
+        for target in ("-", str(dest)):
+            before = _write_calls()
             assert main(["vector", "--input", str(fasta), "--output", target]) == 0
-            text = capsys.readouterr().out if dest == "-" else Path(target).read_text()
-            return text, len(calls)
-
-        hold = cli._HOLD
-        held, writes = vector(hold)
-        unheld, one_per_row = vector(0)
-        assert held == unheld and held.count("\n") == 5000
-        assert one_per_row == 5000
-        assert writes <= 2 * len(held.encode()) // hold + 1, writes
+            writes = _write_calls() - before
+            # about two calls per buffer of output, whichever the destination
+            assert writes <= 2 * len(want) // io.DEFAULT_BUFFER_SIZE + 4, writes
+        assert capsys.readouterr().out == dest.read_text(encoding="utf-8") == want
 
 
 class TestOutputFiles:

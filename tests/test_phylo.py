@@ -4,6 +4,8 @@ tree distances."""
 import io
 import math
 import random
+import re
+import string
 import tracemalloc
 from itertools import combinations
 
@@ -37,6 +39,7 @@ from ppn import (
     write_phylip,
 )
 from oracles import (
+    PATH_FORMS,
     oracle_nqd,
     per_entry_phylip,
     scalar_distance,
@@ -734,6 +737,74 @@ class TestPhylip:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_file_too_small_for_its_count_makes_no_array(self, tmp_path):
+        """A 5 000-taxon count line and one row: 5 000 rows cannot fit in
+        the file, so no 5 000 x 5 000 array (200 MB) is made."""
+        path = tmp_path / "m.phy"
+        path.write_text("5000\na" + " 0.0" * 5000 + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="^expected 5000 matrix rows, found 1$"):
+                read_phylip(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3\na 0\nb 0\nc 0\n",  # wrong field counts, k rows
+            "3\na 0 1 x\nb\nc\n",  # a value that is not a number, k rows
+            "4\na 0 1 2 3\nb 1 0 x 4\nc\nd\n",  # a bad value right of a mirrored one
+            "3\na 0 1_5 2\n",  # a misreadable value, then too few rows
+            "3\na 0 1 2\nb\n",  # too few rows
+        ],
+    )
+    def test_file_too_small_for_its_count_gives_the_errors_of_a_stream(
+        self, tmp_path, text
+    ):
+        path = tmp_path / "m.phy"
+        path.write_text(text)
+        k = int(text.split()[0])
+        assert path.stat().st_size < k * (2 * k + 1)
+        with pytest.raises(ValidationError) as from_stream:
+            read_phylip(io.StringIO(text))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(from_stream.value))}$"):
+            read_phylip(path)
+
+    @pytest.mark.parametrize("k", [3, 40])
+    def test_reads_a_file_of_the_least_size_its_count_allows(self, tmp_path, k):
+        """One-character labels and values, one space apart, no final
+        newline: k rows in k(2k + 1) bytes and k - 1 line breaks."""
+        labels = string.ascii_letters[:k]
+        rows = [" ".join([a, *("0" if a == b else "1" for b in labels)]) for a in labels]
+        path = tmp_path / "m.phy"
+        path.write_text(f"{k}\n" + "\n".join(rows))
+        matrix = read_phylip(path)
+        assert matrix.labels == tuple(labels)
+        assert np.array_equal(matrix.values, 1 - np.eye(k))
+
+    @pytest.mark.parametrize("form", PATH_FORMS)
+    def test_every_path_form_gives_the_same_bytes_and_matrix(self, tmp_path, form):
+        m = pairwise_matrix(simulate(SimulationSpec(5, 200, 2)), PpnParams())
+        text = io.StringIO()
+        write_phylip(m, text)
+        path = tmp_path / "m.phy"
+        write_phylip(m, PATH_FORMS[form](path))
+        assert path.read_bytes() == text.getvalue().encode()
+        back = read_phylip(PATH_FORMS[form](path))
+        assert back.labels == m.labels and np.array_equal(back.values, m.values)
+
+    def test_streams_are_used_as_they_are_and_left_open(self):
+        m = DistanceMatrix(["a", "b"], square([[0, 1.5], [1.5, 0]]))
+        out = io.StringIO()
+        write_phylip(m, out)
+        source = io.StringIO(out.getvalue())
+        back = read_phylip(source)
+        assert not out.closed and not source.closed
+        assert np.array_equal(back.values, m.values)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValidationError, match="empty"):

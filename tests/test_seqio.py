@@ -18,7 +18,7 @@ from ppn import (
     write_fasta,
 )
 from ppn import seqio
-from oracles import line_fasta_outcome
+from oracles import PATH_FORMS, line_fasta_outcome
 
 SAMPLE = """\
 >seq1 first record
@@ -240,6 +240,36 @@ class TestWriteFasta:
         with pytest.raises(ValidationError, match="width"):
             write_fasta(seqs, buf, width=width)
         assert buf.getvalue() == ""
+
+
+class TestPathForms:
+    """``read_fasta`` and ``write_fasta`` open every form of a path, and
+    use an open stream as it is, leaving it open."""
+
+    SEQS = simulate(SimulationSpec(species_count=3, length=130, seed=4))
+
+    @pytest.mark.parametrize("form", PATH_FORMS)
+    def test_read_fasta_gives_the_same_records(self, tmp_path, form):
+        path = tmp_path / "in.fa"
+        path.write_text(SAMPLE)
+        assert read_fasta(PATH_FORMS[form](path)) == read_fasta(io.StringIO(SAMPLE))
+
+    @pytest.mark.parametrize("form", PATH_FORMS)
+    def test_write_fasta_gives_the_same_bytes(self, tmp_path, form):
+        path = tmp_path / "out.fa"
+        write_fasta(self.SEQS, PATH_FORMS[form](path))
+        text = io.StringIO()
+        write_fasta(self.SEQS, text)
+        assert path.read_bytes() == text.getvalue().encode()
+
+    def test_streams_are_used_as_they_are_and_left_open(self):
+        text, data = io.StringIO(SAMPLE), io.BytesIO(SAMPLE.encode())
+        assert read_fasta(text) == read_fasta(data)
+        assert not text.closed and not data.closed
+        out = io.StringIO()
+        write_fasta(self.SEQS, out)
+        assert not out.closed
+        assert read_fasta(io.StringIO(out.getvalue())) == self.SEQS
 
 
 class TestSimulate:
