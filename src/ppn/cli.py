@@ -49,25 +49,28 @@ class _Output:
     ``write(text)`` goes through Python's text and buffered layers,
     ``io.TextIOWrapper`` (UTF-8, no newline translation) over
     ``io.BufferedWriter`` with its default buffer, into a temp file.
-    The layers are made at the first ``write``, so a command that writes
-    only at its end holds no buffer while it computes.  The text reaches
-    ``path`` ('-' for stdout) only if the ``with`` block ends without an
-    exception.  For a file the temp file is ``.ppn-*.tmp`` in the
-    destination's directory, made here, renamed over the destination on
-    success and removed on failure.  A new file gets the mode a plain
-    ``open(path, "w")`` would give it (0666 less the umask); a replaced
-    file keeps its mode.  For '-' the temp file is an anonymous one in
-    the system temp directory, copied to stdout on success.  The temp
-    file is closed last, after the text layer is flushed on success, so
-    after a failure the upper layers are closed with nothing to flush.
+    Until the first ``write`` the temp file is a bare descriptor; the
+    layers, and the file object under them, are made then, so a command
+    that writes only at its end holds none of them while it computes.
+    The text reaches ``path`` ('-' for stdout) only if the ``with``
+    block ends without an exception.  For a file the temp file is
+    ``.ppn-*.tmp`` in the destination's directory, made here, renamed
+    over the destination on success and removed on failure.  A new file
+    gets the mode a plain ``open(path, "w")`` would give it (0666 less
+    the umask); a replaced file keeps its mode.  For '-' the temp file
+    is one in the system temp directory, unlinked as soon as it is made
+    and copied to stdout on success.  The temp file is closed last,
+    after the text layer is flushed on success, so after a failure the
+    upper layers are closed with nothing to flush.
     """
 
-    __slots__ = ("path", "tmp", "raw", "text")
+    __slots__ = ("path", "tmp", "fd", "raw", "text")
 
     def __init__(self, path: str):
-        self.path, self.text = path, None
+        self.path, self.raw, self.text = path, None, None
         if path == "-":
-            self.raw = tempfile.TemporaryFile(prefix=".ppn-", buffering=0)
+            self.fd, tmp = tempfile.mkstemp(prefix=".ppn-", suffix=".tmp")
+            os.unlink(tmp)
             return
         try:
             mode = stat.S_IMODE(os.stat(path).st_mode)
@@ -76,17 +79,17 @@ class _Output:
             os.umask(umask)
             mode = 0o666 & ~umask
         directory = os.path.dirname(os.path.abspath(path))
-        fd, self.tmp = tempfile.mkstemp(dir=directory, prefix=".ppn-", suffix=".tmp")
+        self.fd, self.tmp = tempfile.mkstemp(dir=directory, prefix=".ppn-", suffix=".tmp")
         try:
-            os.fchmod(fd, mode)
-            self.raw = open(fd, "wb", buffering=0)
+            os.fchmod(self.fd, mode)
         except BaseException:
-            os.close(fd)
+            os.close(self.fd)
             os.unlink(self.tmp)
             raise
 
     def write(self, text: str) -> None:
         if self.text is None:
+            self.raw = io.FileIO(self.fd, "r+")
             self.text = io.TextIOWrapper(
                 io.BufferedWriter(self.raw), encoding="utf-8", newline=""
             )
@@ -97,12 +100,12 @@ class _Output:
 
     def __exit__(self, failure, *_) -> None:
         try:
-            with self.raw:
+            with self.raw or io.FileIO(self.fd, "r+") as raw:
                 if failure is None and self.text is not None:
                     self.text.flush()
                 if failure is None and self.path == "-":
-                    self.raw.seek(0)
-                    _copy_to_stdout(self.raw)
+                    raw.seek(0)
+                    _copy_to_stdout(raw)
             if failure is None and self.path != "-":
                 os.replace(self.tmp, self.path)
         finally:

@@ -765,10 +765,10 @@ def _separated(shared, signs, forks, complements, widths, pairs, second, cells):
 
 # -- PHYLIP interchange ------------------------------------------------------
 
-def write_phylip(matrix: DistanceMatrix, dest) -> None:
+def write_phylip(matrix: DistanceMatrix, fh) -> None:
     """Write a relaxed PHYLIP matrix: count line, then label + full row.
 
-    ``dest`` may be a path (``str``, ``bytes`` or ``os.PathLike``), which
+    ``fh`` may be a path (``str``, ``bytes`` or ``os.PathLike``), which
     is written as UTF-8, or an open text stream, which is left open.
     Entries are printed with full round-trip precision so that reading
     the file back reproduces the exact same doubles.  Each unordered
@@ -778,8 +778,8 @@ def write_phylip(matrix: DistanceMatrix, dest) -> None:
     matrix made.
     """
     values = matrix.values
-    with _opened(dest, "w") as fh:
-        _write_rows(matrix.labels, (values[i, i + 1 :] for i in range(matrix.size - 1)), fh)
+    with _opened(fh, "w") as out:
+        _write_rows(matrix.labels, (values[i, i + 1 :] for i in range(matrix.size - 1)), out)
 
 
 def _write_rows(labels, rows, fh) -> None:
@@ -845,7 +845,9 @@ def read_phylip(source) -> DistanceMatrix:
     unordered pair is converted once; other spellings of the same
     numbers, other whitespace and CRLF read to the same floats.  The
     k x k array is made only once a row has k + 1 fields, and, for a
-    regular file, only when the file is large enough to hold k rows.
+    path to a regular file, only when the file is large enough to hold
+    k rows.  An open stream is not sized, as it may decode a file of
+    another size (``gzip.open``).
     """
     return DistanceMatrix._adopt(*_read_phylip(source))
 
@@ -853,8 +855,11 @@ def read_phylip(source) -> DistanceMatrix:
 def _read_phylip(source) -> tuple[list, np.ndarray]:
     """The labels and the unchecked array :func:`read_phylip` reads."""
     with _opened(source, "r") as fh:
+        # a stream the caller opened may decode a file of another size,
+        # as gzip.open does, so only a path read here is sized
+        size = None if fh is source else _size(fh)
         try:
-            return _parse_phylip((line for line in map(str.strip, fh) if line), _size(fh))
+            return _parse_phylip((line for line in map(str.strip, fh) if line), size)
         except UnicodeDecodeError as exc:
             raise ValidationError(
                 f"distance matrix file is not valid {exc.encoding} text: {exc.reason}"
@@ -862,13 +867,10 @@ def _read_phylip(source) -> tuple[list, np.ndarray]:
 
 
 def _size(fh):
-    """The bytes in the regular file under the stream ``fh``, or None for
-    a pipe, a stream with no file descriptor, or a file that reports no
-    size (as some virtual file systems do for files that hold text)."""
-    try:
-        st = os.fstat(fh.fileno())
-    except (AttributeError, OSError, ValueError):
-        return None
+    """The bytes in the file ``fh``, or None for a pipe or a file that
+    reports no size (as some virtual file systems do for files that hold
+    text)."""
+    st = os.fstat(fh.fileno())
     return st.st_size if stat.S_ISREG(st.st_mode) and st.st_size else None
 
 
@@ -944,4 +946,6 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
         raise ValidationError(f"expected {k} matrix rows, found {rows}")
     if error is not None:
         raise ValidationError(error)
+    if values is None and k:  # k rows that the file's size said cannot fit
+        raise ValidationError("distance matrix file grew while it was read")
     return labels, np.zeros((0, 0)) if values is None else values

@@ -419,14 +419,15 @@ class TestTreedist:
     ):
         """When nQD's first chunk is scored, no tree or node parsed by the
         run is left: the trees were dropped once reduced to tables; and the
-        output writer has made no buffer yet, as nothing was written."""
+        output writer holds only its temp file's descriptor, with no file
+        object or buffer over it, as nothing was written."""
         rng = random.Random(7)
         labels = [f"leaf{i}" for i in range(48)]
         paths = []
         for name in "ab":
             paths.append(tmp_path / f"{name}.nwk")
             paths[-1].write_text(to_newick(random_binary_tree(rng, labels)))
-        kinds = (PhyloTree, TreeNode, io.BufferedWriter, io.TextIOWrapper)
+        kinds = (PhyloTree, TreeNode, io.FileIO, io.BufferedWriter, io.TextIOWrapper)
         before = [o for o in gc.get_objects() if isinstance(o, kinds)]
         known = {id(o) for o in before}  # held in ``before``, so no id is reused
         left = []
@@ -569,9 +570,14 @@ class TestExitCodes:
             pytest.skip("no /dev/full")
         fasta = tmp_path / "in.fa"
         fasta.write_text("".join(f">r{i}\n{'ACGT' * 150}\n" for i in range(records)))
-        monkeypatch.setattr(
-            tempfile, "TemporaryFile", lambda **_: open("/dev/full", "wb", buffering=0)
-        )
+        made = tempfile.mkstemp
+
+        def full(**kwargs):
+            fd, name = made(**kwargs)
+            os.close(fd)
+            return os.open("/dev/full", os.O_RDWR), name
+
+        monkeypatch.setattr(tempfile, "mkstemp", full)
         code, out, err = run(["vector", "--input", str(fasta)], capsys)
         gc.collect()
         assert (code, out) == (1, "")

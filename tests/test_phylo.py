@@ -1,7 +1,10 @@
 """Unit tests for distance matrices, UPGMA, Newick IO, and the two
 tree distances."""
 
+import bz2
+import gzip
 import io
+import lzma
 import math
 import random
 import re
@@ -785,6 +788,27 @@ class TestPhylip:
         matrix = read_phylip(path)
         assert matrix.labels == tuple(labels)
         assert np.array_equal(matrix.values, 1 - np.eye(k))
+
+    @pytest.mark.parametrize("module", [gzip, bz2, lzma])
+    def test_reads_a_compressed_stream_larger_than_its_file(self, tmp_path, module):
+        """A decompressing stream's file descriptor is the compressed
+        file's, far smaller than the 40 rows of text it decodes to."""
+        labels = [f"t{i}" for i in range(40)]
+        m = DistanceMatrix(labels, 1 - np.eye(40))
+        path = tmp_path / "m.phy.z"
+        with module.open(path, "wt", encoding="utf-8") as fh:
+            write_phylip(m, fh)
+        assert path.stat().st_size < 40 * 81
+        with module.open(path, "rt", encoding="utf-8") as fh:
+            back = read_phylip(fh)
+        assert back.labels == m.labels and np.array_equal(back.values, m.values)
+
+    def test_rows_past_the_size_a_file_reported_raise(self):
+        """k rows read from a file whose size said they could not fit: the
+        file grew while it was read, and no array was made for them."""
+        lines = iter(["2", "a 0 1", "b 1 0"])
+        with pytest.raises(ValidationError, match="^distance matrix file grew while it was read$"):
+            phylo._parse_phylip(lines, 3)
 
     @pytest.mark.parametrize("form", PATH_FORMS)
     def test_every_path_form_gives_the_same_bytes_and_matrix(self, tmp_path, form):
