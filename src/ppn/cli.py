@@ -3,21 +3,22 @@ simulation, and scaling benchmarks.
 
 Each subcommand writes its text into the writer :func:`main` hands it;
 only :func:`main` touches stdout, stderr, the output file and the exit
-code.  Exit codes: 0 success, 1 I/O failure, 2 invalid parameters or
-inconsistent inputs, 3 malformed input data.  The writer streams
-UTF-8 text through Python's buffered I/O into a temp file as the
-subcommand runs, so no output is held whole.  The temp file reaches the
-``--output`` path only when the run succeeds: it is renamed over a file,
-or copied to stdout for '-' (the default), so a failed run writes
-nothing.  Errors and notices (a library ``UserWarning``) go to stderr as
-one ``ppn <command>: <message>`` line each.
+code.  Exit codes: 0 success, 1 I/O or out-of-memory failure, 2
+invalid parameters or inconsistent inputs, 3 malformed input data.  The
+writer streams UTF-8 text through Python's buffered I/O into a temp
+file as the subcommand runs, so no output is held whole.  The temp file
+reaches the ``--output`` path only when the run succeeds: it is renamed
+over a file, or copied to stdout for '-' (the default), so a failed run
+writes nothing.  Errors and notices (a library ``UserWarning``) go to
+stderr as one ``ppn <command>: <message>`` line each.
 
 No command holds two k x k arrays.  ``ppn matrix`` writes the distance
 rows as they are made and holds no matrix; ``ppn tree`` builds one
 array, from the FASTA's rows or the PHYLIP file, runs on it the checks
 of :class:`ppn.phylo.DistanceMatrix` and merges in it, with no copy.
-``ppn treedist`` holds its two trees only until they are reduced to the
-tables that nRF and nQD read.
+``ppn treedist`` holds its two trees only until each is walked once and
+reduced to what nRF and nQD read.  ``ppn tree`` reads a pipe or FIFO
+once, into a temp file that it removes.
 """
 
 from __future__ import annotations
@@ -255,6 +256,14 @@ def _sniff_matrix(path: str) -> bool:
 
 
 def cmd_tree(args, out) -> None:
+    if not stat.S_ISREG(os.stat(args.input).st_mode):
+        # a pipe or FIFO reads once, and the format is sniffed before the
+        # route reads it: both read a copy, whose size the PHYLIP reader knows
+        with tempfile.NamedTemporaryFile(prefix=".ppn-", suffix=".tmp") as copy:
+            with open(args.input, "rb") as source:
+                shutil.copyfileobj(source, copy)
+            copy.flush()
+            return cmd_tree(argparse.Namespace(**{**vars(args), "input": copy.name}), out)
     params = _params(args)
     if _sniff_matrix(args.input):
         if params != PpnParams() or args.normalize or args.policy != "drop":
@@ -445,6 +454,9 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED
     except OSError as exc:
         _diagnostic(args.command, exc)
+        return EXIT_IO
+    except MemoryError as exc:
+        _diagnostic(args.command, f"out of memory: {exc}" if str(exc) else "out of memory")
         return EXIT_IO
 
 

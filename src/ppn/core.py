@@ -176,10 +176,12 @@ class EncodedSequence:
     :class:`EmptySequenceError`.  They are stored as a contiguous int8
     array that is read-only, so the 0..3 check made here holds for the
     instance's life: the window keys look codes up with ``mode="clip"``
-    and would silently miscount a code written later.  A contiguous int8
-    array passed in is kept without a copy, and so becomes read-only
-    itself.  ``dropped`` counts non-ACGT, non-whitespace characters
-    removed during sanitization.
+    and would silently miscount a code written later.  An array that is
+    already a read-only contiguous int8 array, as :func:`encode` and
+    :func:`ppn.seqio.read_fasta` make, is kept without a copy; any other
+    is copied, so the caller's array stays as writable as it was and a
+    later write to it leaves ``codes`` as they are.  ``dropped`` counts
+    non-ACGT, non-whitespace characters removed during sanitization.
     """
 
     id: str
@@ -198,8 +200,8 @@ class EncodedSequence:
         # before the int8 cast, which would wrap 256 to 0
         if codes.min() < 0 or codes.max() > 3:
             raise ValidationError(f"sequence {self.id!r}: codes must be in 0..3")
-        codes = np.ascontiguousarray(codes, dtype=np.int8)
-        codes.flags.writeable = False
+        if codes.dtype != np.int8 or codes.flags.writeable or not codes.flags.c_contiguous:
+            codes = _read_only(np.array(codes, dtype=np.int8, order="C"))
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -277,6 +279,13 @@ def _sanitize(data: bytes, strict: bool, seq_id: str) -> tuple[bytes, int]:
 
 def _no_bases(seq_id: str) -> EmptySequenceError:
     return EmptySequenceError(f"sequence {seq_id!r}: no A/C/G/T content")
+
+
+def _read_only(codes: np.ndarray) -> np.ndarray:
+    """``codes``, made read-only in place: an array whose maker holds no
+    other reference to it, handed to :class:`EncodedSequence` uncopied."""
+    codes.flags.writeable = False
+    return codes
 
 
 def encode(raw: str | bytes, policy: str = "drop", seq_id: str = "seq") -> EncodedSequence:

@@ -425,7 +425,8 @@ def from_newick(text: str) -> PhyloTree:
 # -- unrooted structure ------------------------------------------------------
 
 def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> dict[str, int]:
-    """Each leaf's column in the membership tables, in label order."""
+    """Each leaf's column (its bit in :func:`_forks`'s leaf sets), in
+    label order."""
     s1, s2 = set(t1.leaf_names()), set(t2.leaf_names())
     if s1 != s2:
         only1 = sorted(s1 - s2)[:3]
@@ -439,22 +440,21 @@ def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> dict[str, int]:
 
 
 def _forks(tree: PhyloTree, column: dict[str, int], leaves=None):
-    """A tree's forks (vertices with >= 2 children) and one table row per fork.
+    """A tree's forks (vertices with >= 2 children), numbered children first.
 
-    Forks are numbered children first.  A fork's row is the sum of its
-    children's rows; a leaf's row is ``leaves[column]``, or, when
-    ``leaves`` is None, True in its own column only, which makes the
-    table the forks' leaf membership (bool, forks x k).  A unary vertex
-    passes up its child.  Returns per fork its leaf count and the forks
-    among its children, and the table.
+    A fork's leaf set is the set bits of one ``int``, bit ``column[name]``
+    for each leaf below it: the ``|`` of its children's.  A unary vertex
+    passes up its child.  Returns per fork its leaf count, the forks
+    among its children and its leaf bits, and, when ``leaves`` (k rows)
+    is given, a table (``int16``, forks x ``leaves.shape[1]``) whose row
+    for a fork is the sum of ``leaves[column]`` over its leaves, else None.
     """
     order = list(tree.walk())
-    count = sum(len(node.children) > 1 for node in order)
-    if leaves is None:
-        table = np.zeros((count, len(column)), dtype=bool)
-    else:
+    table = None
+    if leaves is not None:
+        count = sum(len(node.children) > 1 for node in order)
         table = np.zeros((count, leaves.shape[1]), dtype=np.int16)
-    size, inner = [], []
+    inner, bits = [], []
     # walked backwards, a vertex comes right after its children's subtrees,
     # so the last entries here are its children's: a fork, or -1 - column
     done: list[int] = []
@@ -462,34 +462,26 @@ def _forks(tree: PhyloTree, column: dict[str, int], leaves=None):
         if node.is_leaf:
             done.append(-1 - column[node.name])
         elif len(node.children) > 1:
-            f, n = len(size), 0
+            f, below = len(bits), 0
             kids = done[-len(node.children) :]
             del done[-len(node.children) :]
             for c in kids:
-                if c >= 0:
-                    table[f] += table[c]
-                    n += size[c]
-                elif leaves is None:
-                    table[f, -1 - c] = True
-                    n += 1
-                else:
-                    table[f] += leaves[-1 - c]
-                    n += 1
-            size.append(n)
+                below |= bits[c] if c >= 0 else 1 << (-1 - c)
+                if table is not None:
+                    table[f] += table[c] if c >= 0 else leaves[-1 - c]
+            bits.append(below)
             inner.append(tuple(c for c in kids if c >= 0))
             done.append(f)
-    return size, inner, table
+    return [b.bit_count() for b in bits], inner, bits, table
 
 
-def _splits(size: list[int], below: np.ndarray) -> set[bytes]:
-    """Nontrivial splits as membership-row bytes, from :func:`_forks`'s
-    leaf counts and membership table, whose rows it flips in place.
-    Only the edge above a fork cuts off 2 to k - 2 leaves; a row holding
-    column 0 (the smallest label) is flipped, so both sides of an edge
-    make one entry."""
-    below[below[:, 0]] ^= True
-    k = below.shape[1]
-    return {row.tobytes() for row, n in zip(below, size) if 2 <= n <= k - 2}
+def _splits(bits: list[int], k: int) -> set[int]:
+    """Nontrivial splits as leaf bitmasks, from :func:`_forks`'s leaf bits
+    on k leaves.  Only the edge above a fork cuts off 2 to k - 2 leaves;
+    a set holding bit 0 (the smallest label) is replaced by its
+    complement, so both sides of an edge make one entry."""
+    full = (1 << k) - 1
+    return {b ^ full if b & 1 else b for b in bits if 2 <= b.bit_count() <= k - 2}
 
 
 def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
@@ -498,17 +490,16 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
     The symmetric difference of the two nontrivial split sets, divided
     by their combined size (2(k-3) for two fully binary trees on k
     leaves).  Two trees with no nontrivial splits at all are identical
-    stars and score 0.  Splits are read off the forks' leaf membership
-    (see :func:`_forks`), forks x k ``bool``, so memory is at most k^2
-    bytes per tree.
+    stars and score 0.  A split is one ``int`` bitmask of the leaves on
+    one side (see :func:`_forks`), so memory is O(k) words per split
+    and no k x k table is made.
     """
     column = _check_comparable(t1, t2)
-    size1, _, below1 = _forks(t1, column)
-    size2, _, below2 = _forks(t2, column)
-    return _nrf(_splits(size1, below1), _splits(size2, below2))
+    k = len(column)
+    return _nrf(_splits(_forks(t1, column)[2], k), _splits(_forks(t2, column)[2], k))
 
 
-def _nrf(s1: set[bytes], s2: set[bytes]) -> float:
+def _nrf(s1: set[int], s2: set[int]) -> float:
     """:func:`nrf` of two trees' split sets."""
     denom = len(s1) + len(s2)
     if denom == 0:
@@ -632,10 +623,12 @@ def _compare(trees, with_rf: bool = True) -> tuple[float | None, float]:
     trees that the iterable ``trees`` gives, each check made once, in
     :func:`nqd`'s order.
 
-    The trees are reduced to their :func:`_forks` tables, then dropped
-    with their leaf names before either metric is computed, so nQD's
-    chunks reuse their memory; ``ppn treedist`` hands over trees that
-    nothing else holds.
+    Each tree is walked once by :func:`_forks`: the second tree's leaf
+    bits are unpacked into the 0/1 rows whose sums up the first tree
+    make the shared-leaf table.  The trees are then dropped with their
+    leaf names before either metric is computed, so nQD's chunks reuse
+    their memory; ``ppn treedist`` hands over trees that nothing else
+    holds.
     """
     t1, t2 = trees
     column = _check_comparable(t1, t2)
@@ -644,13 +637,19 @@ def _compare(trees, with_rf: bool = True) -> tuple[float | None, float]:
         raise ValidationError(
             f"nQD is computed for at most {_NQD_MAX_LEAVES} leaves, got {k}"
         )
-    size2, inner2, below2 = _forks(t2, column)
+    size2, inner2, bits2, _ = _forks(t2, column)
+    # below2[g, j]: 1 when leaf j is below fork g of t2; the packed bytes go
+    # before t1's walk
+    width = (k + 7) // 8
+    packed = b"".join(b.to_bytes(width, "little") for b in bits2)
+    packed = np.frombuffer(packed, dtype=np.uint8).reshape(len(bits2), width)
+    below2 = np.unpackbits(packed, axis=1, count=k, bitorder="little")
+    del packed
     # shared[f, g]: leaves below both fork f of t1 and fork g of t2
-    size1, inner1, shared = _forks(t1, column, below2.T)
-    below1 = _forks(t1, column)[2] if with_rf else None
-    del t1, t2, column
-    rf = _nrf(_splits(size1, below1), _splits(size2, below2)) if with_rf else None
-    del below1, below2
+    size1, inner1, bits1, shared = _forks(t1, column, below2.T)
+    del t1, t2, column, below2
+    rf = _nrf(_splits(bits1, k), _splits(bits2, k)) if with_rf else None
+    del bits1, bits2
     fork1, complement1, width1, starts1, signs1 = _quartet_nodes(size1, inner1, k)
     fork2, complement2, width2, starts2, signs2 = _quartet_nodes(size2, inner2, k)
     resolved = _resolved(width1, starts1, signs1) + _resolved(width2, starts2, signs2)

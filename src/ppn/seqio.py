@@ -14,6 +14,7 @@ from .core import (
     _is_int,
     _is_strict,
     _no_bases,
+    _read_only,
     _sanitize,
 )
 from .errors import DuplicateIdError, MalformedFastaError, ValidationError
@@ -249,7 +250,9 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     :class:`EmptySequenceError` for records with no usable nucleotides.
     """
     return [
-        EncodedSequence(seq_id, np.concatenate(pieces) if codes is None else codes, dropped)
+        EncodedSequence(
+            seq_id, _read_only(np.concatenate(pieces)) if codes is None else codes, dropped
+        )
         for seq_id, dropped, codes, pieces in _scan(source, policy, _Pieces)
     ]
 
@@ -284,7 +287,7 @@ def simulate(spec: SimulationSpec) -> list[EncodedSequence]:
     return [
         EncodedSequence(
             f"sim_{i + 1:0{pad}d}",
-            rng.integers(0, 4, size=spec.length, dtype=np.int8),
+            _read_only(rng.integers(0, 4, size=spec.length, dtype=np.int8)),
         )
         for i in range(spec.species_count)
     ]

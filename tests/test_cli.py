@@ -305,6 +305,68 @@ class TestTree:
         assert code == 2
         assert "not valid" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("form", ["fasta", "phylip"])
+    def test_stdin_as_a_pipe_gives_the_bytes_of_the_file(self, fasta_path, tmp_path, form):
+        # the format is sniffed before the route reads the input, and a
+        # pipe reads once: both read a copy, which is gone afterwards
+        path = fasta_path
+        if form == "phylip":
+            path = str(tmp_path / "m.phy")
+            assert main(["matrix", "--input", fasta_path, "--output", path]) == 0
+        (tmp_path / "sys-tmp").mkdir()
+        env = dict(os.environ, TMPDIR=str(tmp_path / "sys-tmp"),
+                   PYTHONPATH=str(Path(ppn.__file__).resolve().parents[1]))
+
+        def tree(source, stdin):
+            return subprocess.run([sys.executable, "-m", "ppn.cli", "tree", "-i", source],
+                                  env=env, input=stdin, capture_output=True)
+
+        want = tree(path, b"")
+        assert (want.returncode, want.stderr) == (0, b"")
+        got = tree("/dev/stdin", Path(path).read_bytes())
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, b"")
+        assert not os.listdir(tmp_path / "sys-tmp")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("text, code", [
+        (FASTA, 0), ("3\na 0 1 2\nb 1 0 3\nc 2 3 0\n", 0), ("3\na 0 1 2\n", 2),
+    ], ids=["fasta", "phylip", "too-few-rows"])
+    def test_a_pipe_is_read_once_into_a_copy_that_is_removed(
+        self, tmp_path, monkeypatch, capsys, text, code
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "sys-tmp"))
+        (tmp_path / "sys-tmp").mkdir()
+        plain = tmp_path / "plain"
+        plain.write_text(text)
+        want = run(["tree", "--input", str(plain)], capsys)
+        read, write = os.pipe()
+        with os.fdopen(write, "w") as fh:  # fits in the pipe's buffer
+            fh.write(text)
+        try:
+            got = run(["tree", "--input", f"/dev/fd/{read}"], capsys)
+        finally:
+            os.close(read)
+        assert got == want and got[0] == code
+        assert not os.listdir(tmp_path / "sys-tmp")
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 2.98 GiB", "ppn tree: out of memory: Unable to allocate 2.98 GiB"),
+        ("", "ppn tree: out of memory"),
+    ])
+    def test_out_of_memory_is_one_line_and_writes_nothing(
+        self, fasta_path, tmp_path, monkeypatch, capsys, message, line
+    ):
+        def fail(rows, k):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(phylo, "_mirrored", fail)
+        dest = tmp_path / "t.nwk"
+        for output in ("-", str(dest)):
+            code, out, err = run(["tree", "--input", fasta_path, "--output", output], capsys)
+            assert (code, out, err) == (1, "", line + "\n")
+        assert os.listdir(tmp_path) == ["in.fa"]
+
 
 class TestTreedist:
     def test_reports_both_distances(self, tmp_path, capsys):

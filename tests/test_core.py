@@ -160,6 +160,25 @@ class TestEncodedSequence:
         with pytest.raises(EmptySequenceError, match="sequence 'x': no A/C/G/T content"):
             EncodedSequence("x", np.array([], dtype=np.int8))
 
+    @pytest.mark.parametrize("codes", [
+        np.zeros(5, np.int8),  # writable int8: copied, not frozen
+        np.zeros(10, np.int8)[::2],  # not contiguous
+        np.zeros(5, np.int64),  # another dtype
+    ], ids=["int8", "strided", "int64"])
+    def test_leaves_the_callers_array_writable_and_its_own(self, codes):
+        seq = EncodedSequence("x", codes)
+        assert codes.flags.writeable
+        codes[0] = 1
+        assert seq.codes.tolist() == [0] * 5
+        assert not seq.codes.flags.writeable
+
+    def test_keeps_a_read_only_int8_array_uncopied(self):
+        codes = np.zeros(5, np.int8)
+        codes.flags.writeable = False
+        assert EncodedSequence("x", codes).codes is codes
+        seq = encode("ACGT")
+        assert EncodedSequence("y", seq.codes).codes is seq.codes
+
     def test_valid_codes_are_stored_as_read_only_int8(self):
         seq = EncodedSequence("x", self._codes_with(3), dropped=2)
         assert seq.codes.dtype == np.int8 and seq.codes.flags.c_contiguous

@@ -478,13 +478,12 @@ class TestNewick:
 # -- splits and nRF ------------------------------------------------------------
 
 def split_label_sets(tree):
-    """``_splits`` with each membership row mapped back to its leaf labels."""
+    """``_splits`` with each bitmask mapped back to its leaf labels."""
     column = _check_comparable(tree, tree)
-    labels = np.array(list(column))
-    size, _, below = _forks(tree, column)
+    labels = list(column)
     return {
-        frozenset(labels[np.frombuffer(row, dtype=bool)].tolist())
-        for row in _splits(size, below)
+        frozenset(name for i, name in enumerate(labels) if split >> i & 1)
+        for split in _splits(_forks(tree, column)[2], len(labels))
     }
 
 
@@ -500,6 +499,30 @@ class TestSplits:
         t1 = from_newick("((A,B),(C,D));")
         t2 = from_newick("(A,(B,(C,D)));")
         assert split_label_sets(t1) == split_label_sets(t2) == {frozenset("CD")}
+
+    # a split is one int bitmask: past 64 leaves it takes several machine
+    # words, and the complement of a set holding bit 0 reaches the top bit
+    @pytest.mark.parametrize("multi", [False, True], ids=["binary", "multifurcating"])
+    @pytest.mark.parametrize("k", [63, 64, 65, 128, 129, 300])
+    def test_matches_edge_cut_oracle_past_one_machine_word(self, k, multi):
+        rng = random.Random(f"{k}-{multi}")
+        tree = random_binary_tree(rng, [f"s{i:03d}" for i in range(k)])
+        if multi:
+            tree = contracted(tree, rng, 0.4)
+        assert split_label_sets(tree) == splits_by_edge_cut(tree)
+
+
+def regrafted(tree, rng, depth):
+    """A binary tree with the clades of ``tree`` ``depth`` edges below its
+    root, joined in a random order above them."""
+    clades = [from_newick(to_newick(tree)).root]
+    for _ in range(depth):
+        clades = [c for node in clades for c in (node.children or [node])]
+    while len(clades) > 1:
+        a = clades.pop(rng.randrange(len(clades)))
+        b = clades.pop(rng.randrange(len(clades)))
+        clades.append(TreeNode(children=[a, b]))
+    return PhyloTree(clades[0])
 
 
 class TestNrf:
@@ -530,6 +553,36 @@ class TestNrf:
             s2 = splits_by_edge_cut(t2)
             want = len(s1 ^ s2) / (len(s1) + len(s2)) if s1 or s2 else 0.0
             assert nrf(t1, t2) == pytest.approx(want, abs=0)
+
+    @pytest.mark.parametrize("multi", [False, True], ids=["binary", "multifurcating"])
+    @pytest.mark.parametrize("k", [63, 64, 65, 128, 129, 300])
+    def test_matches_split_counting_past_one_machine_word(self, k, multi):
+        rng = random.Random(f"{k}-{multi}")
+        labels = [f"s{i:03d}" for i in range(k)]
+        t1 = random_binary_tree(rng, labels)
+        t2 = regrafted(t1, rng, 4)
+        if multi:
+            t1, t2 = contracted(t1, rng, 0.4), contracted(t2, rng, 0.4)
+        s1, s2 = splits_by_edge_cut(t1), splits_by_edge_cut(t2)
+        want = len(s1 ^ s2) / (len(s1) + len(s2))
+        assert 0 < want < 1
+        assert nrf(t1, t2) == nrf(t2, t1) == want
+        assert phylo._compare(iter((t1, t2)))[0] == want
+
+    def test_thousand_leaves_make_no_square_table(self):
+        """Each split is one int, so nrf's traced peak on two 1 000-leaf
+        binary trees stays under 1.5 MB; a forks x k bool table per tree
+        took 4.4 MB."""
+        labels = [f"s{i:04d}" for i in range(1000)]
+        rng = random.Random(1000)
+        t1, t2 = random_binary_tree(rng, labels), random_binary_tree(rng, labels)
+        tracemalloc.start()
+        try:
+            nrf(t1, t2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6, peak
 
     def test_requires_matching_leaf_sets(self):
         a = from_newick("((A,B),(C,D));")
@@ -635,6 +688,69 @@ class TestNqd:
         monkeypatch.setattr(phylo, "_NQD_CELLS", cells)
         monkeypatch.setattr(phylo, "_NQD_SHARE", 2**62)  # the budget stays at cells
         assert [nqd(t1, t2).hex(), nqd(t2, t1).hex()] == want
+
+    @pytest.mark.parametrize("multi", [False, True], ids=["binary", "multifurcating"])
+    @pytest.mark.parametrize("k", [63, 64, 65, 128, 129, 300])
+    def test_shared_leaf_table_past_one_machine_word(self, monkeypatch, k, multi):
+        # the second tree's leaf bits, unpacked, summed up the first tree:
+        # each cell is the leaves below both forks, forks numbered as
+        # _forks numbers them (children first)
+        rng = random.Random(f"{k}-{multi}")
+        labels = [f"s{i:03d}" for i in range(k)]
+        t1, t2 = random_binary_tree(rng, labels), random_binary_tree(rng, labels)
+        if multi:
+            t1, t2 = contracted(t1, rng, 0.4), contracted(t2, rng, 0.4)
+
+        def fork_leaves(tree):
+            below = {}
+            for node in reversed(list(tree.walk())):
+                below[id(node)] = (
+                    {node.name} if node.is_leaf
+                    else set().union(*(below[id(c)] for c in node.children))
+                )
+            return [below[id(n)] for n in reversed(list(tree.walk())) if len(n.children) > 1]
+
+        want = [[len(a & b) for b in fork_leaves(t2)] for a in fork_leaves(t1)]
+        tables = []
+        separated = phylo._separated
+
+        def spy(shared, *args):
+            tables.append(shared.tolist())
+            return separated(shared, *args)
+
+        monkeypatch.setattr(phylo, "_separated", spy)
+        phylo._compare(iter((t1, t2)))
+        assert tables and all(table == want for table in tables)
+
+    def test_compare_walks_each_tree_once(self, monkeypatch):
+        t1 = from_newick("(((A,B),C),(D,E));")
+        t2 = from_newick("((A,C),(B,D,E));")
+        calls = []
+        forks = phylo._forks
+
+        def spy(tree, *args):
+            calls.append(tree)
+            return forks(tree, *args)
+
+        monkeypatch.setattr(phylo, "_forks", spy)
+        phylo._compare(iter((t1, t2)))
+        assert sorted(map(id, calls)) == sorted([id(t1), id(t2)])
+
+    def test_thousand_leaves_compare_within_its_bound(self):
+        """Parsing two 1 000-leaf binary trees and ppn treedist's core on
+        them (nRF and nQD) peak under 5.5 MB traced: each tree is walked
+        once and the first makes no membership table of its own (6.4 MB
+        when it did)."""
+        labels = [f"s{i:04d}" for i in range(1000)]
+        rng = random.Random(1000)
+        texts = [to_newick(random_binary_tree(rng, labels)) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            phylo._compare(map(from_newick, texts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5e6, peak
 
     @pytest.mark.parametrize("k", [48, 300])
     def test_chunk_budget_grows_with_the_shared_table_past_48_leaves(self, monkeypatch, k):

@@ -1,8 +1,10 @@
 """Unit tests for FASTA IO and the sequence simulator."""
 
 import io
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ppn import (
@@ -204,6 +206,36 @@ class TestBlockEdges:
         for block in range(1, len(text) + 2):
             monkeypatch.setattr(seqio, "_BLOCK", block)
             assert _outcome(io.StringIO(text), "drop") == want, block
+
+
+class TestCodesOwnership:
+    """read_fasta and simulate hand EncodedSequence read-only arrays of
+    their own, which it keeps without a copy."""
+
+    def test_a_record_of_several_blocks_is_joined_once(self, tmp_path):
+        # 1 Mnt in four 256 KiB blocks: the blocks' codes and their join,
+        # about 2.2 MB traced; a copy of the join would add 1 MB
+        path = tmp_path / "big.fa"
+        path.write_text(">big\n" + "ACGT" * 250_000 + "\n")
+        tracemalloc.start()
+        try:
+            (seq,) = read_fasta(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.length == 1_000_000 and not seq.codes.flags.writeable
+        assert peak < 2.5e6, peak
+
+    def test_simulate_makes_no_copy(self):
+        # one 1 MB array per record; a copy would hold two at once
+        tracemalloc.start()
+        try:
+            (seq,) = simulate(SimulationSpec(species_count=1, length=1_000_000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not seq.codes.flags.writeable
+        assert peak < 1.5e6, peak
 
 
 class TestWriteFasta:
