@@ -8,109 +8,12 @@ Distances between vectors feed UPGMA tree building, and trees can be
 compared with normalized Robinson-Foulds and quartet distances.
 """
 
-from .core import (
-    BASES,
-    MAX_RADIUS,
-    PERMUTATIONS,
-    PRIMES,
-    EncodedSequence,
-    Metric,
-    PpnParams,
-    PpnVector,
-    count_histogram,
-    distance,
-    encode,
-    factor_prime_product,
-    ppn_vector,
-    prime_product,
-    window_centers,
-    window_count,
-    window_counts_at,
-    window_product_sum,
-    window_products,
-)
-from .errors import (
-    DuplicateIdError,
-    DuplicateLeafError,
-    EmptySequenceError,
-    InputError,
-    InvalidCharacterError,
-    LeafSetMismatchError,
-    MalformedFastaError,
-    NewickParseError,
-    NonFiniteDistanceError,
-    NotSmoothError,
-    OutOfRangeError,
-    ParamsMismatchError,
-    PpnError,
-    TooFewLeavesError,
-    ValidationError,
-)
-from .phylo import (
-    DistanceMatrix,
-    PhyloTree,
-    TreeNode,
-    from_newick,
-    nqd,
-    nrf,
-    pairwise_matrix,
-    read_phylip,
-    to_newick,
-    upgma,
-    write_phylip,
-)
-from .seqio import SimulationSpec, read_fasta, simulate, write_fasta
+from .core import *
+from .errors import *
+from .phylo import *
+from .seqio import *
+from . import core, errors, phylo, seqio
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASES",
-    "MAX_RADIUS",
-    "PERMUTATIONS",
-    "PRIMES",
-    "DistanceMatrix",
-    "DuplicateIdError",
-    "DuplicateLeafError",
-    "EmptySequenceError",
-    "EncodedSequence",
-    "InputError",
-    "InvalidCharacterError",
-    "LeafSetMismatchError",
-    "MalformedFastaError",
-    "Metric",
-    "NewickParseError",
-    "NonFiniteDistanceError",
-    "NotSmoothError",
-    "OutOfRangeError",
-    "ParamsMismatchError",
-    "PhyloTree",
-    "PpnError",
-    "PpnParams",
-    "PpnVector",
-    "SimulationSpec",
-    "TooFewLeavesError",
-    "TreeNode",
-    "ValidationError",
-    "count_histogram",
-    "distance",
-    "encode",
-    "factor_prime_product",
-    "from_newick",
-    "nqd",
-    "nrf",
-    "pairwise_matrix",
-    "ppn_vector",
-    "prime_product",
-    "read_fasta",
-    "read_phylip",
-    "simulate",
-    "to_newick",
-    "upgma",
-    "window_centers",
-    "window_count",
-    "window_counts_at",
-    "window_product_sum",
-    "window_products",
-    "write_fasta",
-    "write_phylip",
-]
+__all__ = core.__all__ + errors.__all__ + phylo.__all__ + seqio.__all__

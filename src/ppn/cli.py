@@ -7,10 +7,12 @@ code.  Exit codes: 0 success, 1 I/O or out-of-memory failure, 2
 invalid parameters or inconsistent inputs, 3 malformed input data.  The
 writer streams UTF-8 text through Python's buffered I/O into a temp
 file as the subcommand runs, so no output is held whole.  The temp file
-reaches the ``--output`` path only when the run succeeds: it is renamed
-over a file, or copied to stdout for '-' (the default), so a failed run
-writes nothing.  Errors and notices (a library ``UserWarning``) go to
-stderr as one ``ppn <command>: <message>`` line each.
+reaches the ``--output`` path only when the run succeeds, so a failed
+run writes nothing: it is renamed over a file, and a symlink is written
+through; a FIFO, a device and '-' (stdout, the default) are copied to;
+a directory is refused before the subcommand runs.  Errors and notices
+(a library ``UserWarning``) go to stderr as one ``ppn <command>:
+<message>`` line each.
 
 No command holds two k x k arrays.  ``ppn matrix`` writes the distance
 rows as they are made and holds no matrix; ``ppn tree`` builds one
@@ -24,6 +26,7 @@ once, into a temp file that it removes.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import os
@@ -54,33 +57,40 @@ class _Output:
     layers, and the file object under them, are made then, so a command
     that writes only at its end holds none of them while it computes.
     The text reaches ``path`` ('-' for stdout) only if the ``with``
-    block ends without an exception.  For a file the temp file is
-    ``.ppn-*.tmp`` in the destination's directory, made here, renamed
-    over the destination on success and removed on failure.  A new file
-    gets the mode a plain ``open(path, "w")`` would give it (0666 less
-    the umask); a replaced file keeps its mode.  For '-' the temp file
-    is one in the system temp directory, unlinked as soon as it is made
-    and copied to stdout on success.  The temp file is closed last,
-    after the text layer is flushed on success, so after a failure the
-    upper layers are closed with nothing to flush.
+    block ends without an exception.
+
+    Where the text goes depends on what ``path`` names, looked up here
+    before the subcommand runs.  A regular file, or a path that does not
+    exist, is replaced: the temp file is ``.ppn-*.tmp`` beside the file
+    that :func:`os.path.realpath` resolves ``path`` to, renamed over it on
+    success and removed on failure, so a symlink is written through and
+    stays a link.  A new file gets the mode a plain ``open(path, "w")``
+    would give it (0666 less the umask); a replaced file keeps its mode.
+    '-', a FIFO and a device are copied to on success, from a temp file
+    in the system temp directory that is unlinked as soon as it is made;
+    a failed run never opens them.  A directory, an empty path and a path
+    in a missing directory are refused here, with an error that names
+    ``path``.  The temp file is closed last, after the text layer is
+    flushed on success, so after a failure the upper layers are closed
+    with nothing to flush.
     """
 
     __slots__ = ("path", "tmp", "fd", "raw", "text")
 
     def __init__(self, path: str):
-        self.path, self.raw, self.text = path, None, None
-        if path == "-":
+        self.path, self.tmp, self.raw, self.text = path, None, None, None
+        mode = None if path == "-" else _replaced_mode(path)
+        if mode is None:
             self.fd, tmp = tempfile.mkstemp(prefix=".ppn-", suffix=".tmp")
             os.unlink(tmp)
             return
+        self.path = os.path.realpath(path)
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
-        except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        directory = os.path.dirname(os.path.abspath(path))
-        self.fd, self.tmp = tempfile.mkstemp(dir=directory, prefix=".ppn-", suffix=".tmp")
+            self.fd, self.tmp = tempfile.mkstemp(
+                dir=os.path.dirname(self.path), prefix=".ppn-", suffix=".tmp"
+            )
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
         try:
             os.fchmod(self.fd, mode)
         except BaseException:
@@ -104,17 +114,40 @@ class _Output:
             with self.raw or io.FileIO(self.fd, "r+") as raw:
                 if failure is None and self.text is not None:
                     self.text.flush()
-                if failure is None and self.path == "-":
+                if failure is None and self.tmp is None:
                     raw.seek(0)
-                    _copy_to_stdout(raw)
-            if failure is None and self.path != "-":
+                    _copy(raw, self.path)
+            if failure is None and self.tmp is not None:
                 os.replace(self.tmp, self.path)
         finally:
-            if self.path != "-" and os.path.exists(self.tmp):
+            if self.tmp is not None and os.path.exists(self.tmp):
                 os.unlink(self.tmp)
 
 
-def _copy_to_stdout(tmp) -> None:
+def _replaced_mode(path: str) -> int | None:
+    """The mode of the file that replaces ``path``: a regular file's own,
+    or what ``open(path, "w")`` gives a new one; None for a destination
+    that is copied to instead, such as a FIFO or a device."""
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        if not os.path.basename(path):  # '' or 'name/' names no file to make
+            raise
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+    if stat.S_ISDIR(info.st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return stat.S_IMODE(info.st_mode) if stat.S_ISREG(info.st_mode) else None
+
+
+def _copy(tmp, path: str) -> None:
+    """Copy the temp file ``tmp`` to ``path``, a FIFO or a device, or to
+    stdout for '-'."""
+    if path != "-":
+        with open(path, "wb") as dest:
+            shutil.copyfileobj(tmp, dest)
+        return
     out = getattr(sys.stdout, "buffer", None)
     if out is None:  # a text-only stream, such as io.StringIO
         with io.TextIOWrapper(tmp, encoding="utf-8", newline="") as text:
@@ -173,17 +206,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
-        """A subcommand's parser, with the ``--output`` every subcommand takes."""
+    def command(name, summary, run):
+        """A subcommand's parser, with the ``--output`` every subcommand
+        takes; :func:`main` calls ``run(args, out)`` for it."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
+        p.set_defaults(run=run)
         return p
 
-    _add_common(command("vector", "compute 24-component vectors from FASTA"))
-    _add_common(command("matrix", "compute a pairwise distance matrix from FASTA"))
-    _add_common(command("tree", "build a UPGMA tree from FASTA or a matrix file"))
+    _add_common(command("vector", "compute 24-component vectors from FASTA", cmd_vector))
+    _add_common(command("matrix", "compute a pairwise distance matrix from FASTA", cmd_matrix))
+    _add_common(command("tree", "build a UPGMA tree from FASTA or a matrix file", cmd_tree))
 
-    p = command("treedist", "compare two Newick trees (nRF and nQD)")
+    p = command("treedist", "compare two Newick trees (nRF and nQD)", cmd_treedist)
     p.add_argument(
         "--input",
         "-i",
@@ -192,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="Newick file; pass twice, once per tree",
     )
 
-    p = command("simulate", "generate uniform random FASTA records")
+    p = command("simulate", "generate uniform random FASTA records", cmd_simulate)
     p.add_argument("--species", type=int, required=True, help="number of sequences")
     p.add_argument("--length", type=int, required=True, help="nucleotides per sequence")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
 
-    p = command("bench", "time the pipeline over simulated datasets")
+    p = command("bench", "time the pipeline over simulated datasets", cmd_bench)
     p.add_argument(
         "--species",
         default="10",
@@ -414,16 +449,6 @@ def cmd_bench(args, out) -> None:
     out.write(format_bench(rows))
 
 
-_COMMANDS = {
-    "vector": cmd_vector,
-    "matrix": cmd_matrix,
-    "tree": cmd_tree,
-    "treedist": cmd_treedist,
-    "simulate": cmd_simulate,
-    "bench": cmd_bench,
-}
-
-
 def _diagnostic(command: str, message) -> None:
     print(f"ppn {command}: {message}", file=sys.stderr)
 
@@ -444,7 +469,7 @@ def main(argv=None) -> int:
             warnings.showwarning = lambda message, *where: _diagnostic(
                 args.command, message
             )
-            _COMMANDS[args.command](args, out)
+            args.run(args, out)
         return 0
     except ValidationError as exc:
         _diagnostic(args.command, exc)

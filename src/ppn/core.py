@@ -40,7 +40,6 @@ __all__ = [
     "BASES",
     "PRIMES",
     "PERMUTATIONS",
-    "PERMUTATION_INDEX",
     "MAX_RADIUS",
     "Metric",
     "PpnParams",
@@ -67,11 +66,6 @@ PRIMES = (2, 3, 5, 7)
 #: A=2, C=3, G=5, T=7.  The order is a stable part of the interface:
 #: vector component j is defined by row j.
 PERMUTATIONS: tuple[tuple[int, int, int, int], ...] = tuple(permutations(PRIMES))
-
-#: Inverse lookup: prime 4-tuple -> row index.
-PERMUTATION_INDEX: dict[tuple[int, int, int, int], int] = {
-    row: j for j, row in enumerate(PERMUTATIONS)
-}
 
 #: Radius cap.  The largest per-window product is 7**(2l+1), and
 #: 7**21 < 2**63, so any radius up to 10 keeps products 64-bit safe.

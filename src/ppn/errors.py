@@ -5,6 +5,24 @@ parameters or inconsistent inputs (CLI exit code 2), and ``InputError``
 for malformed data files or sequences (CLI exit code 3).
 """
 
+__all__ = [
+    "PpnError",
+    "ValidationError",
+    "InputError",
+    "EmptySequenceError",
+    "InvalidCharacterError",
+    "OutOfRangeError",
+    "NotSmoothError",
+    "ParamsMismatchError",
+    "MalformedFastaError",
+    "DuplicateIdError",
+    "NonFiniteDistanceError",
+    "NewickParseError",
+    "DuplicateLeafError",
+    "LeafSetMismatchError",
+    "TooFewLeavesError",
+]
+
 
 class PpnError(Exception):
     """Base class for all package-specific errors."""

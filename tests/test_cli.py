@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface, run in-process."""
 
+import argparse
 import errno
 import gc
 import io
@@ -9,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -67,6 +69,10 @@ def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _no_temp_files(tmp_path):
+    return list(tmp_path.rglob(".ppn-*")) == []
 
 
 class TestVector:
@@ -774,17 +780,13 @@ class TestFailedRunWritesNothing:
         if self.CASES[command][3]:
             assert written[0] > io.DEFAULT_BUFFER_SIZE
 
-    @staticmethod
-    def _no_temp_files(tmp_path):
-        return [p for p in tmp_path.rglob("*") if p.name.startswith(".ppn-")] == []
-
     @pytest.mark.parametrize("argv", CASES, indirect=True)
     def test_stdout_stays_empty(self, argv, tmp_path, capsys, written):
         code, out, err = run([*argv, "--output", "-"], capsys)
         _, want, message, _ = self.CASES[argv[0]]
         assert (code, out, err) == (want, "", f"ppn {argv[0]}: {message}\n")
         self._check_written(argv[0], written)
-        assert self._no_temp_files(tmp_path)
+        assert _no_temp_files(tmp_path)
         assert list((tmp_path / "sys-tmp").iterdir()) == []
 
     @pytest.mark.parametrize("argv", CASES, indirect=True)
@@ -798,7 +800,7 @@ class TestFailedRunWritesNothing:
         self._check_written(argv[0], written)
         assert dest.read_bytes() == b"old\n"
         assert stat.S_IMODE(dest.stat().st_mode) == 0o640
-        assert self._no_temp_files(tmp_path)
+        assert _no_temp_files(tmp_path)
 
 
 class TestStdout:
@@ -873,6 +875,177 @@ class TestOutputFiles:
         assert main(["tree", "--input", fasta_path, "--output", str(dest)]) == 0
         assert stat.S_IMODE(dest.stat().st_mode) == 0o640
         assert dest.read_text().endswith(";\n")
+
+    # about 190 KB of vector rows: more than a pipe holds, so a FIFO's
+    # reader must drain it while the copy runs
+    @pytest.fixture
+    def many_path(self, tmp_path):
+        path = tmp_path / "many.fa"
+        write_fasta(simulate(SimulationSpec(species_count=1000, length=50, seed=2)), path)
+        return str(path)
+
+    @pytest.fixture
+    def bad_path(self, tmp_path):
+        path = tmp_path / "bad.fa"
+        path.write_text(">a\nACGT\n>\nACGT\n")
+        return str(path)
+
+    @staticmethod
+    def _file_route(argv, tmp_path):
+        """The bytes the command writes to a new regular file."""
+        assert main([*argv, "--output", str(tmp_path / "file-route.out")]) == 0
+        return (tmp_path / "file-route.out").read_bytes()
+
+    def test_symlink_is_written_through_and_stays_a_link(self, many_path, tmp_path):
+        argv = ["vector", "--input", many_path]
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "sub" / "target.tsv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.tsv"
+        link.symlink_to(os.path.join("sub", "target.tsv"))
+        assert main([*argv, "--output", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("sub", "target.tsv")
+        assert target.read_bytes() == self._file_route(argv, tmp_path)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert _no_temp_files(tmp_path)
+
+    def test_failed_run_through_a_symlink_writes_nothing(self, bad_path, tmp_path, capsys):
+        target = tmp_path / "target.tsv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target)
+        code, out, err = run(["vector", "--input", bad_path, "--output", str(link)], capsys)
+        assert (code, out, err) == (3, "", "ppn vector: line 3: empty FASTA header\n")
+        assert link.is_symlink() and target.read_text() == "old\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert _no_temp_files(tmp_path)
+
+    def test_fifo_is_copied_to_and_stays_a_fifo(self, many_path, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("os.mkfifo is not available")
+        argv = ["vector", "--input", many_path]
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        # a daemon, so that a run which never opens the FIFO leaves no
+        # thread that the interpreter waits for at exit
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*argv, "--output", str(fifo)]) == 0
+        reader.join(30)
+        assert not reader.is_alive()
+        assert got == [self._file_route(argv, tmp_path)]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert _no_temp_files(tmp_path)
+
+    def test_failed_run_never_opens_a_fifo(self, bad_path, tmp_path, capsys):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("os.mkfifo is not available")
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        codes = []
+        argv = ["vector", "--input", bad_path, "--output", str(fifo)]
+        # with no reader, opening the FIFO to write would wait for one
+        worker = threading.Thread(target=lambda: codes.append(main(argv)))
+        worker.start()
+        worker.join(30)
+        opened = worker.is_alive()
+        if opened:  # let the waiting open go
+            fifo.read_bytes()
+            worker.join()
+        assert not opened and codes == [3]
+        assert capsys.readouterr().err == "ppn vector: line 3: empty FASTA header\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert _no_temp_files(tmp_path)
+
+    def test_failed_fchmod_closes_and_removes_the_temp_file(
+        self, fasta_path, tmp_path, capsys, monkeypatch
+    ):
+        made = []
+        mkstemp = tempfile.mkstemp
+
+        def spy(*args, **kwargs):
+            made.append(mkstemp(*args, **kwargs))
+            return made[-1]
+
+        def refuse(fd, mode):
+            raise PermissionError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(tempfile, "mkstemp", spy)
+        monkeypatch.setattr(os, "fchmod", refuse)
+        dest = tmp_path / "out.tsv"
+        code, out, err = run(["vector", "--input", fasta_path, "--output", str(dest)], capsys)
+        assert (code, out, err) == (1, "", "ppn vector: [Errno 1] Operation not permitted\n")
+        [(fd, tmp)] = made
+        with pytest.raises(OSError) as exc:
+            os.fstat(fd)
+        assert exc.value.errno == errno.EBADF
+        assert not os.path.exists(tmp) and not dest.exists()
+        assert _no_temp_files(tmp_path)
+
+
+class TestBadOutput:
+    """An ``--output`` that cannot be written is refused before the
+    subcommand runs, with one line that names the path as given."""
+
+    @pytest.fixture(autouse=True)
+    def not_run(self, monkeypatch):
+        def fail(args, out):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setattr(cli, "cmd_vector", fail)
+        # a parser built afresh on each call, so that it holds the stub
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+
+    def _refused(self, fasta_path, output, capsys):
+        code, out, err = run(["vector", "--input", fasta_path, "--output", output], capsys)
+        assert (code, out) == (1, "")
+        return err
+
+    def test_directory(self, fasta_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "somedir").mkdir()
+        err = self._refused(fasta_path, "somedir", capsys)
+        assert err == "ppn vector: [Errno 21] Is a directory: 'somedir'\n"
+        assert _no_temp_files(tmp_path) and list((tmp_path / "somedir").iterdir()) == []
+
+    def test_empty_path(self, fasta_path, tmp_path, capsys, monkeypatch):
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        err = self._refused(fasta_path, "", capsys)
+        assert err == "ppn vector: [Errno 2] No such file or directory: ''\n"
+        assert _no_temp_files(tmp_path)
+
+    def test_path_in_a_missing_directory(self, fasta_path, tmp_path, capsys):
+        output = str(tmp_path / "missing" / "x.tsv")
+        err = self._refused(fasta_path, output, capsys)
+        assert err == f"ppn vector: [Errno 2] No such file or directory: {output!r}\n"
+        assert _no_temp_files(tmp_path)
+
+
+class TestDispatch:
+    # the arguments each subcommand requires; the handler is a stub
+    REQUIRED = {
+        "vector": ["--input", "x"],
+        "matrix": ["--input", "x"],
+        "tree": ["--input", "x"],
+        "treedist": ["--input", "x"],
+        "simulate": ["--species", "1", "--length", "1"],
+        "bench": [],
+    }
+
+    def test_each_subcommand_runs_its_own_handler(self, monkeypatch, capsys):
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(self.REQUIRED)
+        for name in sub.choices:
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args, out, name=name: out.write(name))
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        for name, required in self.REQUIRED.items():
+            code, out, _ = run([name, *required], capsys)
+            assert (code, out) == (0, name)
 
 
 class TestEncoding:

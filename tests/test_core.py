@@ -188,6 +188,15 @@ class TestEncodedSequence:
             seq, PpnParams(), 0
         )
 
+    def test_is_unequal_to_what_is_not_an_encoded_sequence(self):
+        seq = encode("ACGT")
+        assert seq.__eq__("ACGT") is NotImplemented
+        assert (seq == "ACGT") is False
+
+    def test_repr_names_id_length_and_dropped(self):
+        seq = encode("ACGNT", seq_id="x")
+        assert repr(seq) == "EncodedSequence(id='x', length=4, dropped=1)"
+
 
 # -- parameters ----------------------------------------------------------------
 
@@ -244,6 +253,14 @@ class TestWindows:
             for t in range(1, 6):
                 assert window_count(n, t) == 1 + (n - 1) // (t + 1)
                 assert window_count(n, t) == len(window_centers(n, t))
+
+    @pytest.mark.parametrize("length, stride, message", [
+        (0, 1, "sequence length must be >= 1, got 0"),
+        (5, 0, "stride must be >= 1, got 0"),
+    ])
+    def test_window_count_refuses_no_sequence_and_no_stride(self, length, stride, message):
+        with pytest.raises(ValidationError, match=message):
+            window_count(length, stride)
 
     def test_counts_truncate_at_the_left_edge(self):
         seq = encode(DEMO)
@@ -319,6 +336,11 @@ class TestVector:
         params = PpnParams(radius=1, stride=1)
         assert window_products(seq, params, 0) == [6, 105, 45, 63, 30, 28, 4]
         assert window_product_sum(seq, params, 0) == 281
+
+    @pytest.mark.parametrize("count", [23, 25])
+    def test_other_than_24_components_are_refused(self, count):
+        with pytest.raises(ValidationError, match=f"expected 24 components, got {count}"):
+            PpnVector((2,) * count, sequence_length=1, windows=1, params=PpnParams())
 
     def test_vector_component_zero_matches_sum(self):
         seq = encode(DEMO)
