@@ -9,10 +9,11 @@ writer streams UTF-8 text through Python's buffered I/O into a temp
 file as the subcommand runs, so no output is held whole.  The temp file
 reaches the ``--output`` path only when the run succeeds, so a failed
 run writes nothing: it is renamed over a file, and a symlink is written
-through; a FIFO, a device and '-' (stdout, the default) are copied to;
-a directory is refused before the subcommand runs.  Errors and notices
-(a library ``UserWarning``) go to stderr as one ``ppn <command>:
-<message>`` line each.
+through; a FIFO, a device, '-' (stdout, the default) and a file that
+stdout or stderr has open are copied to, and that file is appended to
+as the shell's ``>>`` would; a directory is refused before the
+subcommand runs.  Errors and notices (a library ``UserWarning``) go to
+stderr as one ``ppn <command>: <message>`` line each.
 
 No command holds two k x k arrays.  ``ppn matrix`` writes the distance
 rows as they are made and holds no matrix; ``ppn tree`` builds one
@@ -66,11 +67,14 @@ class _Output:
     success and removed on failure, so a symlink is written through and
     stays a link.  A new file gets the mode a plain ``open(path, "w")``
     would give it (0666 less the umask); a replaced file keeps its mode.
-    '-', a FIFO and a device are copied to on success, from a temp file
-    in the system temp directory that is unlinked as soon as it is made;
-    a failed run never opens them.  A directory, an empty path and a path
-    in a missing directory are refused here, with an error that names
-    ``path``.  The temp file is closed last, after the text layer is
+    '-', a FIFO, a device and a regular file that stdout or stderr has
+    open (:func:`os.path.samestat`) are copied to on success, from a temp
+    file in the system temp directory that is unlinked as soon as it is
+    made; a failed run never opens them.  The copy appends, so
+    ``--output log.tsv >> log.tsv`` and ``--output /dev/stdout >>
+    log.tsv`` keep what ``log.tsv`` held.  A directory, an empty path
+    and a path in a missing directory are refused here, with an error
+    that names ``path``.  The temp file is closed last, after the text layer is
     flushed on success, so after a failure the upper layers are closed
     with nothing to flush.
     """
@@ -127,7 +131,8 @@ class _Output:
 def _replaced_mode(path: str) -> int | None:
     """The mode of the file that replaces ``path``: a regular file's own,
     or what ``open(path, "w")`` gives a new one; None for a destination
-    that is copied to instead, such as a FIFO or a device."""
+    that is copied to instead: a FIFO, a device, or a regular file that
+    is open on stdout or stderr."""
     try:
         info = os.stat(path)
     except FileNotFoundError:
@@ -138,14 +143,33 @@ def _replaced_mode(path: str) -> int | None:
         return 0o666 & ~umask
     if stat.S_ISDIR(info.st_mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    return stat.S_IMODE(info.st_mode) if stat.S_ISREG(info.st_mode) else None
+    if stat.S_ISREG(info.st_mode) and not _on_stdio(info):
+        return stat.S_IMODE(info.st_mode)
+    return None
+
+
+def _on_stdio(info) -> bool:
+    """Whether the file that ``info`` describes is open on stdout or
+    stderr, where the shell's ``>>`` may have opened it to append."""
+    for fd in (1, 2):
+        try:
+            if os.path.samestat(info, os.fstat(fd)):
+                return True
+        except OSError:  # a closed descriptor holds no file
+            pass
+    return False
 
 
 def _copy(tmp, path: str) -> None:
-    """Copy the temp file ``tmp`` to ``path``, a FIFO or a device, or to
-    stdout for '-'."""
+    """Copy the temp file ``tmp`` to ``path``, or to stdout for '-'.
+
+    ``path`` is opened to append, so a file that stdout or stderr has
+    open (``/dev/stdout`` after the shell's ``>>``) gets the text after
+    what is in it, as the shell's own append would; a FIFO, a device
+    and a file the shell's ``>`` emptied get the same bytes either way.
+    """
     if path != "-":
-        with open(path, "wb") as dest:
+        with open(path, "ab") as dest:
             shutil.copyfileobj(tmp, dest)
         return
     out = getattr(sys.stdout, "buffer", None)

@@ -10,7 +10,6 @@ are insensitive to root placement.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 import os
 import re
@@ -48,10 +47,11 @@ __all__ = [
 #: cells in one block of :class:`DistanceMatrix`'s checks
 _CHECK_CELLS = 1 << 15
 
-#: rows in one block of :func:`write_phylip` and :func:`read_phylip`: a
-#: column holds one joined text per block above its row, and a block's
-#: strings are held one per pair while its rows are written; 8 held the
-#: least at k = 300 (writer peak 0.81 MB, against 0.98 at 16 and 1.58 at 32)
+#: rows in one block of :func:`write_phylip` and :func:`read_phylip`, read
+#: only by :func:`_add`: a column holds one joined text per block above its
+#: row, and a block's strings are held one per pair until its last row is
+#: added; 8 held the least at k = 300 (writer peak 0.81 MB, against 0.98 at
+#: 16 and 1.58 at 32)
 _PHYLIP_ROWS = 8
 
 
@@ -786,26 +786,23 @@ def _write_rows(labels, rows, fh) -> None:
     ``rows``, an iterator of k - 1 float64 arrays, each row's entries
     right of the diagonal, which is +0.0.
 
-    Rows are read and formatted :data:`_PHYLIP_ROWS` at a time; each
-    block's strings right of the diagonal are written in their own rows
-    and, for every column past the block, joined into one tab-separated
-    text that column's row writes left of its diagonal.  A column holds
-    one text per earlier block, never one string per pair, and drops
-    them once its row is written.
+    Rows are read, formatted and written one at a time, row i only once
+    rows 0 to i - 1 are written.  Each row writes ``repr`` of its entries
+    right of the diagonal, and left of it its column's fields from the
+    rows above (:func:`_above`); :func:`_add` joins every
+    :data:`_PHYLIP_ROWS` rows' strings into one tab-separated text per
+    later column.  A column holds one text per earlier block, never one
+    string per pair, and drops them once its row is written.
     """
     k = len(labels)
     fh.write(f"{k}\n")
-    columns = [[] for _ in range(k)]
-    for a in range(0, k, _PHYLIP_ROWS):
-        b = min(a + _PHYLIP_ROWS, k)
-        block = [list(map(repr, row.tolist())) for row in itertools.islice(rows, b - a)]
-        if b == k:
-            block.append([])  # the last row has no entries right of the diagonal
-        for i, upper in enumerate(block, a):
-            left = _above(columns, block[: i - a], i)
-            row = [_check_label(labels[i]), *left, "0.0", *upper]
-            fh.write("\t".join(row) + "\n")
-        _hand_down(columns, block, b)
+    columns, block = [[] for _ in range(k)], []
+    for i, label in enumerate(labels):
+        # the last row has no entries right of the diagonal
+        upper = list(map(repr, next(rows).tolist())) if i < k - 1 else []
+        row = [_check_label(label), *_above(columns, block, i), "0.0", *upper]
+        fh.write("\t".join(row) + "\n")
+        block = _add(columns, block, upper, i + 1)
 
 
 def _above(columns, block, i: int) -> list[str]:
@@ -815,19 +812,24 @@ def _above(columns, block, i: int) -> list[str]:
     ``block`` the current block's rows above row ``i``, each as its
     fields right of the diagonal.
     """
-    a = i - len(block)
     above, columns[i] = columns[i], None
-    above.extend(upper[i - p - 1] for p, upper in enumerate(block, a))
+    above.extend(upper[i - p - 1] for p, upper in enumerate(block, i - len(block)))
     return above
 
 
-def _hand_down(columns, block, b: int) -> None:
-    """Give every column from ``b`` on one tab-joined text of its fields
-    in ``block``, the rows up to ``b``, each as its fields right of the
-    diagonal."""
-    tails = (upper[b - p - 1 :] for p, upper in enumerate(block, b - len(block)))
+def _add(columns, block, upper, b: int) -> list:
+    """The current block once row ``b - 1``'s fields right of the
+    diagonal, ``upper``, are added to ``block``.  A block of
+    :data:`_PHYLIP_ROWS` rows gives every column from ``b`` on one
+    tab-joined text of its fields in the block, and a new block begins.
+    """
+    block.append(upper)
+    if len(block) < _PHYLIP_ROWS:
+        return block
+    tails = (row[b - p - 1 :] for p, row in enumerate(block, b - len(block)))
     for column, texts in zip(columns[b:], zip(*tails)):
         column.append("\t".join(texts))
+    return []
 
 
 def read_phylip(source) -> DistanceMatrix:
@@ -836,7 +838,8 @@ def read_phylip(source) -> DistanceMatrix:
     ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``),
     read as UTF-8, or an open text stream, which is left open.  A value
     must be a number ``float`` reads from ASCII with no ``_``; anything
-    else raises :class:`ValidationError` naming its row.  Rows are
+    else raises :class:`ValidationError` naming its row.  The count line
+    follows the same rule, and a negative count is refused too.  Rows are
     parsed as they are read, and the whole input is read before any
     error is raised: text that is not UTF-8 anywhere, then a wrong row
     count, win over the first bad row.  Where the lower triangle repeats
@@ -877,70 +880,71 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
     """The labels and array of the stripped non-blank ``lines`` of a
     PHYLIP text of ``size`` bytes, or of unknown size when that is None.
 
-    ``float`` reads each row's entries from its diagonal on.  The fields
-    left of the diagonal are joined with tabs and compared with the
-    fields the rows above had in the same column, held as
-    :func:`_write_rows` holds them; only when the two texts differ are
-    they read one by one.  Fields hold no whitespace, so equal texts
-    mean equal fields and so the same floats.  A text of fewer than
-    k(2k + 1) bytes cannot hold k rows of k + 1 fields: its rows are
-    checked as any others, but no array is made.
+    The count line is read by ``int`` only when it is ASCII, holds no
+    ``_`` and is not negative.  Rows are walked one at a time, as
+    :func:`_write_rows` writes them.  ``float`` reads each row's entries
+    from its diagonal on.  The fields left of the diagonal are joined
+    with tabs and compared with the fields the rows above had in the
+    same column, held as :func:`_write_rows` holds them (:func:`_above`,
+    :func:`_add`); only when the two texts differ are they read one by
+    one.  Fields hold no whitespace, so equal texts mean equal fields and
+    so the same floats.  A row's checks and its ``float`` calls raise
+    ``ValueError``, which records the first bad row's message at one
+    place.  A text of fewer than k(2k + 1) bytes cannot hold k rows of
+    k + 1 fields: its rows are checked as any others, but no array is
+    made.
     """
     first = next(lines, None)
     if first is None:
         raise ValidationError("empty distance matrix file")
     try:
-        k = int(first)
+        k = int(first)  # which reads "1_0", "\u0663" and "-3" too
+        if k < 0 or "_" in first or not first.isascii():
+            raise ValueError
     except ValueError:
         for _ in lines:  # text that is not UTF-8 further on wins
             pass
         raise ValidationError(
             f"expected a taxon count on the first line, found {first!r}"
         ) from None
-    labels, values, columns = [], None, None
+    # block: the current block's rows so far, as their fields right of the diagonal
+    labels, values, columns, block = [], None, None, []
     room = size is None or size >= k * (2 * k + 1)  # k rows of one-character fields
-    block = []  # the block's rows so far, as their fields right of the diagonal
     error, rows = None, 0  # the first bad row's message; rows read
     for rows, line in enumerate(lines, 1):
         if error is not None or rows > k:
             continue
-        parts = line.split()
-        if len(parts) != k + 1:
-            error = (
-                f"matrix row {rows}: expected a label and {k} values, "
-                f"found {len(parts)} fields"
-            )
-            continue
-        # float() also reads "1_5" as 15.0 and non-ASCII digits such as
-        # "\u0661" as 1.0; the fields are looked at one by one only when
-        # the row holds "_" past its label or is not all ASCII
-        if line.find("_", len(parts[0])) >= 0 or not line.isascii():
-            bad = next((p for p in parts[1:] if "_" in p or not p.isascii()), None)
-            if bad is not None:
-                error = f"matrix row {rows}: {bad!r} is not an ASCII decimal number"
-                continue
         r = rows - 1
-        if values is None and room:
-            # a row of k + 1 fields bounds k by the input's own size
-            values = np.zeros((k, k), dtype=np.float64)
-            columns = [[] for _ in range(k)]
-        above = None if values is None else "\t".join(_above(columns, block, r))
-        mirrored = "\t".join(parts[1:rows]) == above
         try:
+            parts = line.split()
+            if len(parts) != k + 1:
+                raise ValueError(
+                    f"expected a label and {k} values, found {len(parts)} fields"
+                )
+            # float() also reads "1_5" as 15.0 and non-ASCII digits such as
+            # "\u0661" as 1.0; the fields are looked at one by one only when
+            # the row holds "_" past its label or is not all ASCII
+            if line.find("_", len(parts[0])) >= 0 or not line.isascii():
+                bad = next((p for p in parts[1:] if "_" in p or not p.isascii()), None)
+                if bad is not None:
+                    raise ValueError(f"{bad!r} is not an ASCII decimal number")
+            above = None if values is None else "\t".join(_above(columns, block, r))
+            mirrored = "\t".join(parts[1:rows]) == above
             row = list(map(float, parts[rows if mirrored else 1 :]))
         except ValueError as exc:
             error = f"matrix row {rows}: {exc}"
             continue
         labels.append(parts[0])
+        if values is None and room:
+            # the first row, of k + 1 fields, bounds k by the input's own size
+            values = np.zeros((k, k), dtype=np.float64)
+            columns = [[] for _ in range(k)]
         if values is None:  # too small a file to fill the array
             continue
         if mirrored:
             values[r, :r] = values[:r, r]
         values[r, k - len(row) :] = row
-        block.append(parts[rows + 1 :])
-        if len(block) == _PHYLIP_ROWS:
-            _hand_down(columns, block, rows)
-            block = []
+        block = _add(columns, block, parts[rows + 1 :], rows)
     if rows != k:
         raise ValidationError(f"expected {k} matrix rows, found {rows}")
     if error is not None:

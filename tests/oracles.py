@@ -200,13 +200,53 @@ def scalar_distance(a, b, metric, normalized: bool) -> float:
     return float(sum(abs(x - y) for x, y in zip(a.components, b.components)))
 
 
-# -- PHYLIP, one repr per matrix entry ----------------------------------------------
+# -- PHYLIP, one repr or one float per matrix entry ---------------------------------
 
 def per_entry_phylip(matrix, fh) -> None:
     """The PHYLIP writer that formats every entry of both triangles."""
     fh.write(f"{matrix.size}\n")
     for label, row in zip(matrix.labels, matrix.values):
         fh.write("\t".join([_check_label(label), *map(repr, row.tolist())]) + "\n")
+
+
+def plain_phylip(text: str):
+    """What reading PHYLIP ``text`` gives, every value through ``float``.
+
+    Returns the labels and the rows of floats, or the message of the
+    first fault: no line; a count line that is not an optional sign and
+    ASCII digits, or is negative; a row count other than the count line's;
+    then, in file order, a row of other than a label and k values, or a
+    value that is not ASCII or holds ``_`` (which ``float`` would read),
+    or that ``float`` rejects.  Lines end at LF, as an ``io.StringIO``
+    gives them; they are stripped and blank ones skipped.  A row's values
+    are all checked for ASCII and ``_`` before any is read.
+    """
+    lines = [line.strip() for line in text.split("\n")]
+    lines = [line for line in lines if line]
+    if not lines:
+        return "empty distance matrix file"
+    if not re.fullmatch(r"[+-]?[0-9]+", lines[0]) or int(lines[0]) < 0:
+        return f"expected a taxon count on the first line, found {lines[0]!r}"
+    k, rows = int(lines[0]), lines[1:]
+    if len(rows) != k:
+        return f"expected {k} matrix rows, found {len(rows)}"
+    labels, values = [], []
+    for n, row in enumerate(rows, start=1):
+        label, *fields = row.split()
+        if len(fields) != k:
+            return (
+                f"matrix row {n}: expected a label and {k} values, "
+                f"found {len(fields) + 1} fields"
+            )
+        bad = [field for field in fields if "_" in field or not field.isascii()]
+        if bad:
+            return f"matrix row {n}: {bad[0]!r} is not an ASCII decimal number"
+        try:
+            values.append([float(field) for field in fields])
+        except ValueError as exc:
+            return f"matrix row {n}: {exc}"
+        labels.append(label)
+    return labels, values
 
 
 # -- UPGMA, by a full scan at every merge ----------------------------------------

@@ -960,6 +960,17 @@ class TestOutputFiles:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert _no_temp_files(tmp_path)
 
+    def test_a_closed_stdout_or_stderr_holds_no_file(self, tmp_path, monkeypatch):
+        dest = tmp_path / "out.tsv"
+        dest.write_text("old\n")
+        dest.chmod(0o640)
+
+        def closed(fd):
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+        monkeypatch.setattr(os, "fstat", closed)
+        assert cli._replaced_mode(str(dest)) == 0o640
+
     def test_failed_fchmod_closes_and_removes_the_temp_file(
         self, fasta_path, tmp_path, capsys, monkeypatch
     ):
@@ -984,6 +995,74 @@ class TestOutputFiles:
         assert exc.value.errno == errno.EBADF
         assert not os.path.exists(tmp) and not dest.exists()
         assert _no_temp_files(tmp_path)
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/dev/stdout") or not os.path.exists("/dev/stderr"),
+    reason="no /dev/stdout or /dev/stderr",
+)
+class TestOutputOnStdio:
+    """An ``--output`` that names the file stdout or stderr has open is
+    appended to, as the shell's ``>>`` would; ``ppn`` runs in a child
+    process whose stdout and stderr are files opened as ``>>`` opens
+    them (``"ab"``) or as ``>`` does (``"wb"``)."""
+
+    @staticmethod
+    def _ppn(argv, stdout, stderr, mode="ab"):
+        env = dict(os.environ, PYTHONPATH=str(Path(ppn.__file__).resolve().parents[1]))
+        with open(stdout, mode) as out, open(stderr, mode) as err:
+            return subprocess.run(
+                [sys.executable, "-m", "ppn.cli", *argv], env=env, stdout=out, stderr=err
+            ).returncode
+
+    def test_dev_stdout_appends_to_the_file_stdout_appends_to(self, fasta_path, tmp_path):
+        argv = ["vector", "--input", fasta_path]
+        log, err = tmp_path / "log.tsv", tmp_path / "err.txt"
+        log.write_bytes(b"first line\n")
+        assert self._ppn([*argv, "--output", "/dev/stdout"], log, err) == 0
+        route = TestOutputFiles._file_route(argv, tmp_path)
+        assert log.read_bytes() == b"first line\n" + route
+        assert err.read_bytes() == b""
+        assert _no_temp_files(tmp_path)
+
+    def test_dev_stderr_keeps_the_old_line_and_the_notice(self, fasta_path, tmp_path):
+        argv = ["vector", "--input", fasta_path, "--l", "2", "--t", "3", "--allow-gaps"]
+        out, log = tmp_path / "out.txt", tmp_path / "err.log"
+        log.write_bytes(b"old line\n")
+        assert self._ppn([*argv, "--output", "/dev/stderr"], out, log) == 0
+        route = TestOutputFiles._file_route(argv, tmp_path)
+        assert log.read_bytes() == b"old line\n" + GAP_NOTICE.encode() + b"\n" + route
+        assert out.read_bytes() == b""
+
+    def test_the_file_stdout_appends_to_is_appended_to_by_its_own_name(
+        self, fasta_path, tmp_path
+    ):
+        argv = ["vector", "--input", fasta_path]
+        log, err = tmp_path / "log.tsv", tmp_path / "err.txt"
+        log.write_bytes(b"first line\n")
+        assert self._ppn([*argv, "--output", str(log)], log, err) == 0
+        route = TestOutputFiles._file_route(argv, tmp_path)
+        assert log.read_bytes() == b"first line\n" + route
+        assert _no_temp_files(tmp_path)
+
+    def test_failed_run_leaves_the_file_as_it_was(self, tmp_path):
+        bad = tmp_path / "bad.fa"
+        bad.write_text(">a\nACGT\n>\nACGT\n")
+        log, err = tmp_path / "log.tsv", tmp_path / "err.txt"
+        log.write_bytes(b"first line\n")
+        argv = ["vector", "--input", str(bad), "--output", "/dev/stdout"]
+        assert self._ppn(argv, log, err) == 3
+        assert log.read_bytes() == b"first line\n"
+        assert err.read_bytes() == b"ppn vector: line 3: empty FASTA header\n"
+        assert _no_temp_files(tmp_path)
+
+    def test_dev_stdout_after_truncation_gives_the_file_route(self, fasta_path, tmp_path):
+        argv = ["matrix", "--input", fasta_path]
+        dest, err = tmp_path / "out.phy", tmp_path / "err.txt"
+        dest.write_bytes(b"old\n")
+        assert self._ppn([*argv, "--output", "/dev/stdout"], dest, err, mode="wb") == 0
+        assert dest.read_bytes() == TestOutputFiles._file_route(argv, tmp_path)
+        assert err.read_bytes() == b""
 
 
 class TestBadOutput:

@@ -822,6 +822,19 @@ class TestPhylip:
         with pytest.raises(ValidationError, match="taxon count"):
             read_phylip(io.StringIO("nope\na 0 1\nb 1 0\n"))
 
+    @pytest.mark.parametrize("count", ["\u0663", "1_0", "-3"])
+    def test_rejects_a_count_line_int_would_misread(self, count):
+        """``int`` reads the Arabic-Indic three as 3 and "1_0" as 10; the
+        count line follows the values' rule, and a count is not negative."""
+        with pytest.raises(ValidationError) as info:
+            read_phylip(io.StringIO(f"{count}\n" + _CANONICAL.partition("\n")[2]))
+        assert str(info.value) == f"expected a taxon count on the first line, found {count!r}"
+
+    @pytest.mark.parametrize("count", ["+3", "03"])
+    def test_reads_a_count_line_with_a_sign_or_a_leading_zero(self, count):
+        m = read_phylip(io.StringIO(f"{count}\n" + _CANONICAL.partition("\n")[2]))
+        assert hexes(m) == hexes(read_phylip(io.StringIO(_CANONICAL)))
+
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValidationError, match="rows"):
             read_phylip(io.StringIO("3\na 0 1\nb 1 0\n"))
@@ -839,7 +852,7 @@ class TestPhylip:
         with pytest.raises(ValidationError, match="expected 3 matrix rows, found 2"):
             read_phylip(io.StringIO("3\n" + rows))
 
-    @pytest.mark.parametrize("head", ["2\na 0 x\n", "2\na 0\n", "nope\n"])
+    @pytest.mark.parametrize("head", ["2\na 0 x\n", "2\na 0\n", "nope\n", "-3\n"])
     def test_text_that_is_not_utf8_after_a_bad_row_beats_it(self, tmp_path, head):
         path = tmp_path / "m.phy"
         path.write_bytes(head.encode() + b"b 1 \xff0\n")
@@ -970,6 +983,30 @@ class TestPhylip:
             back = read_phylip(io.StringIO(buf.getvalue()))
             assert back.labels == matrix.labels
             assert hexes(back) == hexes(matrix)
+
+    def test_writer_pulls_a_row_only_when_it_writes_it(self):
+        """Row i is written with at most rows 0 to i of the upper triangle
+        pulled, so each row of distances is written as it is made."""
+        matrix = pipeline_like(3 * _ROWS + 2, seed=4)
+        k, pulled, seen = matrix.size, 0, []
+
+        def rows():
+            nonlocal pulled
+            for i in range(k - 1):
+                pulled += 1
+                yield matrix.values[i, i + 1 :]
+
+        class Counted(io.StringIO):
+            def write(self, text):
+                seen.extend([pulled] * text.count("\n"))
+                return super().write(text)
+
+        out, want = Counted(), io.StringIO()
+        phylo._write_rows(matrix.labels, rows(), out)
+        write_phylip(matrix, want)
+        assert out.getvalue() == want.getvalue()
+        assert len(seen) == k + 1  # the count line, then k rows
+        assert [n <= i + 1 for i, n in enumerate(seen[1:])] == [True] * k
 
     @pytest.mark.parametrize("k", _PHYLIP_SIZES)
     def test_reader_converts_each_pair_of_its_writer_once(self, k, monkeypatch):

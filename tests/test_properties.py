@@ -58,6 +58,7 @@ from oracles import (
     oracle_nqd,
     oracle_upgma_newick,
     per_entry_phylip,
+    plain_phylip,
     scalar_distance,
     splits_by_edge_cut,
 )
@@ -518,16 +519,19 @@ def test_from_newick_raises_only_package_errors(text):
         pass
 
 
-_FIELD = st.sampled_from(["0", "0.0", "1.5", "-1", "nan", "inf", "1e999", "x", "a", "b"])
+_FIELD = st.sampled_from(
+    ["0", "0.0", "1.5", "-1", "nan", "inf", "1e999", "x", "a", "b",
+     "1_5", "\u0662", "-0.0", "+1.5"]
+)
 
 
 @st.composite
 def phylip_like_text(draw):
     """A count line and rows of plausible fields, so that most examples get
     past the count check."""
-    count = draw(st.integers(-1, 4))
+    count = draw(st.integers(-1, 4).map(str) | st.sampled_from(["\u0663", "1_0", "+3", "03"]))
     rows = draw(st.lists(st.lists(_FIELD, max_size=6).map(" ".join), max_size=5))
-    return "\n".join([str(count)] + rows)
+    return "\n".join([count] + rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -666,6 +670,46 @@ def test_phylip_block_size_changes_no_byte_and_no_float(matrix, rows, rnd):
             back = read_phylip(io.StringIO(text))
             assert back.labels == matrix.labels
             assert [v.hex() for v in back.values.ravel().tolist()] == hexes
+
+
+def _phylip_outcome(text: str):
+    """The labels and ``float.hex`` values that ``phylo._read_phylip``
+    reads from ``text``, or its error message."""
+    try:
+        labels, values = phylo._read_phylip(io.StringIO(text))
+    except ValidationError as exc:
+        return str(exc)
+    return labels, [v.hex() for v in values.ravel().tolist()]
+
+
+def _plain_phylip_outcome(text: str):
+    """:func:`_phylip_outcome` of the reader that converts every field."""
+    got = plain_phylip(text)
+    if isinstance(got, str):
+        return got
+    labels, rows = got
+    return labels, [v.hex() for row in rows for v in row]
+
+
+@st.composite
+def respelled_phylip(draw):
+    """A written matrix with its lower triangle respelled, and at times
+    one field of it swapped for one of :data:`_FIELD`."""
+    text = io.StringIO()
+    write_phylip(draw(blocked_matrices()), text)
+    lines = _respelled(text.getvalue(), draw(st.randoms())).splitlines()
+    if draw(st.booleans()):
+        r = draw(st.integers(1, len(lines) - 1))
+        fields = lines[r].split()
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(_FIELD)
+        lines[r] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(phylip_like_text(), respelled_phylip()))
+def test_reader_gives_the_outcome_of_one_float_per_field(text):
+    assert _phylip_outcome(text) == _plain_phylip_outcome(text)
 
 
 # -- distance matrix and UPGMA ---------------------------------------------------------
