@@ -175,7 +175,9 @@ class EncodedSequence:
     :func:`ppn.seqio.read_fasta` make, is kept without a copy; any other
     is copied, so the caller's array stays as writable as it was and a
     later write to it leaves ``codes`` as they are.  ``dropped`` counts
-    non-ACGT, non-whitespace characters removed during sanitization.
+    what sanitization removed that is neither a base nor whitespace:
+    bytes of FASTA read from a path or a byte stream, characters of FASTA
+    read from a text stream or of text given to :func:`encode`.
     """
 
     id: str
@@ -230,6 +232,10 @@ class PpnVector:
     Components are exact integers in :data:`PERMUTATIONS` row order.
     ``windows`` is the number of windows summed; every component is at
     least that large since each window contributes a product >= 2.
+
+    Raises :class:`ValidationError` unless there are 24 components and
+    each is an ``int``: the distances convert them to int64 where they
+    fit, which would truncate a float and read a bool as 0 or 1.
     """
 
     components: tuple[int, ...]
@@ -242,6 +248,10 @@ class PpnVector:
             raise ValidationError(
                 f"expected {len(PERMUTATIONS)} components, got {len(self.components)}"
             )
+        kinds = set(map(type, self.components))
+        if not kinds <= {int}:
+            names = ", ".join(sorted(k.__name__ for k in kinds - {int}))
+            raise ValidationError(f"components must be integers, got {names}")
 
 
 def _is_strict(policy: str) -> bool:
@@ -309,16 +319,23 @@ def window_count(length: int, stride: int) -> int:
     n = 1 + floor((N-1) / (stride+1)).  The last center w = (n-1)(t+1)+1
     satisfies w <= N and w + t + 1 > N: no window is skipped and none
     starts past the end.
+
+    Raises :class:`ValidationError` unless both arguments are integers
+    >= 1.
     """
-    if length < 1:
-        raise ValidationError(f"sequence length must be >= 1, got {length}")
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
+    for name, value in (("sequence length", length), ("stride", stride)):
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
     return 1 + (length - 1) // (stride + 1)
 
 
 def window_centers(length: int, stride: int) -> range:
-    """1-based center positions, spaced ``stride + 1`` apart."""
+    """1-based center positions, spaced ``stride + 1`` apart.
+
+    Raises :class:`ValidationError` as :func:`window_count` does.
+    """
     n = window_count(length, stride)
     return range(1, (n - 1) * (stride + 1) + 2, stride + 1)
 
@@ -331,7 +348,16 @@ def window_counts_at(
     ``center`` is 1-based.  The window covers positions
     max(1, center-radius) .. min(N, center+radius); windows at the ends
     simply contain fewer nucleotides.
+
+    Raises :class:`ValidationError` unless ``center`` is an integer and
+    ``radius`` an integer >= 0, and :class:`OutOfRangeError` if the
+    center lies outside the sequence.
     """
+    if not (_is_int(center) and _is_int(radius) and radius >= 0):
+        raise ValidationError(
+            f"a window needs an integer center and an integer radius >= 0, got "
+            f"center {center!r}, radius {radius!r}"
+        )
     n = seq.length
     if not 1 <= center <= n:
         raise OutOfRangeError(f"center {center} outside [1, {n}]")
@@ -346,14 +372,41 @@ def prime_product(counts: tuple[int, int, int, int], perm: int) -> int:
 
     With row (p1, p2, p3, p4) = PERMUTATIONS[perm] and counts
     (f1, f2, f3, f4), returns p1**f1 * p2**f2 * p3**f3 * p4**f4.  The
-    empty window maps to 1.  Exponents are table lookups; the radius cap
-    guarantees the result fits in 64 bits.
+    empty window maps to 1.  Exponents are table lookups.
+
+    Raises :class:`ValidationError` unless ``counts`` are four integers
+    >= 0 that sum to at most 2 * MAX_RADIUS + 1, the most a window holds,
+    which keeps the result below 2**63, and ``perm`` is an integer in
+    0..23.
     """
-    p1, p2, p3, p4 = PERMUTATIONS[perm]
-    f1, f2, f3, f4 = counts
-    value = _POW[p1][f1] * _POW[p2][f2] * _POW[p3][f3] * _POW[p4][f4]
-    assert value < _PRODUCT_LIMIT, "window product exceeded 64-bit range"
-    return value
+    row = _assignment(perm)
+    if not (
+        isinstance(counts, (tuple, list))
+        and len(counts) == len(BASES)
+        and all(_is_int(f) and f >= 0 for f in counts)
+        and sum(counts) <= _MAX_EXPONENT
+    ):
+        raise ValidationError(
+            f"counts must be {len(BASES)} integers >= 0 that sum to at most "
+            f"{_MAX_EXPONENT}, got {counts!r}"
+        )
+    return _product(counts, row)
+
+
+def _assignment(perm) -> tuple[int, int, int, int]:
+    """Row ``perm`` of :data:`PERMUTATIONS`, or a :class:`ValidationError`
+    for anything but an integer index of a row."""
+    if not _is_int(perm) or not 0 <= perm < len(PERMUTATIONS):
+        raise ValidationError(
+            f"assignment must be an integer in 0..{len(PERMUTATIONS) - 1}, got {perm!r}"
+        )
+    return PERMUTATIONS[perm]
+
+
+def _product(counts, row) -> int:
+    """The product of the primes of ``row`` raised to ``counts``."""
+    (f1, f2, f3, f4), (p1, p2, p3, p4) = counts, row
+    return _POW[p1][f1] * _POW[p2][f2] * _POW[p3][f3] * _POW[p4][f4]
 
 
 def factor_prime_product(value: int, perm: int) -> tuple[int, int, int, int]:
@@ -361,13 +414,15 @@ def factor_prime_product(value: int, perm: int) -> tuple[int, int, int, int]:
 
     Inverse of :func:`prime_product` for the same assignment.  Raises
     :class:`NotSmoothError` if ``value`` has a prime factor outside
-    {2, 3, 5, 7} (or is not a positive integer).
+    {2, 3, 5, 7} or is not a positive integer, and
+    :class:`ValidationError` if ``perm`` is not an integer in 0..23.
     """
-    if value < 1:
-        raise NotSmoothError(f"{value} is not a positive integer")
+    row = _assignment(perm)
+    if not _is_int(value) or value < 1:
+        raise NotSmoothError(f"{value!r} is not a positive integer")
     exponents = []
     rest = value
-    for p in PERMUTATIONS[perm]:
+    for p in row:
         e = 0
         while rest % p == 0:
             rest //= p
@@ -382,16 +437,21 @@ def window_products(seq: EncodedSequence, params: PpnParams, perm: int) -> list[
     """Per-window products at every center, for one prime assignment.
 
     This is the direct path: each window is counted on its own.  The
-    result has exactly ``window_count(N, stride)`` entries.
+    result has exactly ``window_count(N, stride)`` entries.  Raises
+    :class:`ValidationError` if ``perm`` is not an integer in 0..23.
     """
+    row = _assignment(perm)
     return [
-        prime_product(window_counts_at(seq, c, params.radius), perm)
+        _product(window_counts_at(seq, c, params.radius), row)
         for c in window_centers(seq.length, params.stride)
     ]
 
 
 def window_product_sum(seq: EncodedSequence, params: PpnParams, perm: int) -> int:
-    """Sum of all window products for one prime assignment (exact int)."""
+    """Sum of all window products for one prime assignment (exact int).
+
+    Raises as :func:`window_products` does.
+    """
     return sum(window_products(seq, params, perm))
 
 
@@ -449,13 +509,14 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     codes from c of its padded copy: the sum of their weights, ``A + C*B
     + G*B**2`` as in :class:`_WindowTally`.  One :func:`_weigh` and one
     :func:`_window_sums` key every position in int16, as the tally keys
-    its full windows.  The windows go through :data:`_BATCH_WINDOWS` at
-    a time: each takes its key from its record's start and center,
-    :func:`_counts` decodes the keys into count tuples, each tuple's 24
-    products come from :func:`_products`, and one ``np.add.reduceat`` per
-    limb (see :func:`_limb_shifts`, for the record with the most windows)
-    adds them into their records' sums.  The batch holds its codes, the
-    pads among them, once as int8 and twice as int16.
+    its windows over its own ``l`` pads.  The windows go through
+    :data:`_BATCH_WINDOWS` at a time: each takes its key from its
+    record's start and center, :func:`_counts` decodes the keys into
+    count tuples, each tuple's 24 products come from :func:`_products`,
+    and one ``np.add.reduceat`` per limb (see :func:`_limb_shifts`, for
+    the record with the most windows) adds them into their records' sums.
+    The batch holds its codes, the pads among them, once as int8 and
+    twice as int16.
     """
     radius, step, span = params.radius, params.stride + 1, 2 * params.radius + 1
     lengths = np.array([len(codes) for codes in pieces], dtype=np.int64)
@@ -562,25 +623,28 @@ class _WindowTally:
     ``A + C*B + G*B**2``, the sum of its weights; T is implied by the
     window's size.  A key is at most (2l+1)*B**2 < B**3 <= 22**3 = 10 648
     at the radius cap, and so is every partial sum, so the weights and
-    keys are int16, exact below 2**15.  Full windows, those holding
-    2*radius+1 nucleotides, are counted as soon as their last code is
-    fed: :func:`_window_sums` keys them and ``np.bincount`` over the
-    B**3 keys adds them to the running ``bins``.  A call walks its codes
+    keys are int16, exact below 2**15.  As in :func:`_batch_vectors`, the
+    sequence is read with ``l`` T codes before and after it, so every
+    window, full or cut short by an end alike, has the key of the 2l+1
+    weights from its start in the padded copy, and :func:`_window_sums`
+    keys them all.  A window is keyed as soon as its last code is fed;
+    ``np.bincount`` over the B**3 keys adds the full windows to the
+    running ``bins``, and the first ceil(l/(t+1)) keys, of the windows
+    cut by the start, go to ``_cut``.  A call walks its codes
     :data:`_CHUNK` at a time through one buffer of weights that starts
     with the weights kept from the last chunk, so a window that straddles
     two blocks or two chunks is summed like any other, and working memory
     is bounded by the chunk and block sizes, not by the sequence length.
     A chunk's weights come from :func:`_weigh`, two codes at a time into
     the buffer read as int32, so the kept weights are placed to end at an
-    even index.  :func:`_batch_vectors` keys its windows with the same
-    weights and sums, and decodes them with the same :func:`_counts`.
+    even index.  :func:`_batch_vectors` decodes its keys with the same
+    :func:`_counts`.
 
-    Between calls the tally holds ``bins``, the first 2*radius weights
-    and the weights from the start of the next full window not yet
-    counted to the end, fewer than 2*radius+1 of them.  The windows cut
-    short by either end of the sequence, at most 2*ceil(l/(t+1)), take
-    their keys from prefix and suffix sums of those weights in
-    :meth:`finish`, once the length is known.
+    Between calls the tally holds ``bins``, at most ceil(l/(t+1)) keys
+    in ``_cut``, and the weights from the start of the next window not
+    yet keyed to the end, fewer than 2l+1 of them, the ``l`` pads at
+    first.  :meth:`finish` keys the windows left, those cut short by the
+    end, once the length is known.
     """
 
     def __init__(self, params: PpnParams):
@@ -591,15 +655,17 @@ class _WindowTally:
         base = self._span + 1
         self.bins = np.zeros(base**3, dtype=np.int64)
         self.length = 0
-        # index of the first full window not yet counted
-        self._next = -(-self._radius // self._step)
-        # the weights of codes 0 .. min(2l, n) - 1, and n - len(_tail) .. n - 1
-        self._head = []
-        self._tail = []
+        # index of the first window not yet keyed
+        self._next = 0
+        # the keys of the windows cut by the start, and the weights from the
+        # next window's start to code n - 1, the l pads before code 0 at first
+        self._cut = []
+        self._tail = [0] * self._radius
 
     def feed(self, codes: np.ndarray) -> None:
-        """Count every full window that ends inside the codes fed so far."""
+        """Key every window that ends inside the codes fed so far."""
         radius, step, span = self._radius, self._step, self._span
+        cuts = -(-radius // step)  # windows cut by the start
         buf = np.empty(min(len(codes), _CHUNK) + span, dtype=np.int16)
         kept = len(self._tail)
         at = kept % 2  # the kept weights end, and the chunk's start, at an even index
@@ -611,15 +677,14 @@ class _WindowTally:
             _weigh(chunk, weights[kept:], span + 1)
             first = self.length - kept  # weights[i] is code first + i's
             self.length += len(chunk)
-            if len(self._head) < 2 * radius:
-                self._head += weights[len(self._head) - first : 2 * radius - first].tolist()
             start = self._next * step - radius - first
             done = (self.length - 1 - radius) // step + 1
             if done > self._next:
-                self.bins += np.bincount(
-                    _window_sums(weights, span, start, done - self._next, step),
-                    minlength=len(self.bins),
-                )
+                keys = _window_sums(weights, span, start, done - self._next, step)
+                if self._next < cuts:
+                    self._cut += keys[: cuts - self._next].tolist()
+                    keys = keys[cuts - self._next :]
+                self.bins += np.bincount(keys, minlength=len(self.bins))
                 start += (done - self._next) * step
                 self._next = done
             # keep the weights from the next window's start, none if it starts later
@@ -631,21 +696,21 @@ class _WindowTally:
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Window count tuples (A, C, G, T) as rows, and their multiplicities:
         one row per nonzero bin, then one per window cut short by an end of
-        the sequence, so a tuple may appear in more than one row."""
+        the sequence, in window order, so a tuple may appear in more than
+        one row."""
         radius, step, span = self._radius, self._step, self._span
         n = self.length
-        windows = window_count(n, step - 1)
-        head, tail = self._head, self._tail
-        first = n - len(tail)
-        # a window cut by the start covers codes 0..end-1, one cut by the
-        # end covers start..n-1
-        ends = [min(j * step + radius + 1, n) for j in range(min(-(-radius // step), windows))]
-        starts = [j * step - radius for j in range(self._next, windows)]
-        cut = [sum(head[:e]) for e in ends] + [sum(tail[s - first :]) for s in starts]
+        left = range(self._next, window_count(n, step - 1))
+        cut = list(self._cut)
+        if left:
+            # the kept weights run from window _next's start; l pads end them
+            weights = np.array(self._tail + [0] * radius, dtype=np.int16)
+            cut += _window_sums(weights, span, 0, len(left), step).tolist()
+        centers = [j * step for j in [*range(len(self._cut)), *left]]
         seen = np.flatnonzero(self.bins)
         keys = np.concatenate([seen, np.array(cut, dtype=np.int64)])
         size = np.full(len(keys), span, dtype=np.int64)
-        size[len(seen) :] = ends + [n - s for s in starts]
+        size[len(seen) :] = [min(c + radius + 1, n) - max(c - radius, 0) for c in centers]
         counts = np.stack(_counts(keys, size, span), axis=1)
         return counts, np.concatenate([self.bins[seen], np.ones(len(cut), dtype=np.int64)])
 
@@ -676,8 +741,11 @@ def count_histogram(
     count tuple is the main performance lever: interior windows all hold
     2*radius+1 nucleotides, so the number of distinct tuples is bounded
     by the compositions of that total into four parts, independent of
-    sequence length.  The codes go through the same block tally as a
-    streamed FASTA record, as one block.
+    sequence length.  The at most 2*ceil(l/(t+1)) windows cut short by
+    an end of the sequence hold fewer, and their tuples count only the
+    nucleotides inside it: the tally keys them over ``l`` T pads, which
+    the window's size then leaves out.  The codes go through the same
+    block tally as a streamed FASTA record, as one block.
     """
     tally = _WindowTally(params)
     tally.feed(seq.codes)

@@ -4,6 +4,7 @@ and the vector metric."""
 import math
 import random
 import warnings
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -262,6 +263,23 @@ class TestWindows:
         with pytest.raises(ValidationError, match=message):
             window_count(length, stride)
 
+    @pytest.mark.parametrize("length, stride", [
+        (5.5, 1), (5, 1.5), (True, 1), (5, True), ("5", 1), (np.int64(5), 1),
+    ])
+    def test_window_count_and_centers_refuse_arguments_that_are_not_integers(
+        self, length, stride
+    ):
+        for function in (window_count, window_centers):
+            with pytest.raises(ValidationError, match="must be an integer, got"):
+                function(length, stride)
+
+    @pytest.mark.parametrize("center, radius", [
+        (3, -1), (3.5, 1), (3, 1.0), (True, 1), (3, False), (np.int64(3), 1),
+    ])
+    def test_counts_refuse_a_center_or_radius_they_cannot_take(self, center, radius):
+        with pytest.raises(ValidationError, match="integer center and an integer radius"):
+            window_counts_at(encode(DEMO), center, radius)
+
     def test_counts_truncate_at_the_left_edge(self):
         seq = encode(DEMO)
         # center 1, radius 1 covers positions 1..2 only
@@ -306,6 +324,45 @@ class TestPrimeProduct:
         for j, row in enumerate(PERMUTATIONS):
             assert prime_product((0, 0, 0, 1), j) == row[3]
 
+    @pytest.mark.parametrize("counts, perm, message", [
+        ((-1, 0, 0, 0), 0, "counts must be"),
+        ((11, 11, 0, 0), 0, "counts must be"),
+        ((22, 0, 0, 0), 0, "counts must be"),
+        ((1, 0, 0), 0, "counts must be"),
+        ((1, 0, 0, 0, 0), 0, "counts must be"),
+        ((1.0, 0, 0, 0), 0, "counts must be"),
+        ((True, 0, 0, 0), 0, "counts must be"),
+        (5, 0, "counts must be"),
+        ((1, 0, 0, 0), -1, "assignment must be"),
+        ((1, 0, 0, 0), 24, "assignment must be"),
+        ((1, 0, 0, 0), True, "assignment must be"),
+        ((1, 0, 0, 0), 1.0, "assignment must be"),
+    ])
+    def test_product_refuses_counts_or_assignments_it_cannot_take(self, counts, perm, message):
+        with pytest.raises(ValidationError, match=message):
+            prime_product(counts, perm)
+
+    @pytest.mark.parametrize("value, perm, error", [
+        (6.0, 0, NotSmoothError),
+        (True, 0, NotSmoothError),
+        ("6", 0, NotSmoothError),
+        (6, -1, ValidationError),
+        (6, 24, ValidationError),
+        (6, True, ValidationError),
+    ])
+    def test_factorization_refuses_values_or_assignments_it_cannot_take(
+        self, value, perm, error
+    ):
+        with pytest.raises(error):
+            factor_prime_product(value, perm)
+
+    @pytest.mark.parametrize("perm", [-1, 24, True, 0.0])
+    def test_window_products_refuse_an_assignment_that_is_no_row(self, perm):
+        seq = encode(DEMO)
+        for function in (window_products, window_product_sum):
+            with pytest.raises(ValidationError, match="assignment must be"):
+                function(seq, PpnParams(radius=1, stride=1), perm)
+
     def test_factorization_recovers_counts(self):
         assert factor_prime_product(105, 0) == (0, 1, 1, 1)
         assert factor_prime_product(45, 0) == (0, 2, 1, 0)
@@ -341,6 +398,13 @@ class TestVector:
     def test_other_than_24_components_are_refused(self, count):
         with pytest.raises(ValidationError, match=f"expected 24 components, got {count}"):
             PpnVector((2,) * count, sequence_length=1, windows=1, params=PpnParams())
+
+    @pytest.mark.parametrize("component, kind", [
+        (1.5, "float"), (True, "bool"), ("1", "str"), (np.int64(1), "int64"),
+    ])
+    def test_components_that_are_not_integers_are_refused(self, component, kind):
+        with pytest.raises(ValidationError, match=f"components must be integers, got {kind}"):
+            PpnVector((1,) * 23 + (component,), sequence_length=1, windows=1, params=PpnParams())
 
     def test_vector_component_zero_matches_sum(self):
         seq = encode(DEMO)
@@ -473,6 +537,36 @@ class TestVector:
             for batch in (pieces, [*pieces, long_t]):
                 want = [ppn_vector(EncodedSequence("x", codes), params) for codes in batch]
                 assert _batch_vectors(batch, params) == want, params
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 10])
+    def test_cut_windows_of_every_short_record_equal_a_recount(self, radius):
+        # records of 1..4l+3 codes have windows cut by the start, by the
+        # end, by both or by neither; each is fed to a tally whole and one
+        # code at a time, and its windows are recounted one by one from
+        # the spec's centers
+        rng = np.random.default_rng(radius)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            geometries = [
+                PpnParams(radius, t, allow_gaps=True)
+                for t in sorted({1, radius, radius + 1, 2 * radius + 3})
+            ]
+        for n in range(1, 4 * radius + 4):
+            for codes in (np.zeros(n), np.full(n, 3), rng.integers(0, 4, n)):
+                seq = EncodedSequence("x", codes.astype(np.int8))
+                for params in geometries:
+                    want = Counter(
+                        window_counts_at(seq, c, radius)
+                        for c in window_centers(n, params.stride)
+                    )
+                    assert count_histogram(seq, params) == dict(want), (n, params)
+                    tally = _WindowTally(params)
+                    for i in range(n):
+                        tally.feed(seq.codes[i : i + 1])
+                    got = Counter()
+                    for row, weight in zip(*tally.finish()):
+                        got[tuple(row.tolist())] += int(weight)
+                    assert got == want, (n, params)
 
     @pytest.mark.parametrize("radius, stride", [(1, 1), (4, 1), (4, 4), (10, 1), (3, 20)])
     @pytest.mark.parametrize(

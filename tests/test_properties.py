@@ -118,14 +118,16 @@ def _summed(rows):
 
 def _feed_in_pieces(params, codes, sizes):
     """Feed ``codes`` to a new tally in pieces of the given sizes, cycled;
-    after each piece the tally keeps at most 2l+1 sums at either end."""
+    after each piece the tally keeps at most ceil(l/(t+1)) keys of windows
+    cut by the start and at most 2l+1 weights."""
     tally = _WindowTally(params)
     span = 2 * params.radius + 1
+    cuts = math.ceil(params.radius / (params.stride + 1))
     lo, k = 0, 0
     while lo < len(codes):
         hi = lo + sizes[k % len(sizes)]
         tally.feed(codes[lo:hi])
-        assert len(tally._head) <= span and len(tally._tail) <= span
+        assert len(tally._cut) <= cuts and len(tally._tail) <= span
         lo, k = hi, k + 1
     return tally
 
