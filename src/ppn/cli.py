@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _vectors(args, params: PpnParams):
     """Yield ``(id, vector)`` per FASTA record in file order; a record
-    longer than one block is never held whole."""
+    longer than one tally chunk is never held whole."""
     records = seqio._scan(args.input, args.policy, functools.partial(_WindowTally, params))
     return _record_vectors(((i, codes, tally) for i, _, codes, tally in records), params)
 

@@ -846,10 +846,11 @@ def read_phylip(source) -> DistanceMatrix:
     the upper one's fields, as :func:`write_phylip` writes it, each
     unordered pair is converted once; other spellings of the same
     numbers, other whitespace and CRLF read to the same floats.  The
-    k x k array is made only once a row has k + 1 fields, and, for a
-    path to a regular file, only when the file is large enough to hold
-    k rows.  An open stream is not sized, as it may decode a file of
-    another size (``gzip.open``).
+    k x k array is made only once all k rows are read and checked, so a
+    count line that its rows never fill allocates nothing, from a path
+    or an open stream alike.  A path to a regular file that holds k rows
+    must be large enough to hold them; an open stream is not sized, as
+    it may decode a file of another size (``gzip.open``).
     """
     return DistanceMatrix._adopt(*_read_phylip(source))
 
@@ -890,9 +891,13 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
     one.  Fields hold no whitespace, so equal texts mean equal fields and
     so the same floats.  A row's checks and its ``float`` calls raise
     ``ValueError``, which records the first bad row's message at one
-    place.  A text of fewer than k(2k + 1) bytes cannot hold k rows of
-    k + 1 fields: its rows are checked as any others, but no array is
-    made.
+    place.  Each row read keeps its floats from the diagonal on, and a
+    row that is not mirrored its floats left of it too; the k x k array
+    is made from them only once all k rows are read and the column texts
+    are gone, so its size is bounded by the rows the input holds, not by
+    its count line.  A text of fewer than k(2k + 1) bytes cannot hold k
+    rows of k + 1 fields: its rows are checked as any others, and k of
+    them raise, as the file grew while it was read.
     """
     first = next(lines, None)
     if first is None:
@@ -908,8 +913,7 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
             f"expected a taxon count on the first line, found {first!r}"
         ) from None
     # block: the current block's rows so far, as their fields right of the diagonal
-    labels, values, columns, block = [], None, None, []
-    room = size is None or size >= k * (2 * k + 1)  # k rows of one-character fields
+    labels, kept, columns, block = [], [], None, []
     error, rows = None, 0  # the first bad row's message; rows read
     for rows, line in enumerate(lines, 1):
         if error is not None or rows > k:
@@ -928,27 +932,28 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
                 bad = next((p for p in parts[1:] if "_" in p or not p.isascii()), None)
                 if bad is not None:
                     raise ValueError(f"{bad!r} is not an ASCII decimal number")
-            above = None if values is None else "\t".join(_above(columns, block, r))
+            above = None if columns is None else "\t".join(_above(columns, block, r))
             mirrored = "\t".join(parts[1:rows]) == above
-            row = list(map(float, parts[rows if mirrored else 1 :]))
+            fields = parts[rows if mirrored else 1 :]
+            row = np.fromiter(map(float, fields), np.float64, len(fields))
         except ValueError as exc:
             error = f"matrix row {rows}: {exc}"
             continue
         labels.append(parts[0])
-        if values is None and room:
+        kept.append(row)
+        if columns is None:
             # the first row, of k + 1 fields, bounds k by the input's own size
-            values = np.zeros((k, k), dtype=np.float64)
             columns = [[] for _ in range(k)]
-        if values is None:  # too small a file to fill the array
-            continue
-        if mirrored:
-            values[r, :r] = values[:r, r]
-        values[r, k - len(row) :] = row
         block = _add(columns, block, parts[rows + 1 :], rows)
     if rows != k:
         raise ValidationError(f"expected {k} matrix rows, found {rows}")
     if error is not None:
         raise ValidationError(error)
-    if values is None and k:  # k rows that the file's size said cannot fit
+    if size is not None and size < k * (2 * k + 1):  # k rows of one-character fields
         raise ValidationError("distance matrix file grew while it was read")
-    return labels, np.zeros((0, 0)) if values is None else values
+    values = np.zeros((k, k), dtype=np.float64)
+    for r, row in enumerate(kept):
+        if len(row) < k:  # a mirrored row: its lower fields are the column above
+            values[r, :r] = values[:r, r]
+        values[r, k - len(row) :] = row
+    return labels, values

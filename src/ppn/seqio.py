@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     _SPACE,
     EncodedSequence,
@@ -61,8 +62,17 @@ def _opened(target, mode: str):
     return contextlib.nullcontext(target)
 
 
-#: Bytes (characters, for a text stream) that :func:`read_fasta` reads at a time.
-_BLOCK = 1 << 18
+#: Bytes (characters, for a text stream) that :func:`read_fasta` reads at
+#: a time: the tally's 32 KiB chunk, so a block, its codes and the tally's
+#: buffers stay in cache together.  Measured on a 2-vCPU host with numpy
+#: 2.4, 1 << 13 ... 1 << 18 gave ``ppn vector`` on 7.5 Mnt in three
+#: records 41 / 33 / 26 / 27 / 28 / 27 ms and 0.17 / 0.25 / 0.41 / 0.49 /
+#: 0.68 / 1.07 MB traced, and on 300 x 16.5 knt 0.26 / 0.27 / 0.29 / 0.31
+#: / 0.38 / 0.63 MB: a smaller block pays the tally's fixed cost per feed
+#: more often, and a larger one traces more, is no faster on the long
+#: records and about 3 % faster on the 16.5 knt ones, half of which
+#: straddle a 32 KiB edge.
+_BLOCK = 1 << 15
 
 
 def _blocks(source):
@@ -102,14 +112,16 @@ def _line_end(buf: bytes, start: int) -> int:
 
 
 class _Record:
-    """The open record of a scan: its id, its dropped count and the codes
-    of the one block that brought bases, or the sink of a longer record."""
+    """The open record of a scan: its id, its dropped count, and its codes
+    so far, one array per block that brought bases, until they pass
+    :data:`ppn.core._CHUNK` codes; from then on the sink that took them
+    and takes every later block's codes."""
 
-    __slots__ = ("id", "strict", "new_sink", "dropped", "codes", "sink")
+    __slots__ = ("id", "strict", "new_sink", "dropped", "held", "pieces", "sink")
 
     def __init__(self, seq_id: str, strict: bool, new_sink):
         self.id, self.strict, self.new_sink = seq_id, strict, new_sink
-        self.dropped, self.codes, self.sink = 0, None, None
+        self.dropped, self.held, self.pieces, self.sink = 0, 0, [], None
 
     def feed(self, body: bytes) -> None:
         """Take one block's share of the body."""
@@ -118,35 +130,44 @@ class _Record:
         if not kept:
             return
         codes = np.frombuffer(kept, dtype=np.int8)
-        if self.codes is None and self.sink is None:
-            self.codes = codes
+        if self.sink is not None:
+            self.sink.feed(codes)
             return
-        if self.sink is None:  # a second block with bases
+        self.pieces.append(codes)
+        self.held += len(codes)
+        if self.held > core._CHUNK:  # looked up per call, as the tally does
             self.sink = self.new_sink()
-            self.sink.feed(self.codes)
-            self.codes = None
-        self.sink.feed(codes)
+            for piece in self.pieces:
+                self.sink.feed(piece)
+            self.pieces = None
 
     def end(self):
-        if self.codes is None and self.sink is None:
+        if self.sink is not None:
+            return self.id, self.dropped, None, self.sink
+        if not self.pieces:
             raise _no_bases(self.id)
-        return self.id, self.dropped, self.codes, self.sink
+        pieces = self.pieces
+        codes = pieces[0] if len(pieces) == 1 else _read_only(np.concatenate(pieces))
+        return self.id, self.dropped, codes, None
 
 
 def _scan(source, policy: str, new_sink):
     """Read FASTA block by block; yield ``(id, dropped, codes, sink)`` as
     each record ends.
 
-    A record whose bases all lie in one block comes as its int8
-    ``codes``, with ``sink`` None.  When a second block brings bases,
-    ``new_sink()`` makes the record's sink, and every block's codes go
-    to ``sink.feed``, with ``codes`` None; so one block of the input and
-    one block's codes are held at a time.  A header line of byte input
-    is decoded as UTF-8 once it is whole.  Checks and errors are those
-    of :func:`read_fasta`, raised in file order; ``policy`` is checked
-    before any input is read.  Line breaks are counted once per block, a
-    CRLF split across two blocks as one; an error that names a line adds
-    the breaks of its own block up to where it occurs.
+    The record's length, not the block edges, picks its form.  A record
+    of at most :data:`ppn.core._CHUNK` codes comes whole, as one
+    read-only int8 array ``codes``, with ``sink`` None, however many
+    blocks its bases span.  Once a record's codes pass that many,
+    ``new_sink()`` makes its sink, which is fed the codes held so far and
+    then every later block's, one array per block that brought bases,
+    with ``codes`` None; so one block of the input and at most one chunk
+    and one block of codes are held at a time.  A header line of byte
+    input is decoded as UTF-8 once it is whole.  Checks and errors are
+    those of :func:`read_fasta`, raised in file order; ``policy`` is
+    checked before any input is read.  Line breaks are counted once per
+    block, a CRLF split across two blocks as one; an error that names a
+    line adds the breaks of its own block up to where it occurs.
     """
     strict = _is_strict(policy)
     seen: set[str] = set()
@@ -232,15 +253,16 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``) or
     an open text/byte stream, which is left open; it is read once, in
     blocks of :data:`_BLOCK` bytes, so apart from the returned codes
-    memory stays within one block.  LF, CRLF and CR-only line
-    endings are all accepted.  A header is a line that opens with '>';
-    record ids are its first whitespace-delimited token.  The headers of
-    a path or byte stream are read as UTF-8.  Each block's share of a
-    record body, line breaks included, is encoded as in :func:`encode`,
-    so errors come in file order.  A record whose bases lie in one block
-    keeps that block's codes as they are; a longer one joins its blocks'
-    codes once.  Blank lines (only spaces, tabs, CR, LF, VT, FF) are
-    ignored.
+    memory stays within one block and one tally chunk of codes.  LF,
+    CRLF and CR-only line endings are all accepted.  A header is a line
+    that opens with '>'; record ids are its first whitespace-delimited
+    token.  The headers of a path or byte stream are read as UTF-8.
+    Each block's share of a record body, line breaks included, is
+    encoded as in :func:`encode`, so errors come in file order.  A
+    record of at most :data:`ppn.core._CHUNK` codes keeps the codes its
+    one block gave, or joins those of the blocks its bases span, as
+    :func:`_scan` hands it over; a longer one joins its blocks' codes
+    once.  Blank lines (only spaces, tabs, CR, LF, VT, FF) are ignored.
 
     Raises :class:`ValidationError`, before any input is read, for a
     ``policy`` other than ``"drop"`` or ``"strict"``;

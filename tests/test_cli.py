@@ -35,7 +35,7 @@ from ppn import (
     window_count,
     write_fasta,
 )
-from ppn import cli, core, phylo
+from ppn import cli, core, phylo, seqio
 from ppn.cli import main, run_bench
 from ppn.core import Metric, _shifted_rows
 from ppn.phylo import _NQD_MAX_LEAVES, write_phylip
@@ -198,11 +198,13 @@ class TestMatrix:
         assert main([*argv, *["--normalize"] * normalize, "--output", str(dest)]) == 0
         assert dest.read_bytes() == want.getvalue().encode()
 
+    @pytest.mark.parametrize("block", [64, 4096, seqio._BLOCK])
     def test_short_records_are_batched_not_vectored_one_by_one(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, block
     ):
         """300 records of 200 nt take a few batch calls, each of at most
-        ``_CHUNK`` codes, not one call per record."""
+        ``_CHUNK`` codes, not one call per record, at any read block: a
+        record that a block edge cuts still comes whole to the batch."""
         path = tmp_path / "short.fa"
         write_fasta(simulate(SimulationSpec(300, 200, 3)), str(path))
         calls = []
@@ -213,6 +215,7 @@ class TestMatrix:
             return batch(pieces, params)
 
         monkeypatch.setattr(core, "_batch_vectors", counting)
+        monkeypatch.setattr(seqio, "_BLOCK", block)
         assert run(["matrix", "--input", str(path)], capsys)[0] == 0
         assert sum(calls) == 300 * 200
         assert len(calls) <= -(-300 * 200 // core._CHUNK) + 1
@@ -1219,6 +1222,16 @@ class TestMemory:
             peaks.append(self._vector_peak(path, tmp_path))
         assert peaks[1] <= 1.05 * peaks[0], peaks
 
+    def test_vector_peak_is_one_read_block_and_one_chunk(self, tmp_path):
+        """The traced peak of ``ppn vector`` on a 4 Mnt record is below
+        0.6 MB: a 32 KiB read block, its codes and the tally's one-chunk
+        buffers.  Measured with ``tracemalloc``: 0.38 MB; with 256 KiB
+        read blocks it was 1.07 MB."""
+        path = tmp_path / "4M.fa"
+        self._fasta(path, 1, 4_000_000, np.random.default_rng(4))
+        peak = self._vector_peak(path, tmp_path)
+        assert peak < 0.6e6, peak
+
     K = 300
 
     @pytest.fixture
@@ -1331,11 +1344,26 @@ class TestMemory:
         lower row with its mirror.  Measured as in the matrix tests
         (seeds 1 to 3): the peak was 1.47 MB, 0.75 MB above the matrix
         (0.72 MB), and the text is 1.65 MB, so the margin is 0.07 MB;
-        with ``upgma``'s copy the peak was 1.60 MB, above the bound."""
+        with ``upgma``'s copy the peak was 1.60 MB, above the bound.
+        Since the array waits for the last row, the peak is 1.19 MB."""
         phy = tmp_path / "m.phy"
         assert main(["matrix", "--input", str(short_fasta), "--output", str(phy)]) == 0
         peak = self._peak(["tree", "--input", str(phy), "--output", str(tmp_path / "t.nwk")])
         assert peak < self.K**2 * 8 + phy.stat().st_size / 2, peak
+
+    def test_tree_peak_on_a_matrix_file_is_one_matrix_and_its_upper_rows(
+        self, short_fasta, tmp_path
+    ):
+        """``ppn tree --input dist.phy`` peaks below 1.5 k x k float64
+        matrices plus 0.2 MB, at k = 300: the reader keeps each row's
+        floats right of the diagonal and makes the array only once the
+        column texts are gone.  Measured as in the matrix tests: the peak
+        was 1.19 MB; when the array was made at the first row, beside the
+        column texts, it was 1.47 MB."""
+        phy = tmp_path / "m.phy"
+        assert main(["matrix", "--input", str(short_fasta), "--output", str(phy)]) == 0
+        peak = self._peak(["tree", "--input", str(phy), "--output", str(tmp_path / "t.nwk")])
+        assert peak < 1.5 * self.K**2 * 8 + 0.2e6, peak
 
     def test_feed_peak_does_not_grow_with_the_chunks_in_a_block(self):
         """The traced peak of one ``feed`` of eight chunks is within 1.1x of

@@ -884,6 +884,19 @@ class TestPhylip:
             tracemalloc.stop()
         assert peak < 2e6, peak
 
+    def test_stream_whose_rows_do_not_fill_its_count_makes_no_array(self):
+        """A 2 000-taxon count line and one row from an open stream, whose
+        size is not known: the array waits for all k rows, so no 2 000 x
+        2 000 array (32 MB) is made."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="^expected 2000 matrix rows, found 1$"):
+                read_phylip(io.StringIO("2000\na" + " 0.0" * 2000 + "\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -383,31 +383,38 @@ def _base_blocks(data: bytes, block: int) -> list[set[int]]:
 
 
 @settings(max_examples=300, deadline=None)
-@given(fasta_files(), st.integers(1, 64))
+@given(fasta_files(), st.integers(1, 64), st.sampled_from([1, 4, 16, 64, _CHUNK]))
 # the body ends at a block edge, its '>' or its line break opening the next block
-@example(b">a\nACGT\n>b\nGG\n", 8)
-@example(b">a\nACGT\n>b\nGG\n", 7)
+@example(b">a\nACGT\n>b\nGG\n", 8, 2)
+@example(b">a\nACGT\n>b\nGG\n", 7, 4)
 # a header ends one block, with or without its line break, and its body
 # lies in the next
-@example(b">ab\nAC\n>c\nT\n", 4)
-@example(b">ab\nAC\n>c\nT\n", 3)
-def test_scan_gives_codes_exactly_for_a_record_whose_bases_lie_in_one_block(data, block):
+@example(b">ab\nAC\n>c\nT\n", 4, 1)
+@example(b">ab\nAC\n>c\nT\n", 3, _CHUNK)
+# a record of exactly one chunk of codes over three blocks comes whole
+@example(b">a\nAC\nGT\n", 2, 4)
+def test_scan_gives_codes_exactly_for_a_record_of_at_most_one_chunk(data, block, chunk):
+    """A record comes whole, as one read-only array, when it has at most
+    ``_CHUNK`` codes, however many blocks its bases span; a longer one
+    comes as a sink fed one array per block that holds bases."""
     if not isinstance(line_fasta_outcome(data), list):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqio, "_BLOCK", block)
+        mp.setattr(core, "_CHUNK", chunk)
         scanned = list(seqio._scan(io.BytesIO(data), "drop", seqio._Pieces))
         records = read_fasta(io.BytesIO(data))
     assert len(scanned) == len(records)
     for (seq_id, dropped, codes, pieces), blocks, record in zip(
         scanned, _base_blocks(data, block), records
     ):
-        assert (codes is None, pieces is None) == (len(blocks) > 1, len(blocks) == 1)
-        # a sink gets one array of codes per block that holds bases
+        whole = record.length <= chunk
+        assert (codes is None, pieces is None) == (not whole, whole)
+        assert codes is None or not codes.flags.writeable
         assert pieces is None or len(pieces) == len(blocks)
-        whole = codes if pieces is None else np.concatenate(pieces)
+        got = codes if pieces is None else np.concatenate(pieces)
         assert (seq_id, dropped) == (record.id, record.dropped)
-        assert np.array_equal(whole, record.codes)
+        assert np.array_equal(got, record.codes)
 
 
 #: printable ids of characters that take two to four bytes in UTF-8

@@ -213,8 +213,8 @@ class TestCodesOwnership:
     their own, which it keeps without a copy."""
 
     def test_a_record_of_several_blocks_is_joined_once(self, tmp_path):
-        # 1 Mnt in four 256 KiB blocks: the blocks' codes and their join,
-        # about 2.2 MB traced; a copy of the join would add 1 MB
+        # 1 Mnt in 31 blocks of 32 KiB: the blocks' codes and their join,
+        # about 2.0 MB traced; a copy of the join would add 1 MB
         path = tmp_path / "big.fa"
         path.write_text(">big\n" + "ACGT" * 250_000 + "\n")
         tracemalloc.start()
