@@ -314,7 +314,9 @@ def _sniff_matrix(path: str) -> bool:
     return True
 
 
-def cmd_tree(args, out) -> None:
+def cmd_tree(args, out, params=None) -> None:
+    if params is None:  # checked once, before a pipe is read
+        params = _params(args)
     if not stat.S_ISREG(os.stat(args.input).st_mode):
         # a pipe or FIFO reads once, and the format is sniffed before the
         # route reads it: both read a copy, whose size the PHYLIP reader knows
@@ -322,8 +324,9 @@ def cmd_tree(args, out) -> None:
             with open(args.input, "rb") as source:
                 shutil.copyfileobj(source, copy)
             copy.flush()
-            return cmd_tree(argparse.Namespace(**{**vars(args), "input": copy.name}), out)
-    params = _params(args)
+            return cmd_tree(
+                argparse.Namespace(**{**vars(args), "input": copy.name}), out, params
+            )
     if _sniff_matrix(args.input):
         if params != PpnParams() or args.normalize or args.policy != "drop":
             raise ValidationError(

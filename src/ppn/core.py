@@ -175,9 +175,10 @@ class EncodedSequence:
     :func:`ppn.seqio.read_fasta` make, is kept without a copy; any other
     is copied, so the caller's array stays as writable as it was and a
     later write to it leaves ``codes`` as they are.  ``dropped`` counts
-    what sanitization removed that is neither a base nor whitespace:
-    bytes of FASTA read from a path or a byte stream, characters of FASTA
-    read from a text stream or of text given to :func:`encode`.
+    what sanitization removed that is neither a base nor whitespace, in
+    bytes of the UTF-8 input on every route: a path, a byte stream or a
+    text stream given to :func:`ppn.seqio.read_fasta`, text or bytes
+    given to :func:`encode`.
     """
 
     id: str
@@ -267,14 +268,18 @@ def _sanitize(data: bytes, strict: bool, seq_id: str) -> tuple[bytes, int]:
     One translate maps bases to codes and deletes whitespace; when that
     leaves a byte that is not a base, one delete pass removes every such
     byte.  Under ``strict`` a removed byte raises
-    :class:`InvalidCharacterError` naming the first one.
+    :class:`InvalidCharacterError` naming the first one: the UTF-8
+    character it starts, or, when it starts none, its Latin-1 reading.
     """
     mapped = data.translate(_CODE_OF, _SPACE)
     # a memchr is much cheaper than a delete pass that finds nothing
     kept = mapped.translate(None, b"\xff") if b"\xff" in mapped else mapped
     dropped = len(mapped) - len(kept)
     if dropped and strict:
-        bad = chr(data.translate(None, _VALID)[0])
+        at = data.index(data.translate(None, _VALID)[:1])
+        bad = data[at : at + 4].decode("utf-8", "surrogateescape")[0]
+        if "\udc80" <= bad <= "\udcff":  # a byte that starts no character: Latin-1
+            bad = chr(data[at])
         raise InvalidCharacterError(
             f"sequence {seq_id!r}: invalid character {bad!r} under strict policy"
         )
@@ -295,19 +300,22 @@ def _read_only(codes: np.ndarray) -> np.ndarray:
 def encode(raw: str | bytes, policy: str = "drop", seq_id: str = "seq") -> EncodedSequence:
     """Sanitize and encode a nucleotide string.
 
-    ``raw`` is text or bytes (any bytes-like object); text is taken one
-    Latin-1 byte per character, with characters outside Latin-1 read as
-    ``'?'``.  Case-insensitive A/C/G/T map to codes 0..3.  Whitespace
-    (space, tab, CR, LF, VT, FF) is ignored outright, so a FASTA record
-    body can be passed with its line breaks.  Any other character
-    (ambiguity codes, gaps, '*', ...) is dropped and counted under the
-    default ``"drop"`` policy, or raises :class:`InvalidCharacterError`
-    under ``"strict"``; the dropped count is what one delete pass removes.
+    ``raw`` is text or bytes (any bytes-like object); text is taken as
+    its UTF-8 bytes (a lone surrogate as the three bytes
+    ``"surrogatepass"`` gives it), as :func:`ppn.seqio.read_fasta` takes
+    every source.  Case-insensitive A/C/G/T map to codes 0..3.
+    Whitespace (space, tab, CR, LF, VT, FF) is ignored outright, so a
+    FASTA record body can be passed with its line breaks.  Any other
+    byte (ambiguity codes, gaps, '*', each byte of a non-ASCII
+    character, ...) is dropped and counted under the default ``"drop"``
+    policy, or raises :class:`InvalidCharacterError` naming the
+    character it starts under ``"strict"``; the dropped count is what
+    one delete pass removes, in bytes of the UTF-8 input.
 
     Raises :class:`EmptySequenceError` if nothing remains.
     """
     strict = _is_strict(policy)
-    data = raw.encode("latin-1", errors="replace") if isinstance(raw, str) else bytes(raw)
+    data = raw.encode("utf-8", "surrogatepass") if isinstance(raw, str) else bytes(raw)
     kept, dropped = _sanitize(data, strict, seq_id)
     return EncodedSequence(seq_id, np.frombuffer(kept, dtype=np.int8), dropped)
 

@@ -10,6 +10,7 @@ are insensitive to root placement.
 from __future__ import annotations
 
 import collections
+import io
 import math
 import os
 import re
@@ -835,22 +836,23 @@ def _add(columns, block, upper, b: int) -> list:
 def read_phylip(source) -> DistanceMatrix:
     """Read a relaxed PHYLIP matrix written by :func:`write_phylip`.
 
-    ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``),
-    read as UTF-8, or an open text stream, which is left open.  A value
-    must be a number ``float`` reads from ASCII with no ``_``; anything
-    else raises :class:`ValidationError` naming its row.  The count line
-    follows the same rule, and a negative count is refused too.  Rows are
-    parsed as they are read, and the whole input is read before any
-    error is raised: text that is not UTF-8 anywhere, then a wrong row
-    count, win over the first bad row.  Where the lower triangle repeats
-    the upper one's fields, as :func:`write_phylip` writes it, each
-    unordered pair is converted once; other spellings of the same
-    numbers, other whitespace and CRLF read to the same floats.  The
-    k x k array is made only once all k rows are read and checked, so a
-    count line that its rows never fill allocates nothing, from a path
-    or an open stream alike.  A path to a regular file that holds k rows
-    must be large enough to hold them; an open stream is not sized, as
-    it may decode a file of another size (``gzip.open``).
+    ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``) or
+    an open byte stream, both read as UTF-8, or an open text stream; a
+    stream is left open.  A value must be a number ``float`` reads from
+    ASCII with no ``_``; anything else raises :class:`ValidationError`
+    naming its row.  The count line follows the same rule, and a
+    negative count is refused too.  Rows are parsed as they are read,
+    and the whole input is read before any error is raised: text that is
+    not UTF-8 anywhere, then a wrong row count, win over the first bad
+    row.  Where the lower triangle repeats the upper one's fields, as
+    :func:`write_phylip` writes it, each unordered pair is converted
+    once; other spellings of the same numbers, other whitespace and CRLF
+    read to the same floats.  The k x k array is made only once all k
+    rows are read and checked, so a count line that its rows never fill
+    allocates nothing, from a path or an open stream alike.  A path to a
+    regular file that holds k rows must be large enough to hold them; an
+    open stream is not sized, as it may decode a file of another size
+    (``gzip.open``).
     """
     return DistanceMatrix._adopt(*_read_phylip(source))
 
@@ -861,12 +863,18 @@ def _read_phylip(source) -> tuple[list, np.ndarray]:
         # a stream the caller opened may decode a file of another size,
         # as gzip.open does, so only a path read here is sized
         size = None if fh is source else _size(fh)
+        # a byte stream is read as UTF-8, as a path is, and detached after
+        binary = isinstance(fh, (io.RawIOBase, io.BufferedIOBase))
+        text = io.TextIOWrapper(fh, encoding="utf-8") if binary else fh
         try:
-            return _parse_phylip((line for line in map(str.strip, fh) if line), size)
+            return _parse_phylip((line for line in map(str.strip, text) if line), size)
         except UnicodeDecodeError as exc:
             raise ValidationError(
                 f"distance matrix file is not valid {exc.encoding} text: {exc.reason}"
             ) from None
+        finally:
+            if binary:
+                text.detach()
 
 
 def _size(fh):

@@ -76,19 +76,31 @@ _BLOCK = 1 << 15
 
 
 def _blocks(source):
-    """Yield the input ``_BLOCK`` bytes at a time, each with its text for
-    a text stream.
+    """Yield the input as bytes, about ``_BLOCK`` at a time.
 
-    Text is encoded one Latin-1 byte per character (``'?'`` for a
-    character outside Latin-1), so offsets into the bytes are offsets
-    into the text, and a header is taken from the text itself.
+    Every source is scanned as the bytes of its UTF-8 text: a text
+    stream's characters are encoded to UTF-8 (a lone surrogate as the
+    three bytes ``"surrogatepass"`` gives it), so it reads exactly as a
+    file of those bytes.  A block that ends inside a UTF-8 character is
+    completed by the at most three bytes its lead byte asks for, so a
+    block holds whole characters and a strict error names one whole.
     """
     with _opened(source, "rb") as fh:
         while data := fh.read(_BLOCK):
             if isinstance(data, str):
-                yield data.encode("latin-1", errors="replace"), data
-            else:
-                yield bytes(data), None
+                data = data.encode("utf-8", "surrogatepass")
+            elif data[-1] >= 0x80:
+                data = bytes(data) + fh.read(_lacking(data))
+            yield bytes(data)
+
+
+def _lacking(data: bytes) -> int:
+    """How many bytes the UTF-8 character that opens in the last three of
+    ``data`` lacks: what its lead byte asks for beyond what is there."""
+    for back, byte in enumerate(reversed(data[-3:]), 1):
+        if not 0x80 <= byte < 0xC0:  # not a continuation byte
+            return max(0, 1 + (byte >= 0xC0) + (byte >= 0xE0) + (byte >= 0xF0) - back)
+    return 0
 
 
 def _breaks(buf: bytes, start: int, stop: int) -> int:
@@ -162,9 +174,11 @@ def _scan(source, policy: str, new_sink):
     ``new_sink()`` makes its sink, which is fed the codes held so far and
     then every later block's, one array per block that brought bases,
     with ``codes`` None; so one block of the input and at most one chunk
-    and one block of codes are held at a time.  A header line of byte
-    input is decoded as UTF-8 once it is whole.  Checks and errors are
-    those of :func:`read_fasta`, raised in file order; ``policy`` is
+    and one block of codes are held at a time.  Every source is scanned
+    as the UTF-8 bytes :func:`_blocks` gives, so ``dropped`` counts bytes
+    on every route, and a header line is decoded as UTF-8 once it is
+    whole.  Checks and errors are those of :func:`read_fasta`, raised in
+    file order; ``policy`` is
     checked before any input is read.  Line breaks are counted once per
     block, a CRLF split across two blocks as one; an error that names a
     line adds the breaks of its own block up to where it occurs.
@@ -173,7 +187,7 @@ def _scan(source, policy: str, new_sink):
     seen: set[str] = set()
     lines = 0  # line breaks before buf
     last = 0x0A  # the byte that ended the last block; LF before the first
-    title = None  # pieces of a header line not yet ended, bytes or text like the input
+    title = None  # byte pieces of a header line not yet ended
     record = None
 
     def open_record(end=None) -> _Record:
@@ -186,7 +200,7 @@ def _scan(source, policy: str, new_sink):
             return MalformedFastaError(f"line {line}: {message}")
 
         try:
-            header = b"".join(title).decode() if text is None else "".join(title)
+            header = b"".join(title).decode()
         except UnicodeDecodeError:
             raise fault("FASTA header is not valid UTF-8") from None
         header, title = header.strip(), None
@@ -198,7 +212,7 @@ def _scan(source, policy: str, new_sink):
         seen.add(seq_id)
         return _Record(seq_id, strict, new_sink)
 
-    for buf, text in _blocks(source):
+    for buf in _blocks(source):
         if last == 0x0D and buf[0] == 0x0A:
             lines -= 1  # the LF of a CRLF whose CR ended the last block
         n = len(buf)
@@ -206,7 +220,7 @@ def _scan(source, policy: str, new_sink):
         while i < n:
             if title is not None:  # a header line, from the last block or this one
                 end = _line_end(buf, i)
-                title.append(buf[i:end] if text is None else text[i:end])
+                title.append(buf[i:end])
                 if end == n:
                     break
                 record = open_record(end)
@@ -253,12 +267,15 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``) or
     an open text/byte stream, which is left open; it is read once, in
     blocks of :data:`_BLOCK` bytes, so apart from the returned codes
-    memory stays within one block and one tally chunk of codes.  LF,
-    CRLF and CR-only line endings are all accepted.  A header is a line
-    that opens with '>'; record ids are its first whitespace-delimited
-    token.  The headers of a path or byte stream are read as UTF-8.
-    Each block's share of a record body, line breaks included, is
-    encoded as in :func:`encode`, so errors come in file order.  A
+    memory stays within one block and one tally chunk of codes.  Every
+    source is read as UTF-8 bytes: a text stream as its text encoded to
+    UTF-8, so it gives what a file of those bytes gives, and each
+    record's ``dropped`` counts bytes of that UTF-8 input.  LF, CRLF and
+    CR-only line endings are all accepted.  A header is a line that
+    opens with '>'; record ids are its first whitespace-delimited token,
+    the header read as UTF-8.  Each block's share of a record body, line
+    breaks included, is encoded as in :func:`encode`, so errors come in
+    file order.  A
     record of at most :data:`ppn.core._CHUNK` codes keeps the codes its
     one block gave, or joins those of the blocks its bases span, as
     :func:`_scan` hands it over; a longer one joins its blocks' codes

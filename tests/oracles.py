@@ -75,62 +75,46 @@ def naive_vector(raw: str, radius: int, stride: int, perm_rows) -> list[int]:
 
 # -- FASTA, line by line --------------------------------------------------------
 
-def line_fasta_records(data: bytes) -> list[tuple[str, str, int]]:
-    """(id, bases, dropped) per record, reading ``data`` one line at a time.
-
-    Lines end at CRLF, CR or LF.  A line opening with '>' starts a record
-    whose id is the header's first whitespace-delimited token, the header
-    read as UTF-8; every other line belongs to the record above it.
-    A/C/G/T in either case are kept (upper-cased), ASCII whitespace is
-    skipped, and any other byte counts as dropped.  Input must be well
-    formed: no data before the first header, no empty header and no
-    header that is not UTF-8.
-    """
-    records = []
-    for line in re.split(rb"\r\n|\r|\n", data):
-        if line.startswith(b">"):
-            records.append([line[1:].decode("utf-8").split()[0], [], 0])
-            continue
-        for ch in line.decode("latin-1"):
-            if ch in "ACGTacgt":
-                records[-1][1].append(ch.upper())
-            elif ch not in " \t\r\n\x0b\x0c":
-                records[-1][2] += 1
-    return [(seq_id, "".join(bases), dropped) for seq_id, bases, dropped in records]
+def _utf8_char_at(line: bytes, at: int) -> str:
+    """The UTF-8 character that starts at ``line[at]``: the shortest slice
+    from there that decodes, or, when none of up to four bytes does, the
+    byte's Latin-1 reading."""
+    for end in range(at + 1, at + 5):
+        try:
+            return line[at:end].decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    return chr(line[at])
 
 
-def line_fasta_outcome(source: str | bytes, policy: str = "drop"):
-    """What reading FASTA ``source`` gives, worked out one line at a time.
+def line_fasta_outcome(data: bytes, policy: str = "drop"):
+    """What reading FASTA ``data`` gives, worked out one line at a time.
 
     Returns the records as (id, bases, dropped), or the (error class
     name, message) of the first fault in file order: data before the
     first header, a header that is not UTF-8, an empty header, a
-    repeated id, a non-base character under the ``"strict"`` policy, a
+    repeated id, a non-base byte under the ``"strict"`` policy, a
     record without bases, or no record at all.  Lines end at CRLF, CR or
-    LF; a header is a line that opens with '>'.  Of bytes, a header line
-    is read as UTF-8 and every other line as Latin-1; of text, a body
-    character outside Latin-1 is reported as '?'.
+    LF; a header is a line that opens with '>' and is read as UTF-8.
+    Every other line is walked byte by byte: A/C/G/T in either case are
+    kept (upper-cased), ASCII whitespace is skipped, and any other byte
+    counts as dropped; the strict message names the UTF-8 character the
+    first such byte starts.
     """
     records = []
 
     def no_bases(seq_id):
         return ("EmptySequenceError", f"sequence {seq_id!r}: no A/C/G/T content")
 
-    if isinstance(source, bytes):
-        lines = re.split(rb"\r\n|\r|\n", source)
-    else:
-        lines = re.split(r"\r\n|\r|\n", source)
-    for number, line in enumerate(lines, start=1):
-        if line[:1] in (">", b">"):
+    for number, line in enumerate(re.split(rb"\r\n|\r|\n", data), start=1):
+        if line.startswith(b">"):
             if records and not records[-1][1]:
                 return no_bases(records[-1][0])
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError:
-                    return ("MalformedFastaError",
-                            f"line {number}: FASTA header is not valid UTF-8")
-            title = line[1:].strip()
+            try:
+                title = line[1:].decode("utf-8").strip()
+            except UnicodeDecodeError:
+                return ("MalformedFastaError",
+                        f"line {number}: FASTA header is not valid UTF-8")
             if not title:
                 return ("MalformedFastaError", f"line {number}: empty FASTA header")
             seq_id = title.split()[0]
@@ -138,24 +122,21 @@ def line_fasta_outcome(source: str | bytes, policy: str = "drop"):
                 return ("DuplicateIdError", f"duplicate record id {seq_id!r}")
             records.append([seq_id, [], 0])
             continue
-        if isinstance(line, bytes):
-            line = line.decode("latin-1")
-        for ch in line:
-            if ch in " \t\x0b\x0c":
+        for at, byte in enumerate(line):
+            if byte in b" \t\x0b\x0c":
                 continue
             if not records:
                 return (
                     "MalformedFastaError",
                     f"line {number}: sequence data before the first '>' header",
                 )
-            if ch in "ACGTacgt":
-                records[-1][1].append(ch.upper())
+            if byte in b"ACGTacgt":
+                records[-1][1].append(chr(byte).upper())
             elif policy == "strict":
-                shown = ch if ord(ch) < 256 else "?"
                 return (
                     "InvalidCharacterError",
-                    f"sequence {records[-1][0]!r}: invalid character {shown!r} "
-                    f"under strict policy",
+                    f"sequence {records[-1][0]!r}: invalid character "
+                    f"{_utf8_char_at(line, at)!r} under strict policy",
                 )
             else:
                 records[-1][2] += 1

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface, run in-process."""
 
 import argparse
+import contextlib
 import errno
 import gc
 import io
@@ -336,6 +337,24 @@ class TestTree:
         got = tree("/dev/stdin", Path(path).read_bytes())
         assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, b"")
         assert not os.listdir(tmp_path / "sys-tmp")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_bad_window_flags_exit_2_before_a_pipe_is_read(self):
+        # the pipe stays open: a run that read it first would wait for its end
+        env = dict(os.environ, PYTHONPATH=str(Path(ppn.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "ppn.cli", "tree", "--input", "/dev/stdin", "--l", "99"]
+        with subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            try:
+                with contextlib.suppress(BrokenPipeError):
+                    proc.stdin.write(FASTA.encode())
+                    proc.stdin.flush()
+                code = proc.wait(timeout=30)
+            finally:
+                proc.kill()
+            proc.stdin.close()
+            assert (code, proc.stdout.read()) == (2, b"")
+            assert b"radius must be <=" in proc.stderr.read()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     @pytest.mark.parametrize("text, code", [

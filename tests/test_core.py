@@ -101,8 +101,10 @@ class TestEncode:
         assert seq.dropped == 0
 
     def test_bytes_encode_like_text(self):
+        # text is taken as its UTF-8 bytes, so 'ÿ' drops two
         for raw in ("AC GT\r\nNNac", "x\xff-ACG\t"):
-            assert encode(raw.encode("latin-1")) == encode(raw)
+            assert encode(raw.encode("utf-8")) == encode(raw)
+        assert encode("x\xff-ACG\t").dropped == 4
         with pytest.raises(InvalidCharacterError, match="'\xe9'"):
             encode(b"AC\n\xe9GT", policy="strict")
 

@@ -972,6 +972,27 @@ class TestPhylip:
         assert not out.closed and not source.closed
         assert np.array_equal(back.values, m.values)
 
+    @pytest.mark.parametrize("data", [
+        b"2\na 0 1\nb 1 0\n", b"2\r\na 0 1\rb 1 0", b"2\na 0 x\nb 1 0\n",
+        b"3\na 0 1\nb 1 0\n", "2\n\u00e9 0 1\nb 1 0\n".encode(), b"2\na 0 1\nb 1 \xff\n",
+    ], ids=["lf", "cr", "bad-value", "few-rows", "utf8-label", "not-utf8"])
+    def test_a_byte_stream_reads_as_its_path_and_is_left_open(self, tmp_path, data):
+        path = tmp_path / "m.phy"
+        path.write_bytes(data)
+
+        def outcome(source):
+            try:
+                m = read_phylip(source)
+            except ValidationError as exc:
+                return str(exc)
+            return m.labels, m.values.tolist()
+
+        stream = io.BytesIO(data)
+        assert outcome(stream) == outcome(path)
+        assert not stream.closed
+        with open(path, "rb") as fh:
+            assert outcome(fh) == outcome(path)
+
     def test_rejects_empty_input(self):
         with pytest.raises(ValidationError, match="empty"):
             read_phylip(io.StringIO(""))

@@ -12,7 +12,8 @@ import tempfile
 import warnings
 from collections import Counter
 from decimal import Decimal
-from itertools import combinations, product
+from bisect import bisect_right
+from itertools import accumulate, combinations, product
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,6 @@ from ppn import (
     MAX_RADIUS,
     PERMUTATIONS,
     DistanceMatrix,
-    EmptySequenceError,
     PhyloTree,
     PpnError,
     PpnParams,
@@ -53,7 +53,6 @@ from ppn.core import _CHUNK, _WindowTally, _product_table, _products
 from ppn.phylo import _check_label
 from oracles import (
     line_fasta_outcome,
-    line_fasta_records,
     naive_vector,
     oracle_nqd,
     oracle_upgma_newick,
@@ -264,26 +263,21 @@ def fasta_files(draw):
     return b"".join(out)
 
 
-def _as_text(data: bytes) -> str:
-    """FASTA bytes as the text they read as: header lines in UTF-8, the
-    rest in Latin-1."""
-    lines = re.split(rb"(\r\n|\r|\n)", data)
-    return "".join(line.decode("utf-8" if line[:1] == b">" else "latin-1") for line in lines)
+def _sources(data: bytes):
+    """A byte stream of ``data`` and, when ``data`` is the UTF-8 of some
+    text (lone surrogates as ``"surrogatepass"`` writes them), a text
+    stream of that text: both must read alike."""
+    yield io.BytesIO(data)
+    with contextlib.suppress(UnicodeDecodeError):
+        yield io.StringIO(data.decode("utf-8", "surrogatepass"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(fasta_files())
 def test_read_fasta_matches_a_line_by_line_reader(data):
-    want = line_fasta_records(data)
-    if any(not bases for _, bases, _ in want):
-        try:
-            read_fasta(io.BytesIO(data))
-        except EmptySequenceError:
-            return
-        raise AssertionError("a record without bases was accepted")
-    for source in (io.BytesIO(data), io.StringIO(_as_text(data))):
-        got = [(r.id, r.bases(), r.dropped) for r in read_fasta(source)]
-        assert got == want
+    want = line_fasta_outcome(data)
+    for source in _sources(data):
+        assert _read_outcome(source) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,8 +311,11 @@ _TOKEN = st.sampled_from(
     [">", ">", "\n", "\r", "\r\n", " ", "\t", "A", "c", "G", "t", "N", "-", "x", "id",
      "a b", "\x85", "\xa0", "\x0b", "\xe9"]
 )
-#: adds characters outside Latin-1, one of them whitespace (U+2003)
-_WIDE_TOKEN = st.one_of(_TOKEN, st.sampled_from(["\u540d", "\u2003", "\U0001f9ec"]))
+#: adds characters outside Latin-1, one of them whitespace (U+2003), and
+#: two lone surrogates, which a text stream gives as three bytes each
+_WIDE_TOKEN = st.one_of(
+    _TOKEN, st.sampled_from(["\u540d", "\u2003", "\U0001f9ec", "\ud800", "\udfff"])
+)
 
 
 @settings(max_examples=400, deadline=None)
@@ -332,20 +329,33 @@ _WIDE_TOKEN = st.one_of(_TOKEN, st.sampled_from(["\u540d", "\u2003", "\U0001f9ec
     st.sampled_from(["drop", "strict"]),
 )
 def test_streamed_read_fasta_matches_the_line_oracle_at_any_block_size(data, block, policy):
-    text = data.decode("latin-1")
+    want = line_fasta_outcome(data, policy)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqio, "_BLOCK", block)
-        assert _read_outcome(io.BytesIO(data), policy) == line_fasta_outcome(data, policy)
-        assert _read_outcome(io.StringIO(text), policy) == line_fasta_outcome(text, policy)
+        for source in _sources(data):
+            assert _read_outcome(source, policy) == want
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_WIDE_TOKEN, max_size=40).map("".join), st.integers(1, 16),
-       st.sampled_from(["drop", "strict"]))
-def test_streamed_text_keeps_ids_outside_latin1_at_any_block_size(text, block, policy):
-    with pytest.MonkeyPatch.context() as mp:
+@given(st.one_of(st.lists(_WIDE_TOKEN, max_size=40).map("".join), st.text(max_size=60)),
+       st.integers(1, 64), st.sampled_from(["drop", "strict"]))
+@example(">a\nACG\u00e9\n", 1, "drop")
+@example(">a\nACG\u00e9\n", 6, "strict")
+@example(">a\nAC\ud800G\n", 5, "drop")
+@example(">a\ud800\nACG\n", 2, "drop")
+def test_a_path_a_byte_stream_and_a_text_stream_of_one_text_read_alike(text, block, policy):
+    """The same text read from a file of its UTF-8 bytes, from a byte
+    stream of them and from a text stream gives the same records, with
+    ``dropped`` in bytes, or the same error: the oracle's, of the bytes."""
+    data = text.encode("utf-8", "surrogatepass")
+    want = line_fasta_outcome(data, policy)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        path = os.path.join(tmp, "in.fa")
+        with open(path, "wb") as fh:
+            fh.write(data)
         mp.setattr(seqio, "_BLOCK", block)
-        assert _read_outcome(io.StringIO(text), policy) == line_fasta_outcome(text, policy)
+        for source in (path, io.BytesIO(data), io.StringIO(text)):
+            assert _read_outcome(source, policy) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -368,9 +378,11 @@ def test_streamed_vectors_equal_vectors_of_whole_records(data, block, radius, st
     assert got == expected
 
 
-def _base_blocks(data: bytes, block: int) -> list[set[int]]:
-    """Per record of well-formed FASTA ``data``, the indices of the
-    ``block``-byte blocks that hold its bases."""
+def _base_blocks(data: bytes) -> list[set[int]]:
+    """Per record of well-formed FASTA ``data``, the indices of the blocks
+    that hold its bases, as :func:`seqio._blocks` cuts them: ``_BLOCK``
+    bytes, and the rest of a UTF-8 character that a block ends inside."""
+    ends = list(accumulate(len(buf) for buf in seqio._blocks(io.BytesIO(data))))
     records = []
     for line in re.finditer(rb"[^\r\n]*", data):
         if line[0].startswith(b">"):
@@ -378,7 +390,7 @@ def _base_blocks(data: bytes, block: int) -> list[set[int]]:
             continue
         for at, byte in enumerate(line[0], start=line.start()):
             if byte in b"ACGTacgt":
-                records[-1].add(at // block)
+                records[-1].add(bisect_right(ends, at))
     return records
 
 
@@ -393,6 +405,9 @@ def _base_blocks(data: bytes, block: int) -> list[set[int]]:
 @example(b">ab\nAC\n>c\nT\n", 3, _CHUNK)
 # a record of exactly one chunk of codes over three blocks comes whole
 @example(b">a\nAC\nGT\n", 2, 4)
+# a block that ends in a lead byte (C0) takes the byte it asks for, so the
+# next block, and the bases in it, start one byte later
+@example(b">0000\n\n?\n\x00\r\n\x00\xc0\nAA\n", 2, 1)
 def test_scan_gives_codes_exactly_for_a_record_of_at_most_one_chunk(data, block, chunk):
     """A record comes whole, as one read-only array, when it has at most
     ``_CHUNK`` codes, however many blocks its bases span; a longer one
@@ -404,9 +419,10 @@ def test_scan_gives_codes_exactly_for_a_record_of_at_most_one_chunk(data, block,
         mp.setattr(core, "_CHUNK", chunk)
         scanned = list(seqio._scan(io.BytesIO(data), "drop", seqio._Pieces))
         records = read_fasta(io.BytesIO(data))
+        base_blocks = _base_blocks(data)
     assert len(scanned) == len(records)
     for (seq_id, dropped, codes, pieces), blocks, record in zip(
-        scanned, _base_blocks(data, block), records
+        scanned, base_blocks, records
     ):
         whole = record.length <= chunk
         assert (codes is None, pieces is None) == (not whole, whole)
@@ -791,6 +807,47 @@ def upgma_matrices(draw):
 @given(upgma_matrices())
 def test_upgma_equals_the_full_scan_oracle(matrix):
     assert to_newick(upgma(matrix)) == oracle_upgma_newick(matrix.labels, matrix.values)
+
+
+@st.composite
+def small_fasta(draw):
+    """FASTA bytes of 2-6 records of 1-300 nt, soft-masked, with N runs,
+    wrapped at one width in one line ending; and a geometry, t <= l <= 5."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ending = draw(_ENDINGS)
+    width = draw(st.sampled_from([1, 7, 60, 1000]))
+    out = []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 300), min_size=2, max_size=6))):
+        body = b"A" + bytes(rng.choice(list(b"ACGTacgtN"), size=n - 1))
+        lines = [body[j : j + width] for j in range(0, n, width)]
+        out += [b">r%d desc" % i, ending, ending.join(lines), ending]
+    radius = draw(st.integers(1, 5))
+    return b"".join(out), radius, draw(st.integers(1, radius))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_fasta())
+def test_ppn_tree_equals_the_oracles_end_to_end(case):
+    """FASTA to Newick bytes through the whole ``ppn tree`` run, against
+    the line reader, per-window vectors, one-pair distances and a UPGMA
+    that rescans every pair at each merge."""
+    data, radius, stride = case
+    records = line_fasta_outcome(data)
+    vectors = [
+        argparse.Namespace(components=naive_vector(bases, radius, stride, PERMUTATIONS))
+        for _, bases, _ in records
+    ]
+    values = [[scalar_distance(a, b, "euclidean", False) for b in vectors] for a in vectors]
+    want = oracle_upgma_newick([seq_id for seq_id, _, _ in records], values) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        fasta, newick = os.path.join(tmp, "in.fa"), os.path.join(tmp, "out.nwk")
+        with open(fasta, "wb") as fh:
+            fh.write(data)
+        argv = ["tree", "--input", fasta, "--l", str(radius), "--t", str(stride),
+                "--output", newick]
+        assert cli.main(argv) == 0
+        with open(newick, "rb") as fh:
+            assert fh.read() == want.encode()
 
 
 # -- nRF and nQD -----------------------------------------------------------------------

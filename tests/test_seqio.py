@@ -15,6 +15,7 @@ from ppn import (
     PpnError,
     SimulationSpec,
     ValidationError,
+    encode,
     read_fasta,
     simulate,
     write_fasta,
@@ -64,9 +65,10 @@ class TestReadFasta:
         ]
 
     def test_text_stream_ids_keep_characters_outside_latin1(self):
+        # U+2003 is not ASCII whitespace: its three UTF-8 bytes are dropped
         records = read_fasta(io.StringIO(">\u540d\u524d|x desc\nAC\u2003GT\n"))
         assert records[0].id == "\u540d\u524d|x"
-        assert (records[0].bases(), records[0].dropped) == ("ACGT", 1)
+        assert (records[0].bases(), records[0].dropped) == ("ACGT", 3)
 
     def test_blank_lines_are_ignored(self):
         records = read_fasta(io.StringIO(">x\n\nAC\n\nGT\n\n"))
@@ -190,6 +192,17 @@ class TestBlockEdges:
             ("s\u00e9q\U0001f9ec", "AC", 0), ("\u540d", "G", 0)]),
         "latin1_header": (b">a\nAC\r\n>s\xe9q\nG\n", "drop",
                           ("MalformedFastaError", "line 3: FASTA header is not valid UTF-8")),
+        # a body is counted in UTF-8 bytes, and a strict error names the
+        # character the first bad byte starts, whole at any block edge
+        "utf8_body": ("> a\nAC\nG\u00e9T\U0001f9ec\n".encode(), "drop", [("a", "ACGT", 6)]),
+        "four_byte_strict": ("> a\nAC\nG\U0001f9ecT\n".encode(), "strict", (
+            "InvalidCharacterError",
+            "sequence 'a': invalid character '\U0001f9ec' under strict policy")),
+        # a byte that starts no UTF-8 character is named by its Latin-1 reading
+        "latin1_body_strict": (b"> a\nAC\nG\xe9T\n", "strict", (
+            "InvalidCharacterError", "sequence 'a': invalid character 'é' under strict policy")),
+        "lead_then_ascii_strict": (b"> a\nAC\nG\xe2\x82T\n", "strict", (
+            "InvalidCharacterError", "sequence 'a': invalid character 'â' under strict policy")),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -202,10 +215,48 @@ class TestBlockEdges:
 
     def test_text_ids_outside_latin1_at_every_block_size(self, monkeypatch):
         text = ">\u540d\u524d|x desc\r\nAC\u2003GT\r\n>\xe9\U0001f9ec\u2003y\nA\n"
-        want = [("\u540d\u524d|x", "ACGT", 1), ("\xe9\U0001f9ec", "A", 0)]
+        want = [("\u540d\u524d|x", "ACGT", 3), ("\xe9\U0001f9ec", "A", 0)]
         for block in range(1, len(text) + 2):
             monkeypatch.setattr(seqio, "_BLOCK", block)
             assert _outcome(io.StringIO(text), "drop") == want, block
+
+
+class TestOneByteRoute:
+    """A path, a byte stream and a text stream of the same text are read
+    as the same UTF-8 bytes: ``dropped`` counts bytes on every route, and
+    a strict error names the character its first bad byte starts."""
+
+    @staticmethod
+    def outcomes(tmp_path, text, policy):
+        data = text.encode("utf-8", "surrogatepass")
+        path = tmp_path / "in.fa"
+        path.write_bytes(data)
+        return [_outcome(source, policy)
+                for source in (path, io.BytesIO(data), io.StringIO(text))]
+
+    def test_a_two_byte_character_drops_two_on_every_route(self, tmp_path):
+        assert self.outcomes(tmp_path, ">s\nACG\u00e9\n", "drop") == [[("s", "ACG", 2)]] * 3
+        assert encode("ACG\u00e9").dropped == encode("ACG\u00e9".encode()).dropped == 2
+
+    def test_strict_names_the_character_at_every_block_size(self, tmp_path, monkeypatch):
+        text = ">s\nACG\u00e9T\n"
+        want = ("InvalidCharacterError", "sequence 's': invalid character 'é' under strict policy")
+        for block in range(1, len(text.encode()) + 2):
+            monkeypatch.setattr(seqio, "_BLOCK", block)
+            assert self.outcomes(tmp_path, text, "strict") == [want] * 3, block
+        with pytest.raises(InvalidCharacterError, match="'é'"):
+            encode("ACG\u00e9T", policy="strict")
+
+    def test_a_lone_surrogate_is_three_dropped_bytes_or_a_package_error(self, tmp_path):
+        body = ">s\nAC\ud800GT\n"
+        assert self.outcomes(tmp_path, body, "drop") == [[("s", "ACGT", 3)]] * 3
+        # ED A0 80 is not UTF-8, so its first byte is named as Latin-1
+        assert self.outcomes(tmp_path, body, "strict") == [(
+            "InvalidCharacterError", "sequence 's': invalid character 'í' under strict policy",
+        )] * 3
+        assert self.outcomes(tmp_path, ">s\ud800\nACGT\n", "drop") == [
+            ("MalformedFastaError", "line 1: FASTA header is not valid UTF-8")] * 3
+        assert encode("AC\ud800GT").dropped == 3
 
 
 class TestCodesOwnership:
