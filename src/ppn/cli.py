@@ -40,7 +40,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from . import phylo, seqio
+from . import core, phylo, seqio
 from .core import Metric, PpnParams, _WindowTally, _record_vectors
 from .errors import InputError, NewickParseError, ValidationError
 
@@ -276,8 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _vectors(args, params: PpnParams):
     """Yield ``(id, vector)`` per FASTA record in file order; a record
-    longer than one tally chunk is never held whole."""
-    records = seqio._scan(args.input, args.policy, functools.partial(_WindowTally, params))
+    longer than one tally chunk is never held whole.  The hold is one
+    chunk, not the batch's cut-off: a record between the two is joined
+    once and tallied in one feed, which measured faster than a feed per
+    block it spans."""
+    sink = functools.partial(_WindowTally, params)
+    records = seqio._scan(args.input, args.policy, sink, core._CHUNK)
     return _record_vectors(((i, codes, tally) for i, _, codes, tally in records), params)
 
 

@@ -616,13 +616,12 @@ def nqd(t1: PhyloTree, t2: PhyloTree) -> float:
     more, all C(m, 2) branch pairs at once (see :func:`_separated`).
     Time and memory are O(k^2) for binary trees.
     """
-    return _compare((t1, t2), with_rf=False)[1]
+    return _compare((t1, t2))[1]
 
 
-def _compare(trees, with_rf: bool = True) -> tuple[float | None, float]:
-    """:func:`nrf` (None unless ``with_rf``) and :func:`nqd` of the two
-    trees that the iterable ``trees`` gives, each check made once, in
-    :func:`nqd`'s order.
+def _compare(trees) -> tuple[float, float]:
+    """:func:`nrf` and :func:`nqd` of the two trees that the iterable
+    ``trees`` gives, each check made once, in :func:`nqd`'s order.
 
     Each tree is walked once by :func:`_forks`: the second tree's leaf
     bits are unpacked into the 0/1 rows whose sums up the first tree
@@ -649,7 +648,7 @@ def _compare(trees, with_rf: bool = True) -> tuple[float | None, float]:
     # shared[f, g]: leaves below both fork f of t1 and fork g of t2
     size1, inner1, bits1, shared = _forks(t1, column, below2.T)
     del t1, t2, column, below2
-    rf = _nrf(_splits(bits1, k), _splits(bits2, k)) if with_rf else None
+    rf = _nrf(_splits(bits1, k), _splits(bits2, k))
     del bits1, bits2
     fork1, complement1, width1, starts1, signs1 = _quartet_nodes(size1, inner1, k)
     fork2, complement2, width2, starts2, signs2 = _quartet_nodes(size2, inner2, k)

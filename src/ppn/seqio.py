@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import (
     _SPACE,
     EncodedSequence,
@@ -126,13 +126,13 @@ def _line_end(buf: bytes, start: int) -> int:
 class _Record:
     """The open record of a scan: its id, its dropped count, and its codes
     so far, one array per block that brought bases, until they pass
-    :data:`ppn.core._CHUNK` codes; from then on the sink that took them
-    and takes every later block's codes."""
+    ``hold`` codes; from then on the sink that took them and takes every
+    later block's codes."""
 
-    __slots__ = ("id", "strict", "new_sink", "dropped", "held", "pieces", "sink")
+    __slots__ = ("id", "strict", "new_sink", "hold", "dropped", "held", "pieces", "sink")
 
-    def __init__(self, seq_id: str, strict: bool, new_sink):
-        self.id, self.strict, self.new_sink = seq_id, strict, new_sink
+    def __init__(self, seq_id: str, strict: bool, new_sink, hold):
+        self.id, self.strict, self.new_sink, self.hold = seq_id, strict, new_sink, hold
         self.dropped, self.held, self.pieces, self.sink = 0, 0, [], None
 
     def feed(self, body: bytes) -> None:
@@ -147,7 +147,7 @@ class _Record:
             return
         self.pieces.append(codes)
         self.held += len(codes)
-        if self.held > core._CHUNK:  # looked up per call, as the tally does
+        if self.held > self.hold:
             self.sink = self.new_sink()
             for piece in self.pieces:
                 self.sink.feed(piece)
@@ -163,25 +163,26 @@ class _Record:
         return self.id, self.dropped, codes, None
 
 
-def _scan(source, policy: str, new_sink):
+def _scan(source, policy: str, new_sink=None, hold=math.inf):
     """Read FASTA block by block; yield ``(id, dropped, codes, sink)`` as
     each record ends.
 
-    The record's length, not the block edges, picks its form.  A record
-    of at most :data:`ppn.core._CHUNK` codes comes whole, as one
-    read-only int8 array ``codes``, with ``sink`` None, however many
-    blocks its bases span.  Once a record's codes pass that many,
-    ``new_sink()`` makes its sink, which is fed the codes held so far and
-    then every later block's, one array per block that brought bases,
-    with ``codes`` None; so one block of the input and at most one chunk
-    and one block of codes are held at a time.  Every source is scanned
-    as the UTF-8 bytes :func:`_blocks` gives, so ``dropped`` counts bytes
-    on every route, and a header line is decoded as UTF-8 once it is
-    whole.  Checks and errors are those of :func:`read_fasta`, raised in
-    file order; ``policy`` is
-    checked before any input is read.  Line breaks are counted once per
-    block, a CRLF split across two blocks as one; an error that names a
-    line adds the breaks of its own block up to where it occurs.
+    The record's length, not the block edges, picks its form, and the
+    caller picks the length: ``hold`` codes, with no limit by default,
+    so that every record comes whole.  A record of at most ``hold`` codes comes
+    whole, as one read-only int8 array ``codes``, with ``sink`` None,
+    however many blocks its bases span.  Once a record's codes pass that
+    many, ``new_sink()`` makes its sink, which is fed the codes held so
+    far and then every later block's, one array per block that brought
+    bases, with ``codes`` None; so one block of the input and at most
+    ``hold`` codes and one block more are held at a time.  Every source
+    is scanned as the UTF-8 bytes :func:`_blocks` gives, so ``dropped``
+    counts bytes on every route, and a header line is decoded as UTF-8
+    once it is whole.  Checks and errors are those of
+    :func:`read_fasta`, raised in file order; ``policy`` is checked
+    before any input is read.  Line breaks are counted once per block, a
+    CRLF split across two blocks as one; an error that names a line adds
+    the breaks of its own block up to where it occurs.
     """
     strict = _is_strict(policy)
     seen: set[str] = set()
@@ -210,7 +211,7 @@ def _scan(source, policy: str, new_sink):
         if seq_id in seen:
             raise DuplicateIdError(f"duplicate record id {seq_id!r}")
         seen.add(seq_id)
-        return _Record(seq_id, strict, new_sink)
+        return _Record(seq_id, strict, new_sink, hold)
 
     for buf in _blocks(source):
         if last == 0x0D and buf[0] == 0x0A:
@@ -255,19 +256,13 @@ def _scan(source, policy: str, new_sink):
     yield record.end()
 
 
-class _Pieces(list):
-    """A record sink that keeps every code block."""
-
-    feed = list.append
-
-
 def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     """Parse FASTA into encoded sequences, preserving record order.
 
     ``source`` may be a path (``str``, ``bytes`` or ``os.PathLike``) or
     an open text/byte stream, which is left open; it is read once, in
     blocks of :data:`_BLOCK` bytes, so apart from the returned codes
-    memory stays within one block and one tally chunk of codes.  Every
+    memory stays within one block and the open record's codes.  Every
     source is read as UTF-8 bytes: a text stream as its text encoded to
     UTF-8, so it gives what a file of those bytes gives, and each
     record's ``dropped`` counts bytes of that UTF-8 input.  LF, CRLF and
@@ -275,11 +270,10 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     opens with '>'; record ids are its first whitespace-delimited token,
     the header read as UTF-8.  Each block's share of a record body, line
     breaks included, is encoded as in :func:`encode`, so errors come in
-    file order.  A
-    record of at most :data:`ppn.core._CHUNK` codes keeps the codes its
-    one block gave, or joins those of the blocks its bases span, as
-    :func:`_scan` hands it over; a longer one joins its blocks' codes
-    once.  Blank lines (only spaces, tabs, CR, LF, VT, FF) are ignored.
+    file order.  Every record is held whole, as :func:`_scan` hands it
+    over with no limit on ``hold``: the codes its one block gave,
+    uncopied, or one join of those of the blocks its bases span.  Blank lines (only
+    spaces, tabs, CR, LF, VT, FF) are ignored.
 
     Raises :class:`ValidationError`, before any input is read, for a
     ``policy`` other than ``"drop"`` or ``"strict"``;
@@ -289,10 +283,8 @@ def read_fasta(source, policy: str = "drop") -> list[EncodedSequence]:
     :class:`EmptySequenceError` for records with no usable nucleotides.
     """
     return [
-        EncodedSequence(
-            seq_id, _read_only(np.concatenate(pieces)) if codes is None else codes, dropped
-        )
-        for seq_id, dropped, codes, pieces in _scan(source, policy, _Pieces)
+        EncodedSequence(seq_id, codes, dropped)
+        for seq_id, dropped, codes, _ in _scan(source, policy)
     ]
 
 

@@ -394,6 +394,38 @@ def _base_blocks(data: bytes) -> list[set[int]]:
     return records
 
 
+class _ListSink(list):
+    """A record sink that keeps every code array it is fed."""
+
+    feed = list.append
+
+
+def _no_sink():
+    raise AssertionError("a record was handed to a sink")
+
+
+@settings(max_examples=200, deadline=None)
+@given(fasta_files(), st.integers(1, 64), st.sampled_from(["drop", "strict"]))
+# records of one code more than a tally chunk, and of many, across block edges
+@example(b">a\n" + b"ACGT" * (_CHUNK // 4) + b"G\n>b\nT\n", 1, "drop")
+@example(b">a x\n" + (b"acgtN" * 20 + b"\r\n") * 700 + b">b\nG", 64, "drop")
+@example(b">a\n" + b"C" * (_CHUNK + 5) + b"x\n", 7, "strict")
+def test_scan_with_no_hold_gives_every_record_whole(data, block, policy):
+    """With the default hold no sink is asked for, at any block size and
+    however long a record is: each record comes as one read-only array,
+    equal to what the line oracle reads, and so does each error."""
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqio, "_BLOCK", block)
+            got = []
+            for seq_id, dropped, codes, sink in seqio._scan(io.BytesIO(data), policy, _no_sink):
+                assert sink is None and not codes.flags.writeable
+                got.append((seq_id, core.EncodedSequence(seq_id, codes).bases(), dropped))
+    except PpnError as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == line_fasta_outcome(data, policy)
+
+
 @settings(max_examples=300, deadline=None)
 @given(fasta_files(), st.integers(1, 64), st.sampled_from([1, 4, 16, 64, _CHUNK]))
 # the body ends at a block edge, its '>' or its line break opening the next block
@@ -410,14 +442,13 @@ def _base_blocks(data: bytes) -> list[set[int]]:
 @example(b">0000\n\n?\n\x00\r\n\x00\xc0\nAA\n", 2, 1)
 def test_scan_gives_codes_exactly_for_a_record_of_at_most_one_chunk(data, block, chunk):
     """A record comes whole, as one read-only array, when it has at most
-    ``_CHUNK`` codes, however many blocks its bases span; a longer one
+    ``hold`` codes, however many blocks its bases span; a longer one
     comes as a sink fed one array per block that holds bases."""
     if not isinstance(line_fasta_outcome(data), list):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqio, "_BLOCK", block)
-        mp.setattr(core, "_CHUNK", chunk)
-        scanned = list(seqio._scan(io.BytesIO(data), "drop", seqio._Pieces))
+        scanned = list(seqio._scan(io.BytesIO(data), "drop", _ListSink, chunk))
         records = read_fasta(io.BytesIO(data))
         base_blocks = _base_blocks(data)
     assert len(scanned) == len(records)
@@ -812,12 +843,14 @@ def test_upgma_equals_the_full_scan_oracle(matrix):
 @st.composite
 def small_fasta(draw):
     """FASTA bytes of 2-6 records of 1-300 nt, soft-masked, with N runs,
-    wrapped at one width in one line ending; and a geometry, t <= l <= 5."""
+    wrapped at one width in one line ending, half of them drawn from
+    1-30 nt; and a geometry, t <= l <= 5."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ending = draw(_ENDINGS)
     width = draw(st.sampled_from([1, 7, 60, 1000]))
     out = []
-    for i, n in enumerate(draw(st.lists(st.integers(1, 300), min_size=2, max_size=6))):
+    lengths = st.one_of(st.integers(1, 30), st.integers(1, 300))
+    for i, n in enumerate(draw(st.lists(lengths, min_size=2, max_size=6))):
         body = b"A" + bytes(rng.choice(list(b"ACGTacgtN"), size=n - 1))
         lines = [body[j : j + width] for j in range(0, n, width)]
         out += [b">r%d desc" % i, ending, ending.join(lines), ending]
@@ -826,11 +859,14 @@ def small_fasta(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_fasta())
-def test_ppn_tree_equals_the_oracles_end_to_end(case):
+@given(small_fasta(), st.integers(0, 4), st.integers(1, 64), st.integers(1, 64))
+def test_ppn_tree_equals_the_oracles_end_to_end(case, short_windows, chunk, block):
     """FASTA to Newick bytes through the whole ``ppn tree`` run, against
     the line reader, per-window vectors, one-pair distances and a UPGMA
-    that rescans every pair at each merge."""
+    that rescans every pair at each merge.  The batch cut-off, the tally
+    chunk (also the scan's hold) and the read block are drawn small, so
+    the same records take the batch, the tally of whole codes and the
+    streamed sink."""
     data, radius, stride = case
     records = line_fasta_outcome(data)
     vectors = [
@@ -845,7 +881,11 @@ def test_ppn_tree_equals_the_oracles_end_to_end(case):
             fh.write(data)
         argv = ["tree", "--input", fasta, "--l", str(radius), "--t", str(stride),
                 "--output", newick]
-        assert cli.main(argv) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_SHORT_WINDOWS", short_windows)
+            mp.setattr(core, "_CHUNK", chunk)
+            mp.setattr(seqio, "_BLOCK", block)
+            assert cli.main(argv) == 0
         with open(newick, "rb") as fh:
             assert fh.read() == want.encode()
 
