@@ -830,10 +830,18 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     ints, then one conversion to float64 and, for Euclidean,
     ``np.sqrt``: either conversion rounds to nearest-even like
     ``float(int)`` and IEEE square root is correctly rounded, so the
-    result is bit-identical to ``math.sqrt`` of the exact sum.  With
-    ``normalized`` the rows are float64 arrays of the correctly rounded
-    ``x / windows``; each pair's terms are summed by ``math.fsum``.
-    The vectors are not held once the rows are made.
+    result is bit-identical to ``math.sqrt`` of the exact sum.  A
+    Euclidean sum is taken in the Gram form ``sq_i + sq_j - 2 x_i.x_j``
+    from each row's sum of squares ``sq``, made once: every shifted
+    element lies in 0..spread_j, so ``sq_i``, ``x_i.x_j`` and the sum
+    itself are at most sum(spread_j**2), below 2**63 on int64 rows.
+    ``sq_i + sq_j`` and ``2 x_i.x_j`` may pass it, but int64 arithmetic
+    wraps mod 2**64 and the true sum lies in 0..2**63 - 1, so the int64
+    result is that sum.  A Manhattan row sums each pair's absolute
+    differences.  With ``normalized`` the rows are float64 arrays of the
+    correctly rounded ``x / windows``; each pair's difference terms are
+    summed by ``math.fsum``.  The vectors are not held once the rows are
+    made.
     """
     if normalized:
         rows = np.array([[c / v.windows for c in v.components] for v in vectors])
@@ -841,13 +849,18 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
         rows = _shifted_rows(vectors, metric)
     del vectors  # a list that no one else holds goes before the first row
     euclidean = metric is Metric.EUCLIDEAN
+    gram = euclidean and not normalized
+    if gram:
+        sq = (rows * rows).sum(axis=1)
     for i in range(len(rows) - 1):
-        diff = rows[i] - rows[i + 1 :]
-        terms = diff * diff if euclidean else np.abs(diff)
-        if normalized:
+        if gram:
+            sums = (sq[i + 1 :] + sq[i] - 2 * (rows[i + 1 :] @ rows[i])).astype(np.float64)
+        elif normalized:
+            diff = rows[i] - rows[i + 1 :]
+            terms = diff * diff if euclidean else np.abs(diff)
             sums = np.array([math.fsum(t) for t in terms.tolist()])
         else:
-            sums = terms.sum(axis=1).astype(np.float64)
+            sums = np.abs(rows[i] - rows[i + 1 :]).sum(axis=1).astype(np.float64)
         yield np.sqrt(sums) if euclidean else sums
 
 
@@ -859,13 +872,14 @@ def distance(
 ) -> float:
     """Distance between two PPN vectors.
 
-    Component differences and their sum are taken exactly on integers,
-    in int64 when the pair's spreads bound the sum below 2**63 and in
-    Python ints otherwise; floating point enters only in the sum's
-    conversion and the square root, so the result is the same Python
-    ``float`` either way.  With ``normalized`` each component is first
-    divided by its own vector's window count; this mode is off by
-    default and changes nothing about the raw contract.
+    The pair's sum of squared or absolute differences is taken exactly
+    on integers, the Euclidean one in the Gram form of
+    :func:`_distance_rows`, in int64 when the pair's spreads bound the
+    sum below 2**63 and in Python ints otherwise; floating point enters
+    only in the sum's conversion and the square root, so the result is
+    the same Python ``float`` either way.  With ``normalized`` each
+    component is first divided by its own vector's window count; this
+    mode is off by default and changes nothing about the raw contract.
     :func:`ppn.phylo.pairwise_matrix` runs the same code.
 
     Raises :class:`ParamsMismatchError` if the vectors were computed

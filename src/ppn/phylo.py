@@ -247,8 +247,9 @@ def upgma(matrix: DistanceMatrix) -> PhyloTree:
     labels (a cluster is labeled by its smallest leaf), which makes the
     output deterministic and independent of input row order.
 
-    A merge rewrites the merged cluster's whole row and column at once
-    and rescans only the rows whose cached minimum it may have retired.
+    A merge rewrites the merged cluster's whole row and column at once,
+    with no copy of either merged row, and rescans only the rows whose
+    cached minimum it may have retired.
     The merges run in a copy of ``matrix.values``, so ``matrix`` is
     left as it was; ``ppn tree`` hands :func:`_upgma` the array it built
     and holds no copy.
@@ -277,26 +278,24 @@ def _upgma(labels: tuple, work: np.ndarray) -> PhyloTree:
         # every cluster in a tied pair has row_min == best, so the
         # smallest key among them is the pair's first member, and its
         # smallest-keyed tied partner is the second; no pair list needed
-        tied = np.nonzero(row_min == best)[0]
-        a = int(min(tied, key=lambda i: key[i]))
-        partners = np.nonzero(work[a] == best)[0]
-        b = int(min(partners, key=lambda j: key[j]))
+        a = min((row_min == best).nonzero()[0].tolist(), key=key.__getitem__)
+        b = min((work[a] == best).nonzero()[0].tolist(), key=key.__getitem__)
         h = best / 2.0
         first, second = node[a], node[b]
         first.length = h - height[a]
         second.length = h - height[b]
         node[a] = TreeNode(children=[first, second])
-        old_a = work[a].copy()
-        old_b = work[b].copy()
+        # stale and merged read rows a and b before they are overwritten;
         # inf at a, at b and at every retired cluster: inf absorbs the sum
-        merged = (size[a] * old_a + size[b] * old_b) / (size[a] + size[b])
+        row_a, row_b = work[a], work[b]
+        stale = (row_min == row_a) | (row_min == row_b)
+        merged = (size[a] * row_a + size[b] * row_b) / (size[a] + size[b])
         work[a] = work[:, a] = merged
         work[b] = work[:, b] = np.inf
-        lower = merged <= row_min
         # a minimum that merged did not undercut may have lived at a or b;
         # a and b are always stale, as each held best in the other's row
-        stale = ~lower & ((row_min == old_a) | (row_min == old_b))
-        row_min[lower] = merged[lower]
+        stale &= merged > row_min
+        np.minimum(row_min, merged, out=row_min)
         row_min[stale] = work[stale].min(axis=1)
         size[a] += size[b]
         height[a] = h
@@ -891,12 +890,15 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
     The count line is read by ``int`` only when it is ASCII, holds no
     ``_`` and is not negative.  Rows are walked one at a time, as
     :func:`_write_rows` writes them.  ``float`` reads each row's entries
-    from its diagonal on.  The fields left of the diagonal are joined
-    with tabs and compared with the fields the rows above had in the
-    same column, held as :func:`_write_rows` holds them (:func:`_above`,
-    :func:`_add`); only when the two texts differ are they read one by
-    one.  Fields hold no whitespace, so equal texts mean equal fields and
-    so the same floats.  A row's checks and its ``float`` calls raise
+    from its diagonal on.  A row is split from the right only as far as
+    its diagonal, and its label off the text left of that, which is
+    compared with the tab-joined fields the rows above had in the same
+    column, held as :func:`_write_rows` holds them (:func:`_above`,
+    :func:`_add`).  Only when the two texts differ is the row split
+    whole, its field count checked, and its fields left of the diagonal
+    joined with tabs and compared again; only when those differ too are
+    they read one by one.  Fields hold no whitespace, so equal texts mean
+    equal fields and so the same floats.  A row's checks and its ``float`` calls raise
     ``ValueError``, which records the first bad row's message at one
     place.  Each row read keeps its floats from the diagonal on, and a
     row that is not mirrored its floats left of it too; the k x k array
@@ -927,31 +929,40 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
             continue
         r = rows - 1
         try:
-            parts = line.split()
-            if len(parts) != k + 1:
-                raise ValueError(
-                    f"expected a label and {k} values, found {len(parts)} fields"
-                )
+            above = "" if columns is None else "\t".join(_above(columns, block, r))
+            # the diagonal and the fields right of it, and left of them the
+            # label and, in a mirrored row, the column's text from the rows above
+            fields = line.rsplit(None, k - r)
+            label, *left = fields[0].split(None, 1)
+            if len(fields) == k - r + 1 and "".join(left) == above:
+                del fields[0]
+            else:
+                parts = line.split()
+                if len(parts) != k + 1:
+                    raise ValueError(
+                        f"expected a label and {k} values, found {len(parts)} fields"
+                    )
+                mirrored = "\t".join(parts[1:rows]) == above
+                fields = parts[rows if mirrored else 1 :]
             # float() also reads "1_5" as 15.0 and non-ASCII digits such as
             # "\u0661" as 1.0; the fields are looked at one by one only when
-            # the row holds "_" past its label or is not all ASCII
-            if line.find("_", len(parts[0])) >= 0 or not line.isascii():
-                bad = next((p for p in parts[1:] if "_" in p or not p.isascii()), None)
+            # the row holds "_" past its label or is not all ASCII.  Fields
+            # left out, left of a mirrored diagonal, are the column's text,
+            # which its rows above passed
+            if line.find("_", len(label)) >= 0 or not line.isascii():
+                bad = next((p for p in fields if "_" in p or not p.isascii()), None)
                 if bad is not None:
                     raise ValueError(f"{bad!r} is not an ASCII decimal number")
-            above = None if columns is None else "\t".join(_above(columns, block, r))
-            mirrored = "\t".join(parts[1:rows]) == above
-            fields = parts[rows if mirrored else 1 :]
             row = np.fromiter(map(float, fields), np.float64, len(fields))
         except ValueError as exc:
             error = f"matrix row {rows}: {exc}"
             continue
-        labels.append(parts[0])
+        labels.append(label)
         kept.append(row)
         if columns is None:
             # the first row, of k + 1 fields, bounds k by the input's own size
             columns = [[] for _ in range(k)]
-        block = _add(columns, block, parts[rows + 1 :], rows)
+        block = _add(columns, block, fields[len(fields) + rows - k :], rows)
     if rows != k:
         raise ValidationError(f"expected {k} matrix rows, found {rows}")
     if error is not None:

@@ -750,3 +750,27 @@ class TestIntegerRegime:
             assert m.values[i, j] == want
             got = distance(vecs[i], vecs[j], metric)
             assert type(got) is float and got == want
+
+    @pytest.mark.parametrize(
+        "bound, dtype", [(2**63 - 1, np.int64), (2**63, object), (2**63 + 1, object)]
+    )
+    def test_the_gram_form_wraps_back_to_the_exact_sum(self, bound, dtype):
+        # a at the spread, b a step or two below it, c at zero: on the int64
+        # route sq_a + sq_b and 2 a.b pass 2**63 and wrap, yet no pair's sum
+        # of squares does
+        spread = _squares(bound) + [0] * 12
+        a, c = spread, [0] * 24
+        b = [max(s - 1 - j % 2, 0) for j, s in enumerate(spread)]
+        assert sum(s * s for s in spread) == bound
+        assert sum(x * x for x in a) + sum(x * x for x in b) >= 2**63
+        assert 2 * sum(x * y for x, y in zip(a, b)) >= 2**63
+        params = PpnParams()
+        vecs = [_vec([3 * 2**64 + x for x in v], params) for v in (a, b, c)]
+        assert _shifted_rows(vecs, Metric.EUCLIDEAN).dtype == dtype
+        m = _vector_matrix(["a", "b", "c"], vecs, Metric.EUCLIDEAN, False)
+        for i, j in combinations(range(3), 2):
+            want = scalar_distance(vecs[i], vecs[j], "euclidean", False)
+            assert m.values[i, j] == want
+            got = distance(vecs[i], vecs[j])
+            assert type(got) is float and got == want
+        assert m.values[0, 1] == math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))

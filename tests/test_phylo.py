@@ -1141,3 +1141,74 @@ class TestPhylip:
         m = read_phylip(io.StringIO("3\ns\u00e9q 0 nan 1\nb nan 0 inf\nc 1 inf 0\n"))
         assert m.labels == ("s\u00e9q", "b", "c")
         assert math.isnan(m["b", "s\u00e9q"]) and m["b", "c"] == math.inf
+
+    # a row is read from its diagonal on when the text left of it, past its
+    # label, is its column's fields joined by tabs, as write_phylip writes
+    # them; any other row is split whole
+    _FOUR = (
+        "4\na\t0.0\t1.5\t2.0\t2.5\nb\t1.5\t0.0\t3.0\t3.5\n"
+        "c\t2.0\t3.0\t0.0\t4.5\nd\t2.5\t3.5\t4.5\t0.0\n"
+    )
+    _ROW_C = "c\t2.0\t3.0\t0.0\t4.5"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "c\t2.0\t3.0\t0.0\t4.5",  # as written
+            "c  2.0\t3.0\t0.0\t4.5",  # another gap after the label only
+            "c\t2.0  3.0\t0.0\t4.5",  # another gap left of the diagonal
+            "c \t 2.0\t \t3.0\t0.0\t4.5",
+            "c  2.0  3.0  0.0  4.5",
+            "c\t\t2.0\t\t3.0\t\t0.0\t\t4.5",
+        ],
+    )
+    def test_a_mirrored_row_spelled_with_other_gaps_reads_the_same_floats(
+        self, row, monkeypatch
+    ):
+        converted = []
+
+        def counted(field):
+            converted.append(field)
+            return float(field)
+
+        want = read_phylip(io.StringIO(self._FOUR))
+        monkeypatch.setattr(phylo, "float", counted, raising=False)
+        got = read_phylip(io.StringIO(self._FOUR.replace(self._ROW_C, row)))
+        assert got.labels == want.labels
+        assert hexes(got) == hexes(want)
+        assert len(converted) == 4 * 5 // 2  # each pair once, on either route
+
+    @pytest.mark.parametrize(
+        "row, found",
+        [
+            ("c\t2.0\t3.0\t0.0\t4.5\t9.0", 6),  # mirrored, then one field more
+            ("c\t2.0\t3.0\t9.0\t0.0\t4.5", 6),
+            ("c  2.0  3.0  0.0  4.5  9.0", 6),
+            ("c\t2.0\t3.0\t0.0", 4),  # mirrored, then one field less
+            ("c\t2.0\t0.0\t4.5", 4),
+            ("c 2.0 \t3.0 0.0", 4),
+            # the first row has no fields left of its diagonal to differ
+            ("a\t0.0\t1.5\t2.0", 4),
+            ("a\t0.0\t1.5\t2.0\t2.5\t9.0", 6),
+        ],
+    )
+    def test_a_row_with_a_field_more_or_less_is_refused(self, row, found):
+        r = "abcd".index(row[0])
+        text = self._FOUR.replace(self._FOUR.splitlines()[r + 1], row)
+        with pytest.raises(ValidationError) as info:
+            read_phylip(io.StringIO(text))
+        assert str(info.value) == (
+            f"matrix row {r + 1}: expected a label and 4 values, found {found} fields"
+        )
+
+    @pytest.mark.parametrize("bad", ["2_0", "\u0662", "3.\u0660"])
+    @pytest.mark.parametrize("where", [1, 2, 3, 4])  # left of, at and right of the diagonal
+    @pytest.mark.parametrize("gap", ["\t", "  ", " \t "])
+    def test_an_underscore_or_a_non_ascii_digit_is_named_on_either_route(
+        self, bad, where, gap
+    ):
+        fields = self._ROW_C.split("\t")
+        fields[where] = bad
+        with pytest.raises(ValidationError) as info:
+            read_phylip(io.StringIO(self._FOUR.replace(self._ROW_C, gap.join(fields))))
+        assert str(info.value) == f"matrix row 3: {bad!r} is not an ASCII decimal number"

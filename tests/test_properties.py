@@ -817,6 +817,50 @@ def test_pairwise_matrix_equals_the_scalar_oracle(case, metric, normalized):
 
 
 @st.composite
+def rows_near_the_wrap(draw):
+    """2-6 component lists whose columns spread by about s on m of the 24
+    components, each s near 2**31.5 / sqrt(m), so that sum(s**2) lies near
+    2**63 on either side; the rest are constant.  The first list is s or
+    s - 1 in each such column, the second 0 or 1, and every later one is
+    either of those or any value in 0..s, all above a common offset."""
+    m = draw(st.integers(1, 24))
+    top = math.isqrt(2**63 // m)
+    spreads = [draw(st.integers(top - 2**8, top + 2**8)) for _ in range(m)]
+    offset = draw(st.sampled_from([0, 2**40, 3 * 2**64]))
+    kinds = ["top", "bottom"] + [
+        draw(st.sampled_from(["top", "bottom", "any"])) for _ in range(draw(st.integers(0, 4)))
+    ]
+    values = {
+        "top": lambda s: st.sampled_from([s, s - 1]),
+        "bottom": lambda s: st.sampled_from([0, 1]),
+        "any": lambda s: st.integers(0, s),
+    }
+    return [
+        [offset + draw(values[kind](s)) for s in spreads] + [offset] * (24 - m)
+        for kind in kinds
+    ]
+
+
+_AT_THE_WRAP = [[3037000499] + [0] * 23, [3037000498] + [0] * 23, [0] * 24]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_near_the_wrap(), st.sampled_from(["euclidean", "manhattan"]))
+@example(_AT_THE_WRAP, "euclidean")
+def test_distance_rows_near_2_63_equal_the_scalar_oracle(components, metric):
+    params = PpnParams(metric=metric)
+    vecs = [
+        core.PpnVector(components=tuple(c), sequence_length=100, windows=50, params=params)
+        for c in components
+    ]
+    rows = list(core._distance_rows(vecs, core.Metric(metric), False))
+    for i, j in combinations(range(len(vecs)), 2):
+        want = scalar_distance(vecs[i], vecs[j], metric, False)
+        assert rows[i][j - i - 1] == want
+        assert distance(vecs[i], vecs[j]) == want
+
+
+@st.composite
 def upgma_matrices(draw):
     """k 2-40 under shuffled labels: small integers (many ties, zeros
     too) or random floats."""
