@@ -12,8 +12,9 @@ between their vectors.
 Unique factorization makes the per-window product an injective encoding
 of the count tuple, so all arithmetic here is exact: products stay below
 2**63 (enforced via the radius cap), sums that could pass 2**63 are
-summed as int64 limbs of their products and joined as Python ints, and
-floating point appears only in the final metric reduction.
+summed as limbs of their products, each limb's sum an integer below
+2**63 in int64 or below 2**53 in float64, and joined as Python ints, and
+floating point rounds only in the final metric reduction.
 """
 
 from __future__ import annotations
@@ -83,14 +84,21 @@ _PRODUCT_LIMIT = 2**63
 #: of its own.
 _CHUNK = 1 << 15
 #: Most windows of a record that :func:`_record_vectors` batches.  A batch
-#: costs one row of 24 products per window, a tally a fixed set of numpy
-#: calls per record: on a 2-vCPU host with numpy 2.4 the tally was the
-#: faster past about 256 windows at l = 1, 380 at l = 4 and 500-700 at
-#: l = 10, so no other cut-off wins at every l.
-_SHORT_WINDOWS = 1 << 8
-#: Windows per chunk of a batch: each product array of a chunk holds
-#: this many rows of 24 int64, 192 KiB.
+#: gathers one row of 24 products per window, a tally folds one table per
+#: record with a fixed set of numpy calls: on a 2-vCPU host with numpy 2.4
+#: the tally was the faster past about 420 windows at l = 1, 500 at l = 4
+#: and 1 000 at l = 10, and the batch the faster up to 384 at every l.
+_SHORT_WINDOWS = 384
+#: Windows per chunk of a batch: the one product buffer of a batch holds
+#: this many rows of 24 int64 per limb, 192 KiB for one.  Chunks of 2 048
+#: were 5-12 % faster at l = 1, 4 and 10, but the buffer and its per-chunk
+#: index arrays took a full batch's traced peak from 644 to 883 KB.
 _BATCH_WINDOWS = 1 << 10
+
+#: Rows per block of the int64 Gram distances: one int64 matrix product
+#: gives a block's dot products with every later row, and one pass each
+#: the block's sums and roots, about 16 x k x 16 B at k vectors.
+_GRAM_ROWS = 16
 
 #: ``bytes.translate`` table: byte -> base code (A=0, C=1, G=2, T=3,
 #: either case), 0xFF for every other byte.
@@ -473,6 +481,52 @@ def _product_table(radius: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _full_table(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The count tuples a full window of radius l can hold, indexed by key.
+
+    Returns ``(keys, lookup, products)``, read-only: ``keys`` are the V =
+    C(2l+4, 3) window keys ``A + C*B + G*B**2`` with A + C + G <= 2l+1, in
+    increasing order (220 at l = 4, 2 024 at l = 10); ``lookup`` maps each
+    of the B**3 keys to its index in ``keys``, int16, and every other key
+    to 0; ``products[v]`` holds the 24 products of the full window with
+    key ``keys[v]``, whose T count is 2l+1 - A - C - G, V x 24 int64 (389
+    KB at l = 10).  Made at the first call for a radius, not at import.
+    """
+    span = 2 * radius + 1
+    base = span + 1
+    a, c, g = np.unravel_index(np.arange(base**3), (base, base, base))[::-1]
+    keys = np.flatnonzero(a + c + g <= span)
+    a, c, g = a[keys], c[keys], g[keys]
+    lookup = np.zeros(base**3, dtype=np.int16)
+    lookup[keys] = np.arange(len(keys))
+    products = _products(radius, a, c, g, span - a - c - g)
+    for array in (keys, lookup, products):
+        array.flags.writeable = False
+    return keys, lookup, products
+
+
+@functools.lru_cache(maxsize=4)
+def _table_limbs(radius: int, shifts: range, dtype: type) -> np.ndarray:
+    """The products of :func:`_full_table` cut into limbs at ``shifts`` by
+    :func:`_limbs`, as ``dtype``, read-only: V x 24 per limb.  The last
+    four cuts asked for are kept; at l = 10 two limbs take 777 KB."""
+    limbs = _limbs(_full_table(radius)[2], shifts).astype(dtype, copy=False)
+    limbs.flags.writeable = False
+    return limbs
+
+
+def _cut_products(radius: int, keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The 24 products of each window cut short by an end, from its key
+    and its size < 2l+1, one row per window.  The cut window holds the A,
+    C and G of the full window with its key and ``2l+1 - size`` fewer T,
+    so its products are that window's table row divided, exactly, by the
+    T prime of each assignment to the power ``2l+1 - size``."""
+    _, lookup, table = _full_table(radius)
+    powers_of_t = _product_table(radius)[3].take(2 * radius + 1 - sizes, axis=0)
+    return table.take(lookup.take(keys), axis=0) // powers_of_t
+
+
 def _products(radius: int, a, c, g, t) -> np.ndarray:
     """The window products of the count tuples ``(a[i], c[i], g[i], t[i])``
     under all 24 assignments, one row per tuple; the radius cap keeps
@@ -486,25 +540,32 @@ def _products(radius: int, a, c, g, t) -> np.ndarray:
     return products
 
 
-def _limb_shifts(windows: int, span: int) -> range:
-    """The bit offsets at which a window product is cut into int64 limbs,
+def _limb_shifts(windows: int, span: int, bits: int = 63) -> range:
+    """The bit offsets at which a window product is cut into limbs of
     ``step`` bits each: as few limbs as cover 7**span, the largest
-    product, while ``windows`` of any one limb sum below 2**63."""
-    return range(0, (7**span).bit_length(), 63 - (windows - 1).bit_length())
+    product, while ``windows`` of any one limb sum below 2**bits.  One
+    limb is always a step of the product's own bit length, so the offsets
+    of one limb do not depend on ``windows``."""
+    top = (7**span).bit_length()
+    return range(0, top, min(bits - (windows - 1).bit_length(), top))
 
 
-def _limbs(products: np.ndarray, shifts: range) -> list[np.ndarray]:
-    """The limbs of ``products`` at ``shifts``, or the products as they are."""
+def _limbs(products: np.ndarray, shifts: range) -> np.ndarray:
+    """The limbs of ``products`` at ``shifts`` side by side along the last
+    axis, 24 columns per limb, or the products as they are."""
     if len(shifts) == 1:
-        return [products]
-    return [(products >> s) & ((1 << shifts.step) - 1) for s in shifts]
+        return products
+    mask = (1 << shifts.step) - 1
+    return np.concatenate([(products >> s) & mask for s in shifts], axis=-1)
 
 
-def _join(sums, shifts: range):
-    """The sums of whole products from the sums of their limbs."""
+def _join(sums: np.ndarray, shifts: range) -> np.ndarray:
+    """The sums of whole products from the sums of their limbs, side by
+    side along the last axis as :func:`_limbs` puts them."""
     if len(shifts) == 1:
-        return sums[0]
-    return sum(part.astype(object) << s for part, s in zip(sums, shifts))
+        return sums
+    parts = np.split(sums, len(shifts), axis=-1)
+    return sum(part.astype(object) << s for part, s in zip(parts, shifts))
 
 
 def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVector]:
@@ -519,12 +580,14 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     :func:`_window_sums` key every position in int16, as the tally keys
     its windows over its own ``l`` pads.  The windows go through
     :data:`_BATCH_WINDOWS` at a time: each takes its key from its
-    record's start and center, :func:`_counts` decodes the keys into
-    count tuples, each tuple's 24 products come from :func:`_products`,
-    and one ``np.add.reduceat`` per limb (see :func:`_limb_shifts`, for
-    the record with the most windows) adds them into their records' sums.
-    The batch holds its codes, the pads among them, once as int8 and
-    twice as int16.
+    record's start and center, and its row of products from the table of
+    :func:`_full_table`, already cut into int64 limbs (see
+    :func:`_limb_shifts`, for the record with the most windows), one
+    ``take`` per chunk into one buffer that every chunk reuses; the rows
+    of windows cut short by an end are then made again by
+    :func:`_cut_products`, and one ``np.add.reduceat`` adds the chunk's
+    rows into their records' sums.  The batch holds its codes, the pads
+    among them, once as int8 and twice as int16, and the one buffer.
     """
     radius, step, span = params.radius, params.stride + 1, 2 * params.radius + 1
     lengths = np.array([len(codes) for codes in pieces], dtype=np.int64)
@@ -538,19 +601,26 @@ def _batch_vectors(pieces: list[np.ndarray], params: PpnParams) -> list[PpnVecto
     _weigh(codes, weights, span + 1)
     keys = _window_sums(weights, span, 0, len(codes) - span + 1, 1)
     shifts = _limb_shifts(int(windows.max()), span)
-    parts = np.zeros((len(shifts), len(pieces), len(PERMUTATIONS)), dtype=np.int64)
+    lookup, table = _full_table(radius)[1], _table_limbs(radius, shifts, np.int64)
+    sums = np.zeros((len(pieces), table.shape[1]), dtype=np.int64)
+    buffer = np.empty((min(total, _BATCH_WINDOWS), table.shape[1]), dtype=np.int64)
     for lo in range(0, total, _BATCH_WINDOWS):
         index = np.arange(lo, min(lo + _BATCH_WINDOWS, total))
         record = np.searchsorted(firsts, index, side="right") - 1
         center = (index - firsts[record]) * step
         end = np.minimum(center + radius + 1, lengths[record])
         size = end - np.maximum(center - radius, 0)
-        products = _products(radius, *_counts(keys[starts[record] + center], size, span))
+        key = keys[starts[record] + center]
+        chunk = buffer[: len(index)]
+        # mode="clip" lets take write straight into chunk; every index is valid
+        table.take(lookup.take(key), axis=0, out=chunk, mode="clip")
+        cut = np.flatnonzero(size < span)
+        if len(cut):
+            chunk[cut] = _limbs(_cut_products(radius, key[cut], size[cut]), shifts)
         first, last = record[0], record[-1]
         segments = np.concatenate([[0], firsts[first + 1 : last + 1] - lo])
-        for part, limb in zip(parts, _limbs(products, shifts)):
-            part[first : last + 1] += np.add.reduceat(limb, segments)
-    rows = _join(parts, shifts)
+        sums[first : last + 1] += np.add.reduceat(chunk, segments)
+    rows = _join(sums, shifts)
     return [
         PpnVector(tuple(row), sequence_length=n, windows=w, params=params)
         for row, n, w in zip(rows.tolist(), lengths.tolist(), windows.tolist())
@@ -645,14 +715,16 @@ class _WindowTally:
     is bounded by the chunk and block sizes, not by the sequence length.
     A chunk's weights come from :func:`_weigh`, two codes at a time into
     the buffer read as int32, so the kept weights are placed to end at an
-    even index.  :func:`_batch_vectors` decodes its keys with the same
-    :func:`_counts`.
+    even index.
 
     Between calls the tally holds ``bins``, at most ceil(l/(t+1)) keys
     in ``_cut``, and the weights from the start of the next window not
     yet keyed to the end, fewer than 2l+1 of them, the ``l`` pads at
-    first.  :meth:`finish` keys the windows left, those cut short by the
-    end, once the length is known.
+    first.  Once the length is known, the windows left, those cut short
+    by the end, are keyed from those weights.  :meth:`vector` folds the
+    bins through the table of :func:`_full_table` and adds the cut
+    windows' rows of :func:`_cut_products`; :meth:`finish` decodes the
+    bins and the cut windows into count tuples with :func:`_counts`.
     """
 
     def __init__(self, params: PpnParams):
@@ -701,39 +773,54 @@ class _WindowTally:
             buf[at : at + kept] = weights[hi - kept :]
         self._tail = buf[at : at + kept].tolist()
 
+    def _cut_windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The keys of the windows cut short by an end of the sequence, in
+        window order, and their sizes, both int64.  There are at most
+        2*ceil(l/(t+1)) of them, so the windows the end cuts are summed
+        in Python from the kept weights, which l pads end."""
+        radius, step, span = self._radius, self._step, self._span
+        n = self.length
+        left = range(self._next, window_count(n, step - 1))
+        weights = self._tail + [0] * radius  # from window _next's start
+        keys = self._cut + [sum(weights[i : i + span]) for i in range(0, len(left) * step, step)]
+        centers = [j * step for j in [*range(len(self._cut)), *left]]
+        sizes = [min(c + radius + 1, n) - max(c - radius, 0) for c in centers]
+        return np.array(keys, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Window count tuples (A, C, G, T) as rows, and their multiplicities:
         one row per nonzero bin, then one per window cut short by an end of
         the sequence, in window order, so a tuple may appear in more than
         one row."""
-        radius, step, span = self._radius, self._step, self._span
-        n = self.length
-        left = range(self._next, window_count(n, step - 1))
-        cut = list(self._cut)
-        if left:
-            # the kept weights run from window _next's start; l pads end them
-            weights = np.array(self._tail + [0] * radius, dtype=np.int16)
-            cut += _window_sums(weights, span, 0, len(left), step).tolist()
-        centers = [j * step for j in [*range(len(self._cut)), *left]]
+        cut, sizes = self._cut_windows()
         seen = np.flatnonzero(self.bins)
-        keys = np.concatenate([seen, np.array(cut, dtype=np.int64)])
-        size = np.full(len(keys), span, dtype=np.int64)
-        size[len(seen) :] = [min(c + radius + 1, n) - max(c - radius, 0) for c in centers]
-        counts = np.stack(_counts(keys, size, span), axis=1)
+        keys = np.concatenate([seen, cut])
+        sizes = np.concatenate([np.full(len(seen), self._span), sizes])
+        counts = np.stack(_counts(keys, sizes, self._span), axis=1)
         return counts, np.concatenate([self.bins[seen], np.ones(len(cut), dtype=np.int64)])
 
     def vector(self) -> PpnVector:
-        """The vector of everything fed so far: each row of :meth:`finish`
-        adds its products times its multiplicity, so a repeated row is
-        harmless."""
-        counts, multiplicity = self.finish()
+        """The vector of everything fed so far.
+
+        The full windows fold through the table of their radius: the bins
+        of its V keys, as float64, times its products cut into limbs of b
+        bits, b = 53 - bitlen(windows - 1), one BLAS matrix-vector product.
+        Every term is a count times a limb, an integer, and the counts sum
+        to at most ``windows``, so every partial sum is an integer below
+        2**53 and the float64 result is exact in any order of addition.
+        The windows cut short by an end, at most 2*ceil(l/(t+1)), add the
+        same limbs of their own products, in int64.
+        """
+        radius, span = self._radius, self._span
         windows = window_count(self.length, self.params.stride)
-        # products[d, j] is row d's window product under assignment j
-        products = _products(self._radius, *counts.T)
-        shifts = _limb_shifts(windows, self._span)
-        sums = _join([multiplicity @ limb for limb in _limbs(products, shifts)], shifts)
+        shifts = _limb_shifts(windows, span, 53)
+        full = self.bins.take(_full_table(radius)[0]).astype(np.float64)
+        sums = (full @ _table_limbs(radius, shifts, np.float64)).astype(np.int64)
+        keys, sizes = self._cut_windows()
+        if len(keys):
+            sums += _limbs(_cut_products(radius, keys, sizes), shifts).sum(axis=0)
         return PpnVector(
-            components=tuple(sums.tolist()),
+            components=tuple(_join(sums, shifts).tolist()),
             sequence_length=self.length,
             windows=windows,
             params=self.params,
@@ -837,7 +924,11 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     itself are at most sum(spread_j**2), below 2**63 on int64 rows.
     ``sq_i + sq_j`` and ``2 x_i.x_j`` may pass it, but int64 arithmetic
     wraps mod 2**64 and the true sum lies in 0..2**63 - 1, so the int64
-    result is that sum.  A Manhattan row sums each pair's absolute
+    result is that sum.  On int64 rows the sums come :data:`_GRAM_ROWS`
+    rows at a time: one matrix product gives the block's dot products
+    with every later row, one pass each its sums and roots, and each row
+    is yielded as a slice of its block; object rows take one
+    matrix-vector product per row.  A Manhattan row sums each pair's absolute
     differences.  With ``normalized`` the rows are float64 arrays of the
     correctly rounded ``x / windows``; each pair's difference terms are
     summed by ``math.fsum``.  The vectors are not held once the rows are
@@ -852,6 +943,14 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     gram = euclidean and not normalized
     if gram:
         sq = (rows * rows).sum(axis=1)
+    if gram and rows.dtype == np.int64:
+        for lo in range(0, len(rows) - 1, _GRAM_ROWS):
+            block = slice(lo, lo + _GRAM_ROWS)
+            dots = rows[block] @ rows[lo + 1 :].T
+            sums = (sq[block, None] + sq[lo + 1 :] - 2 * dots).astype(np.float64)
+            distances = np.sqrt(sums, out=sums)  # distances[r, c]: rows lo + r, lo + 1 + c
+            yield from (row[at:] for at, row in enumerate(distances[: len(rows) - 1 - lo]))
+        return
     for i in range(len(rows) - 1):
         if gram:
             sums = (sq[i + 1 :] + sq[i] - 2 * (rows[i + 1 :] @ rows[i])).astype(np.float64)

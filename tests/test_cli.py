@@ -1422,11 +1422,13 @@ class TestMemory:
     def test_batch_peak_is_the_int16_keys_and_the_product_chunks(self):
         """One ``_batch_vectors`` call over a full batch, 160 records of
         200 nt at l = 4 (32 644 codes with their pads), traces below
-        900 KB: the codes, their int16 weights and window sums (about
-        170 KB together), and two 1 024-window product chunks of 192 KiB
-        with a ``take`` temporary.  Measured with ``tracemalloc``: 849 KB;
-        when the batch keyed its windows by int64 prefix sums, with an
-        intp copy of the codes for their ``take``, it was 969 KB."""
+        849 KB: the codes, their int16 weights and window sums (about
+        170 KB together), one 1 024-window product buffer of 192 KiB that
+        every chunk reuses, and a chunk's index arrays.  Measured with
+        ``tracemalloc``: 644 KB; when each chunk made its own product
+        array, two of them alive at once with a ``take`` temporary, it
+        was 849 KB, and when the batch keyed its windows by int64 prefix
+        sums, with an intp copy of the codes for their ``take``, 969 KB."""
         rng = np.random.default_rng(8)
         pieces = [rng.integers(0, 4, 200).astype(np.int8) for _ in range(160)]
         params = PpnParams(radius=4, stride=1)
@@ -1437,4 +1439,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 900_000, peak
+        assert peak < 849_000, peak

@@ -618,7 +618,7 @@ class TestVector:
         ones = np.ones(5, dtype=np.int64)
         for windows in (5, 2**40, 2**62):
             shifts = _limb_shifts(windows, span)
-            sums = _join([ones @ limb for limb in _limbs(products, shifts)], shifts)
+            sums = _join(ones @ _limbs(products, shifts), shifts)
             assert sums.tolist() == [sum(col) for col in zip(*products.tolist())]
 
 

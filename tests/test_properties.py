@@ -49,7 +49,7 @@ from ppn import (
     write_phylip,
 )
 from ppn import cli, core, phylo, seqio
-from ppn.core import _CHUNK, _WindowTally, _product_table, _products
+from ppn.core import _CHUNK, _WindowTally, _full_table, _product_table, _products
 from ppn.phylo import _check_label
 from oracles import (
     line_fasta_outcome,
@@ -197,6 +197,73 @@ def test_product_table_gives_prime_product_of_every_count_tuple(radius):
     rows = _products(radius, *np.array(tuples).T).tolist()
     for counts, row in zip(tuples, rows):
         assert row == [prime_product(counts, j) for j in range(len(PERMUTATIONS))]
+
+
+@pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
+def test_full_table_rows_are_the_prime_products_of_their_tuples(radius):
+    # row v holds the full window of key keys[v]: its A, C, G from the key,
+    # and the T that 2l+1 leaves
+    span = 2 * radius + 1
+    base = span + 1
+    keys, _, products = _full_table(radius)
+    assert products.shape == (math.comb(span + 3, 3), len(PERMUTATIONS))
+    assert not keys.flags.writeable and not products.flags.writeable
+    for key, row in zip(keys.tolist(), products.tolist()):
+        a, c, g = key % base, key // base % base, key // base**2
+        counts = (a, c, g, span - a - c - g)
+        assert row == [prime_product(counts, j) for j in range(len(PERMUTATIONS))]
+
+
+@pytest.mark.parametrize("radius", range(1, MAX_RADIUS + 1))
+def test_full_table_looks_up_exactly_the_keys_of_full_windows(radius):
+    # a key A + C*B + G*B**2 below B**3 is a full window's exactly when
+    # A + C + G <= 2l+1; the lookup sends each such key to its row
+    span = 2 * radius + 1
+    base = span + 1
+    keys, lookup, _ = _full_table(radius)
+    full = [
+        a + c * base + g * base**2
+        for g, c, a in product(range(base), repeat=3)
+        if a + c + g <= span
+    ]
+    assert keys.tolist() == full
+    assert lookup.dtype == np.int16 and len(lookup) == base**3
+    assert not lookup.flags.writeable
+    assert lookup[keys].tolist() == list(range(len(full)))
+    assert not lookup[np.setdiff1d(np.arange(base**3), keys)].any()
+
+
+@st.composite
+def oracle_records(draw):
+    """1-6 records of 1-600 nt, some shorter than l, some a run of one
+    base, and a geometry with a stride of 1 to 2l+2."""
+    radius = draw(st.integers(1, MAX_RADIUS))
+    stride = draw(st.integers(1, 2 * radius + 2))
+    lengths = st.one_of(st.integers(1, radius), st.integers(1, 600))
+    alphabets = st.sampled_from(["ACGT", "A", "G", "T", "AT", "CG"])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raws = [
+        "".join(rng.choice(list(draw(alphabets)), size=draw(lengths)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return raws, radius, stride
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_records())
+@example((["G" * 600, "T" * 600, "A" * 3, "ACGT"], 10, 1))
+@example((["T", "G" * 599, "C" * 21], 10, 22))
+def test_batch_and_tally_vectors_equal_the_naive_oracle(case):
+    raws, radius, stride = case
+    params = _gapped_params(radius, stride)
+    seqs = [encode(raw) for raw in raws]
+    batch = core._batch_vectors([seq.codes for seq in seqs], params)
+    for raw, seq, vec in zip(raws, seqs, batch):
+        tally = _WindowTally(params)
+        tally.feed(seq.codes)
+        want = naive_vector(raw, radius, stride, PERMUTATIONS)
+        assert list(vec.components) == want
+        assert list(tally.vector().components) == want
 
 
 @st.composite
@@ -858,6 +925,42 @@ def test_distance_rows_near_2_63_equal_the_scalar_oracle(components, metric):
         want = scalar_distance(vecs[i], vecs[j], metric, False)
         assert rows[i][j - i - 1] == want
         assert distance(vecs[i], vecs[j]) == want
+
+
+@st.composite
+def row_blocks(draw):
+    """k = 2, 15, 16, 17 or 33 component lists, one short of a block of
+    int64 Gram rows, a block, one past it or two: either small values, or
+    each column near its own spread s with sum(s**2) near 2**63 on either
+    side, as in :func:`rows_near_the_wrap`."""
+    k = draw(st.sampled_from([2, 15, 16, 17, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        top = draw(st.sampled_from([1, 2**20, 2**40]))
+        return rng.integers(0, top, size=(k, 24), endpoint=True).tolist()
+    m = draw(st.integers(1, 24))
+    top = math.isqrt(2**63 // m)
+    spreads = [draw(st.integers(top - 2**8, top + 2**8)) for _ in range(m)]
+    rows = [[s * int(rng.integers(0, 2)) for s in spreads] + [0] * (24 - m) for _ in range(k)]
+    rows[0], rows[1] = spreads + [0] * (24 - m), [0] * 24
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_blocks(), st.sampled_from(["euclidean", "manhattan"]))
+def test_blocked_distance_rows_are_the_distances_of_each_pair(components, metric):
+    params = PpnParams(metric=metric)
+    vecs = [
+        core.PpnVector(components=tuple(c), sequence_length=100, windows=50, params=params)
+        for c in components
+    ]
+    rows = list(core._distance_rows(vecs, core.Metric(metric), False))
+    assert len(rows) == len(vecs) - 1
+    for i, row in enumerate(rows):
+        assert len(row) == len(vecs) - 1 - i
+        for j, got in enumerate(row.tolist(), start=i + 1):
+            want = scalar_distance(vecs[i], vecs[j], metric, False)
+            assert got.hex() == want.hex() == distance(vecs[i], vecs[j]).hex()
 
 
 @st.composite
