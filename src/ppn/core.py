@@ -95,9 +95,9 @@ _SHORT_WINDOWS = 384
 #: index arrays took a full batch's traced peak from 644 to 883 KB.
 _BATCH_WINDOWS = 1 << 10
 
-#: Rows per block of the int64 Gram distances: one int64 matrix product
-#: gives a block's dot products with every later row, and one pass each
-#: the block's sums and roots, about 16 x k x 16 B at k vectors.
+#: Rows per block of the Gram distances: one matrix product gives a
+#: block's dot products with every later row, and one pass each the
+#: block's sums and roots, about 16 x k x 16 B at k int64 vectors.
 _GRAM_ROWS = 16
 
 #: ``bytes.translate`` table: byte -> base code (A=0, C=1, G=2, T=3,
@@ -545,7 +545,16 @@ def _limb_shifts(windows: int, span: int, bits: int = 63) -> range:
     ``step`` bits each: as few limbs as cover 7**span, the largest
     product, while ``windows`` of any one limb sum below 2**bits.  One
     limb is always a step of the product's own bit length, so the offsets
-    of one limb do not depend on ``windows``."""
+    of one limb do not depend on ``windows``.
+
+    The two routes sum limbs in different dtypes.  The batch adds int64
+    limbs of ``bits`` = 63 with ``np.add.reduceat``; float64 limbs of 53
+    bits, exact there too, made it 1.1-2.2x slower at every l tried (1,
+    4, 7/3, 8, 9, 10, 10/10; 300 x 200 nt), as their gather is no
+    cheaper and l = 8 and 9 need a second limb.  The tally's one
+    matrix-vector product is 1.4-5x faster in float64, which BLAS runs,
+    than in int64, which it does not (3.7 against 5.3 us at l = 4, 21
+    against 108 us at l = 10; 2-vCPU host, numpy 2.4)."""
     top = (7**span).bit_length()
     return range(0, top, min(bits - (windows - 1).bit_length(), top))
 
@@ -924,15 +933,14 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
     itself are at most sum(spread_j**2), below 2**63 on int64 rows.
     ``sq_i + sq_j`` and ``2 x_i.x_j`` may pass it, but int64 arithmetic
     wraps mod 2**64 and the true sum lies in 0..2**63 - 1, so the int64
-    result is that sum.  On int64 rows the sums come :data:`_GRAM_ROWS`
-    rows at a time: one matrix product gives the block's dot products
-    with every later row, one pass each its sums and roots, and each row
-    is yielded as a slice of its block; object rows take one
-    matrix-vector product per row.  A Manhattan row sums each pair's absolute
-    differences.  With ``normalized`` the rows are float64 arrays of the
-    correctly rounded ``x / windows``; each pair's difference terms are
-    summed by ``math.fsum``.  The vectors are not held once the rows are
-    made.
+    result is that sum; on object rows every step is exact in Python
+    ints.  The sums come :data:`_GRAM_ROWS` rows at a time: one matrix
+    product gives the block's dot products with every later row, one
+    pass each its sums and roots, and each row is yielded as a slice of
+    its block.  A Manhattan row sums each pair's absolute differences.
+    With ``normalized`` the rows are float64 arrays of the correctly
+    rounded ``x / windows``; each pair's difference terms are summed by
+    ``math.fsum``.  The vectors are not held once the rows are made.
     """
     if normalized:
         rows = np.array([[c / v.windows for c in v.components] for v in vectors])
@@ -940,10 +948,8 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
         rows = _shifted_rows(vectors, metric)
     del vectors  # a list that no one else holds goes before the first row
     euclidean = metric is Metric.EUCLIDEAN
-    gram = euclidean and not normalized
-    if gram:
+    if euclidean and not normalized:
         sq = (rows * rows).sum(axis=1)
-    if gram and rows.dtype == np.int64:
         for lo in range(0, len(rows) - 1, _GRAM_ROWS):
             block = slice(lo, lo + _GRAM_ROWS)
             dots = rows[block] @ rows[lo + 1 :].T
@@ -952,9 +958,7 @@ def _distance_rows(vectors: list[PpnVector], metric: Metric, normalized: bool):
             yield from (row[at:] for at, row in enumerate(distances[: len(rows) - 1 - lo]))
         return
     for i in range(len(rows) - 1):
-        if gram:
-            sums = (sq[i + 1 :] + sq[i] - 2 * (rows[i + 1 :] @ rows[i])).astype(np.float64)
-        elif normalized:
+        if normalized:
             diff = rows[i] - rows[i + 1 :]
             terms = diff * diff if euclidean else np.abs(diff)
             sums = np.array([math.fsum(t) for t in terms.tolist()])

@@ -930,7 +930,7 @@ def test_distance_rows_near_2_63_equal_the_scalar_oracle(components, metric):
 @st.composite
 def row_blocks(draw):
     """k = 2, 15, 16, 17 or 33 component lists, one short of a block of
-    int64 Gram rows, a block, one past it or two: either small values, or
+    Gram rows, a block, one past it or two: either small values, or
     each column near its own spread s with sum(s**2) near 2**63 on either
     side, as in :func:`rows_near_the_wrap`."""
     k = draw(st.sampled_from([2, 15, 16, 17, 33]))
