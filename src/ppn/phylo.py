@@ -223,6 +223,15 @@ class PhyloTree:
         self.root = root
         _check_distinct(self.leaf_names(), DuplicateLeafError, "leaf label")
 
+    @classmethod
+    def _adopt(cls, root: TreeNode, names: list[str]) -> PhyloTree:
+        """The tree over ``root``, whose leaf names in :meth:`walk` order
+        are ``names``: checked as the constructor checks them, with no walk."""
+        _check_distinct(names, DuplicateLeafError, "leaf label")
+        tree = cls.__new__(cls)
+        tree.root = root
+        return tree
+
     def walk(self):
         """Yield every node, parents before children."""
         stack = [self.root]
@@ -309,10 +318,12 @@ def _upgma(labels: tuple, work: np.ndarray) -> PhyloTree:
 # The Newick lexicon, each rule once, for the reader and both writers:
 # whitespace is what str.isspace accepts (\s, on every code point); a label
 # is a run of anything but whitespace and ():,;[] that opens with no quote
-# ('[' opens a comment); a length is ':' amid whitespace, then a number.
+# ('[' opens a comment); a length is ':' amid whitespace, then a number in
+# ASCII digits.  The reader matches a node's label and length at once.
 _WHITESPACE = re.compile(r"\s*")
 _LABEL = re.compile(r"(?!')[^\s():,;\[\]]+")
-_LENGTH = re.compile(r"\s*:\s*([\d+\-.eE]*)")
+_LENGTH = re.compile(r"\s*:\s*([0-9+\-.eE]*)")
+_NODE = re.compile(f"({_LABEL.pattern})?(?:{_LENGTH.pattern})?")
 
 
 def _check_label(label: str) -> str:
@@ -368,66 +379,85 @@ def from_newick(text: str) -> PhyloTree:
     Errors carry the character offset at which parsing failed.  The
     parser keeps its own stack of open groups instead of recursing.
     Comments (``[...]``) and quoted labels are rejected, not read as labels.
+
+    One :data:`_NODE` match reads a node's label and length, and
+    whitespace is matched only where a character of it stands.  The leaf
+    names are gathered as they are read, so the duplicate check walks no
+    tree.
     """
     bracket = text.find("[")
     if bracket >= 0:
         raise NewickParseError("Newick comments ('[...]') are not supported", bracket)
     frames: list[list[TreeNode]] = []
+    names: list[str] = []  # leaf names in text order
     node = None  # the node just read, or None while one is expected
     pos = 0
     while node is None or frames:
-        pos = _WHITESPACE.match(text, pos).end()
-        if node is None:
-            if text.startswith("(", pos):
-                frames.append([])
-                pos += 1
-                continue
-            node = TreeNode()
-        else:
+        char = text[pos : pos + 1]
+        if char.isspace():
+            pos = _WHITESPACE.match(text, pos).end()
+            char = text[pos : pos + 1]
+        if node is not None:
             frames[-1].append(node)
-            if text.startswith(",", pos):
+            if char == ",":
                 node, pos = None, pos + 1
                 continue
-            if not text.startswith(")", pos):
-                found = f", found {text[pos]!r}" if pos < len(text) else ""
+            if char != ")":
+                found = f", found {char!r}" if char else ""
                 raise NewickParseError(f"expected ',' or ')'{found}", pos)
-            node, pos = TreeNode(children=frames.pop()), pos + 1
+            children, pos = frames.pop(), pos + 1
+        elif char == "(":
+            frames.append([])
+            pos += 1
+            continue
+        else:
+            children = []
         # the label and the length of the leaf or fork just begun
-        label = _LABEL.match(text, pos)
-        if label:
-            node.name, pos = label[0], label.end()
-        elif text.startswith("'", pos):
-            raise NewickParseError("quoted labels are not supported", pos)
-        elif node.is_leaf:
-            found = text[pos : pos + 1] or "end of input"
-            raise NewickParseError(f"expected a leaf label, found {found!r}", pos)
-        length = _LENGTH.match(text, pos)
-        if length:
-            start, pos = length.span(1)
+        parts = _NODE.match(text, pos)
+        name, number = parts.groups()
+        if name is None:
+            if text.startswith("'", pos):
+                raise NewickParseError("quoted labels are not supported", pos)
+            if not children:
+                found = text[pos : pos + 1] or "end of input"
+                raise NewickParseError(f"expected a leaf label, found {found!r}", pos)
+        elif not children:
+            names.append(name)
+        length = None
+        if number is None:
+            pos = parts.end()
+        else:
+            start, pos = parts.span(2)
             try:
-                # a digit that \d leaves out, such as \u00b2, spoils the number
+                # a digit that [0-9] leaves out, such as \u00b2 or \u0663,
+                # spoils the number
                 if text[pos : pos + 1].isdigit():
                     raise ValueError
-                node.length = float(length[1])
+                length = float(number)
             except ValueError:
                 raise NewickParseError("expected a branch length after ':'", start) from None
-            if not math.isfinite(node.length):
+            if not math.isfinite(length):
                 raise NewickParseError("branch length is not finite", start)
+        node = TreeNode(name, length, children)
     pos = _WHITESPACE.match(text, pos).end()
     if not text.startswith(";", pos):
         raise NewickParseError("expected ';'", pos)
     pos = _WHITESPACE.match(text, pos + 1).end()
     if pos < len(text):
         raise NewickParseError("unexpected text after ';'", pos)
-    return PhyloTree(node)
+    # walk() meets the leaves in reverse text order
+    names.reverse()
+    return PhyloTree._adopt(node, names)
 
 
 # -- unrooted structure ------------------------------------------------------
 
-def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> dict[str, int]:
+def _check_comparable(order1: list, order2: list) -> dict[str, int]:
     """Each leaf's column (its bit in :func:`_forks`'s leaf sets), in
-    label order."""
-    s1, s2 = set(t1.leaf_names()), set(t2.leaf_names())
+    label order, from the two trees' nodes as :meth:`PhyloTree.walk`
+    gives them."""
+    s1 = {node.name for node in order1 if not node.children}
+    s2 = {node.name for node in order2 if not node.children}
     if s1 != s2:
         only1 = sorted(s1 - s2)[:3]
         only2 = sorted(s2 - s1)[:3]
@@ -439,8 +469,9 @@ def _check_comparable(t1: PhyloTree, t2: PhyloTree) -> dict[str, int]:
     return {name: i for i, name in enumerate(sorted(s1))}
 
 
-def _forks(tree: PhyloTree, column: dict[str, int], leaves=None):
-    """A tree's forks (vertices with >= 2 children), numbered children first.
+def _forks(order: list, column: dict[str, int], leaves=None):
+    """A tree's forks (vertices with >= 2 children), numbered children
+    first, from its nodes as :meth:`PhyloTree.walk` gives them.
 
     A fork's leaf set is the set bits of one ``int``, bit ``column[name]``
     for each leaf below it: the ``|`` of its children's.  A unary vertex
@@ -449,7 +480,6 @@ def _forks(tree: PhyloTree, column: dict[str, int], leaves=None):
     is given, a table (``int16``, forks x ``leaves.shape[1]``) whose row
     for a fork is the sum of ``leaves[column]`` over its leaves, else None.
     """
-    order = list(tree.walk())
     table = None
     if leaves is not None:
         count = sum(len(node.children) > 1 for node in order)
@@ -459,7 +489,7 @@ def _forks(tree: PhyloTree, column: dict[str, int], leaves=None):
     # so the last entries here are its children's: a fork, or -1 - column
     done: list[int] = []
     for node in reversed(order):
-        if node.is_leaf:
+        if not node.children:
             done.append(-1 - column[node.name])
         elif len(node.children) > 1:
             f, below = len(bits), 0
@@ -494,9 +524,10 @@ def nrf(t1: PhyloTree, t2: PhyloTree) -> float:
     one side (see :func:`_forks`), so memory is O(k) words per split
     and no k x k table is made.
     """
-    column = _check_comparable(t1, t2)
+    order1, order2 = list(t1.walk()), list(t2.walk())
+    column = _check_comparable(order1, order2)
     k = len(column)
-    return _nrf(_splits(_forks(t1, column)[2], k), _splits(_forks(t2, column)[2], k))
+    return _nrf(_splits(_forks(order1, column)[2], k), _splits(_forks(order2, column)[2], k))
 
 
 def _nrf(s1: set[int], s2: set[int]) -> float:
@@ -530,6 +561,10 @@ _NQD_MAX_LEAVES = 7131
 _NQD_CELLS = 1 << 12
 _NQD_SHARE = 8
 
+#: ``np.triu_indices(m, 1)`` by m, read-only, for the m that :func:`_pairs`
+#: keeps
+_TRIU: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
 
 def _quartet_nodes(size: list[int], inner: list[tuple[int, ...]], k: int):
     """A tree's signed nodes for quartet counting, as flat branch arrays.
@@ -550,19 +585,21 @@ def _quartet_nodes(size: list[int], inner: list[tuple[int, ...]], k: int):
     index of its first branch and its sign.
     """
     fork, complement, starts, signs = [], [], [], []
-
-    def add(sign: int, node_forks: list[int], node_complement: list[bool]) -> None:
-        if len(node_forks) >= 2:
-            starts.append(len(fork))
-            signs.append(sign)
-            fork.extend(node_forks)
-            complement.extend(node_complement)
-
     for f, kids in enumerate(inner):
-        outside = int(k - size[f] >= 2)
-        if outside:
-            add(1, [f, f], [False, True])
-        add(-1, [*kids] + [f] * outside, [False] * len(kids) + [True] * outside)
+        outside = k - size[f] >= 2
+        if outside:  # the edge above f: the leaves below it, and the rest
+            starts.append(len(fork))
+            signs.append(1)
+            fork += (f, f)
+            complement += (False, True)
+        if len(kids) + outside >= 2:  # the vertex at f: its child forks, the rest
+            starts.append(len(fork))
+            signs.append(-1)
+            fork += kids
+            complement += (False,) * len(kids)
+            if outside:
+                fork.append(f)
+                complement.append(True)
     inside = np.array(size, dtype=np.int16)[fork]
     complement = np.array(complement, dtype=bool)
     return (
@@ -622,31 +659,35 @@ def _compare(trees) -> tuple[float, float]:
     """:func:`nrf` and :func:`nqd` of the two trees that the iterable
     ``trees`` gives, each check made once, in :func:`nqd`'s order.
 
-    Each tree is walked once by :func:`_forks`: the second tree's leaf
-    bits are unpacked into the 0/1 rows whose sums up the first tree
-    make the shared-leaf table.  The trees are then dropped with their
+    Each tree is walked once, into one list of its nodes that both the
+    leaf-set check and :func:`_forks` read: the second tree's leaf bits
+    are unpacked into the 0/1 rows whose sums up the first tree make the
+    shared-leaf table.  The trees are then dropped with their nodes and
     leaf names before either metric is computed, so nQD's chunks reuse
     their memory; ``ppn treedist`` hands over trees that nothing else
     holds.
     """
     t1, t2 = trees
-    column = _check_comparable(t1, t2)
+    order1, order2 = list(t1.walk()), list(t2.walk())
+    del t1, t2
+    column = _check_comparable(order1, order2)
     k = len(column)
     if k > _NQD_MAX_LEAVES:
         raise ValidationError(
             f"nQD is computed for at most {_NQD_MAX_LEAVES} leaves, got {k}"
         )
-    size2, inner2, bits2, _ = _forks(t2, column)
+    size2, inner2, bits2, _ = _forks(order2, column)
+    del order2
     # below2[g, j]: 1 when leaf j is below fork g of t2; the packed bytes go
-    # before t1's walk
+    # before t1's forks are summed
     width = (k + 7) // 8
     packed = b"".join(b.to_bytes(width, "little") for b in bits2)
     packed = np.frombuffer(packed, dtype=np.uint8).reshape(len(bits2), width)
     below2 = np.unpackbits(packed, axis=1, count=k, bitorder="little")
     del packed
     # shared[f, g]: leaves below both fork f of t1 and fork g of t2
-    size1, inner1, bits1, shared = _forks(t1, column, below2.T)
-    del t1, t2, column, below2
+    size1, inner1, bits1, shared = _forks(order1, column, below2.T)
+    del order1, column, below2
     rf = _nrf(_splits(bits1, k), _splits(bits2, k))
     del bits1, bits2
     fork1, complement1, width1, starts1, signs1 = _quartet_nodes(size1, inner1, k)
@@ -692,7 +733,7 @@ def _chunks(fork, complement, width, starts, signs, branches: int, cells: int):
     ``cells`` cells (a branch or branch pair x ``branches``).
 
     Yields the nodes' signs; their branches' forks, complement flags and
-    widths (nodes x m); and ``triu_indices(m, 1)``.
+    widths (nodes x m); and ``triu_indices(m, 1)`` (:func:`_pairs`).
     """
     count = np.diff(starts, append=len(fork))
     for m in sorted(set(count.tolist())):
@@ -700,10 +741,25 @@ def _chunks(fork, complement, width, starts, signs, branches: int, cells: int):
         branch = starts[nodes, None] + np.arange(m)
         group = signs[nodes], fork[branch], complement[branch], width[branch]
         del nodes, branch
-        pairs = np.triu_indices(m, 1)
+        pairs = _pairs(m)
         step = max(1, cells // (branches * max(m, len(pairs[0]))))
         for lo in range(0, len(group[0]), step):
             yield *(a[lo : lo + step] for a in group), pairs
+
+
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, 1)``, read-only.  Nearly every node has the
+    same few branch counts, so the pairs of an m with m^2 <= _NQD_CELLS,
+    fewer than a chunk's cells, are kept in :data:`_TRIU` for every later
+    call; those of a larger m are made anew."""
+    pairs = _TRIU.get(m)
+    if pairs is None:
+        pairs = np.triu_indices(m, 1)
+        for a in pairs:
+            a.flags.writeable = False
+        if m * m <= _NQD_CELLS:
+            _TRIU[m] = pairs
+    return pairs
 
 
 def _separated(shared, signs, forks, complements, widths, pairs, second, cells):

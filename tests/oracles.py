@@ -19,6 +19,7 @@ from collections import deque
 from itertools import combinations
 from pathlib import Path, PurePosixPath
 
+from ppn.errors import NewickParseError
 from ppn.phylo import PhyloTree, TreeNode, _check_label
 
 BASES = "ACGT"
@@ -294,6 +295,70 @@ def random_ultrametric(rng, k: int) -> list[list[float]]:
                 dist[a][b] = dist[b][a] = 2.0 * height
         clusters.append(left + right)
     return dist
+
+
+# -- Newick, one rule at a time -----------------------------------------------
+
+# the reader's lexicon, one compiled rule per token
+_NEWICK_WHITESPACE = re.compile(r"\s*")
+_NEWICK_LABEL = re.compile(r"(?!')[^\s():,;\[\]]+")
+_NEWICK_LENGTH = re.compile(r"\s*:\s*([0-9+\-.eE]*)")
+
+
+def oracle_from_newick(text: str) -> PhyloTree:
+    """Newick text read one token rule at a time: whitespace before every
+    token, then a label, then a length, each matched on its own, and the
+    tree built by the public constructor.  The same trees, error classes,
+    messages and offsets as ``from_newick``."""
+    bracket = text.find("[")
+    if bracket >= 0:
+        raise NewickParseError("Newick comments ('[...]') are not supported", bracket)
+    frames: list[list[TreeNode]] = []
+    node = None  # the node just read, or None while one is expected
+    pos = 0
+    while node is None or frames:
+        pos = _NEWICK_WHITESPACE.match(text, pos).end()
+        if node is None:
+            if text.startswith("(", pos):
+                frames.append([])
+                pos += 1
+                continue
+            node = TreeNode()
+        else:
+            frames[-1].append(node)
+            if text.startswith(",", pos):
+                node, pos = None, pos + 1
+                continue
+            if not text.startswith(")", pos):
+                found = f", found {text[pos]!r}" if pos < len(text) else ""
+                raise NewickParseError(f"expected ',' or ')'{found}", pos)
+            node, pos = TreeNode(children=frames.pop()), pos + 1
+        label = _NEWICK_LABEL.match(text, pos)
+        if label:
+            node.name, pos = label[0], label.end()
+        elif text.startswith("'", pos):
+            raise NewickParseError("quoted labels are not supported", pos)
+        elif node.is_leaf:
+            found = text[pos : pos + 1] or "end of input"
+            raise NewickParseError(f"expected a leaf label, found {found!r}", pos)
+        length = _NEWICK_LENGTH.match(text, pos)
+        if length:
+            start, pos = length.span(1)
+            try:
+                if text[pos : pos + 1].isdigit():
+                    raise ValueError
+                node.length = float(length[1])
+            except ValueError:
+                raise NewickParseError("expected a branch length after ':'", start) from None
+            if not math.isfinite(node.length):
+                raise NewickParseError("branch length is not finite", start)
+    pos = _NEWICK_WHITESPACE.match(text, pos).end()
+    if not text.startswith(";", pos):
+        raise NewickParseError("expected ';'", pos)
+    pos = _NEWICK_WHITESPACE.match(text, pos + 1).end()
+    if pos < len(text):
+        raise NewickParseError("unexpected text after ';'", pos)
+    return PhyloTree(node)
 
 
 # -- tree graph helpers --------------------------------------------------------

@@ -418,6 +418,8 @@ class TestNewick:
             ("(A,B) x;", 6),
             ("(A:1x,B);", 4),
             ("(A:1\u00b2,B);", 3),
+            ("(A:\u0663,B);", 3),
+            ("(A:1\uff11,B);", 3),
             ("(A,B):;", 6),
             (";", 0),
             ("(A,B);\u00a0x", 7),
@@ -459,6 +461,7 @@ class TestNewick:
         ("((B,A),(A,B),C);", "B"),  # walk order C B A A B
         ("(A,B,B,A,C);", "A"),  # C A B B A
         ("((A,B),(C,C),(B,A));", "A"),  # A B C C B A
+        ("(A,A,(B,B));", "B"),  # B B A A
     ])
     def test_names_the_first_leaf_that_repeats(self, text, named):
         with pytest.raises(DuplicateLeafError, match=f"duplicate leaf label {named!r}$"):
@@ -479,11 +482,12 @@ class TestNewick:
 
 def split_label_sets(tree):
     """``_splits`` with each bitmask mapped back to its leaf labels."""
-    column = _check_comparable(tree, tree)
+    order = list(tree.walk())
+    column = _check_comparable(order, order)
     labels = list(column)
     return {
         frozenset(name for i, name in enumerate(labels) if split >> i & 1)
-        for split in _splits(_forks(tree, column)[2], len(labels))
+        for split in _splits(_forks(order, column)[2], len(labels))
     }
 
 
@@ -723,18 +727,29 @@ class TestNqd:
         assert tables and all(table == want for table in tables)
 
     def test_compare_walks_each_tree_once(self, monkeypatch):
+        """One walk of each tree feeds the leaf-set check and both calls
+        of _forks; nrf walks as _compare does."""
         t1 = from_newick("(((A,B),C),(D,E));")
         t2 = from_newick("((A,C),(B,D,E));")
-        calls = []
-        forks = phylo._forks
+        walks, forks_calls = [], []
+        walk, forks = PhyloTree.walk, phylo._forks
 
-        def spy(tree, *args):
-            calls.append(tree)
-            return forks(tree, *args)
+        def walk_spy(tree):
+            walks.append(tree)
+            return walk(tree)
 
-        monkeypatch.setattr(phylo, "_forks", spy)
-        phylo._compare(iter((t1, t2)))
-        assert sorted(map(id, calls)) == sorted([id(t1), id(t2)])
+        def forks_spy(*args):
+            forks_calls.append(args)
+            return forks(*args)
+
+        monkeypatch.setattr(PhyloTree, "walk", walk_spy)
+        monkeypatch.setattr(phylo, "_forks", forks_spy)
+        for compare in (lambda: phylo._compare(iter((t1, t2))), lambda: nrf(t1, t2)):
+            walks.clear()
+            forks_calls.clear()
+            compare()
+            assert sorted(map(id, walks)) == sorted([id(t1), id(t2)])
+            assert len(forks_calls) == 2
 
     def test_thousand_leaves_compare_within_its_bound(self):
         """Parsing two 1 000-leaf binary trees and ppn treedist's core on
@@ -770,6 +785,15 @@ class TestNqd:
         assert budgets == {max(phylo._NQD_CELLS, (k - 1) ** 2 // phylo._NQD_SHARE)}
         if k <= 48:
             assert budgets == {phylo._NQD_CELLS}
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 65])
+    def test_branch_pairs_are_kept_read_only_below_a_chunk(self, monkeypatch, m):
+        monkeypatch.setattr(phylo, "_TRIU", {})
+        pairs = phylo._pairs(m)
+        assert [a.tolist() for a in pairs] == [a.tolist() for a in np.triu_indices(m, 1)]
+        assert not any(a.flags.writeable for a in pairs)
+        # kept only while m^2 pairs fit in a chunk's cells
+        assert (phylo._pairs(m) is pairs) == (m * m <= phylo._NQD_CELLS)
 
 
 # -- PHYLIP --------------------------------------------------------------------

@@ -54,6 +54,7 @@ from ppn.phylo import _check_label
 from oracles import (
     line_fasta_outcome,
     naive_vector,
+    oracle_from_newick,
     oracle_nqd,
     oracle_upgma_newick,
     per_entry_phylip,
@@ -640,6 +641,57 @@ def test_from_newick_raises_only_package_errors(text):
         from_newick(text)
     except PpnError:
         pass
+
+
+def _newick_outcome(read, text: str):
+    """The root of the tree ``read`` gives for ``text``, or the class,
+    message and offset (None where there is none) of the package error
+    it raises."""
+    try:
+        return read(text).root
+    except PpnError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+#: the characters of the texts the two properties above draw, and digits
+#: that [0-9] leaves out: U+00B2 (not decimal), U+0663 and U+FF11 (decimal)
+_NEWICK_EDIT = st.sampled_from(
+    list("(),:;[]' AB1e.-+E\n\t\r\u00a0\u2003\u00b2\u0663\uff11")
+)
+
+
+@st.composite
+def newick_texts(draw):
+    """Text as the two properties above draw it: any text, text in
+    Newick's own characters, or a tree's Newick with whitespace runs
+    between its tokens; then up to three characters inserted, replaced
+    or deleted."""
+    kind = draw(st.sampled_from(["any", "newick", "tree"]))
+    if kind == "any":
+        text = draw(st.text(max_size=200))
+    elif kind == "newick":
+        text = draw(st.text("(),:;[]' AB1e.-\n", max_size=60))
+    else:
+        space = st.lists(st.sampled_from(["\t", "\r\n", "\u00a0", "\u2003"]), max_size=3)
+        tokens = _NEWICK_TOKEN.findall(to_newick(draw(newick_trees())))
+        text = "".join(draw(space.map("".join)) + token for token in tokens)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        kept = text[at + (edit != "insert") :]
+        text = text[:at] + ("" if edit == "delete" else draw(_NEWICK_EDIT)) + kept
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(newick_texts())
+@example("(A:\u0663,B);")
+@example("(A:1\uff11,B);")
+@example("((A,B)x :1,(C ,D) ,\r\n E);")
+@example("(A,A,B,B);")
+@example("(A:1e999,B:1);")
+def test_from_newick_equals_the_token_by_token_oracle(text):
+    assert _newick_outcome(from_newick, text) == _newick_outcome(oracle_from_newick, text)
 
 
 _FIELD = st.sampled_from(
