@@ -31,6 +31,7 @@ import errno
 import functools
 import io
 import os
+import re
 import resource
 import shutil
 import stat
@@ -47,6 +48,19 @@ from .errors import InputError, NewickParseError, ValidationError
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_MALFORMED = 3
+
+#: An integer flag's text: ASCII digits, an optional sign and ASCII space
+#: around them; ``int()`` alone also reads "1_0" and other scripts' digits
+#: ("\u0662"), which the PHYLIP count line and Newick lengths refuse
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _decimal(text: str) -> int:
+    """The value of an integer flag, or of one field of a list of them."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an ASCII decimal integer, got {text!r}")
+    return int(text)
+
 
 class _Output:
     """The writer :func:`main` hands a subcommand, as a context manager.
@@ -190,8 +204,8 @@ def _params(args) -> PpnParams:
 
 def _add_window(parser):
     """The flags that :func:`_params` reads."""
-    parser.add_argument("--l", type=int, default=4, help="neighborhood radius")
-    parser.add_argument("--t", type=int, default=1, help="stride between windows")
+    parser.add_argument("--l", type=_decimal, default=4, help="neighborhood radius")
+    parser.add_argument("--t", type=_decimal, default=1, help="stride between windows")
     parser.add_argument(
         "--metric",
         choices=[m.value for m in Metric],
@@ -252,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("simulate", "generate uniform random FASTA records", cmd_simulate)
-    p.add_argument("--species", type=int, required=True, help="number of sequences")
-    p.add_argument("--length", type=int, required=True, help="nucleotides per sequence")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--species", type=_decimal, required=True, help="number of sequences")
+    p.add_argument("--length", type=_decimal, required=True, help="nucleotides per sequence")
+    p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
 
     p = command("bench", "time the pipeline over simulated datasets", cmd_bench)
     p.add_argument(
@@ -265,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--length", default="50000", help="comma-separated list of sequence lengths"
     )
-    p.add_argument("--reps", type=int, default=10, help="repetitions per size")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--reps", type=_decimal, default=10, help="repetitions per size")
+    p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
     _add_window(p)
 
     return parser
@@ -463,8 +477,8 @@ def format_bench(rows: list[BenchRow]) -> str:
 
 def _int_list(text: str, flag: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
+        values = [_decimal(part) for part in text.split(",") if part.strip()]
+    except argparse.ArgumentTypeError:
         raise ValidationError(f"{flag} expects comma-separated integers, got {text!r}")
     if not values:
         raise ValidationError(f"{flag} needs at least one value")

@@ -639,6 +639,50 @@ class TestBench:
         assert "--species" in err
 
 
+class TestIntegerFlags:
+    """Every integer flag reads ASCII decimals only, as the PHYLIP count
+    line does: ``int()`` alone would also read these spellings."""
+
+    SPELLINGS = ["\u0662", "1_0", "\uff11", "\u0661\u0660"]
+    # each command with its other required flags, and its integer flags
+    FLAGS = {
+        "vector": (["--input", "x"], ["--l", "--t"]),
+        "matrix": (["--input", "x"], ["--l", "--t"]),
+        "tree": (["--input", "x"], ["--l", "--t"]),
+        "simulate": (["--species", "1", "--length", "1"], ["--species", "--length", "--seed"]),
+        "bench": ([], ["--reps", "--seed", "--l", "--t"]),
+    }
+    CASES = [
+        (command, flag) for command, (_, flags) in FLAGS.items() for flag in flags
+    ]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    @pytest.mark.parametrize("command, flag", CASES)
+    def test_flag_refuses_other_spellings(self, command, flag, spelling, capsys):
+        required, _ = self.FLAGS[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, flag, spelling])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(
+            f"ppn {command}: error: argument {flag}: "
+            f"expected an ASCII decimal integer, got {spelling!r}\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--species", "--length"])
+    @pytest.mark.parametrize("text", ["\u0661,2", "1_00", "1,\uff12", "2, \u0663"])
+    def test_bench_size_lists_refuse_other_spellings(self, flag, text, capsys):
+        sizes = {"--species": "1", "--length": "10", flag: text}
+        code, out, err = run(["bench", "--reps", "1", *sum(sizes.items(), ())], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"ppn bench: {flag} expects comma-separated integers, got {text!r}\n"
+
+    def test_ascii_spellings_read_as_int_does(self, capsys):
+        plain = run(["simulate", "--species", "2", "--length", "30", "--seed", "7"], capsys)
+        spelled = run(["simulate", "--species", "02", "--length", "+30", "--seed", " 7 "], capsys)
+        assert plain == spelled and plain[0] == 0 and plain[1].startswith(">sim_001\n")
+
+
 class TestExitCodes:
     def test_missing_input_file_exits_1(self, capsys):
         code, _, err = run(["vector", "--input", "/no/such/file.fa"], capsys)

@@ -408,6 +408,26 @@ class TestVector:
         with pytest.raises(ValidationError, match=f"components must be integers, got {kind}"):
             PpnVector((1,) * 23 + (component,), sequence_length=1, windows=1, params=PpnParams())
 
+    @pytest.mark.parametrize("radius", [1, 4, 10])
+    def test_batch_and_tally_vectors_pass_the_public_check(self, radius):
+        # both routes make their vectors unchecked, from their own ints;
+        # at l = 10 each product is joined from two limbs as Python ints
+        params = PpnParams(radius=radius, stride=1)
+        rng = np.random.default_rng(radius)
+        pieces = [rng.integers(0, 4, n, dtype=np.int8) for n in (1, 50, 300)]
+        pieces.append(np.full(100, 3, dtype=np.int8))  # poly-T: every product largest
+        tallied = [ppn_vector(EncodedSequence("x", codes), params) for codes in pieces]
+        for batched, tally in zip(_batch_vectors(pieces, params), tallied, strict=True):
+            assert batched == tally
+            for vector in (batched, tally):
+                assert set(map(type, vector.components)) == {int}
+                checked = PpnVector(
+                    vector.components, vector.sequence_length, vector.windows, params
+                )
+                assert (checked, hash(checked), repr(checked)) == (
+                    vector, hash(vector), repr(vector)
+                )
+
     def test_vector_component_zero_matches_sum(self):
         seq = encode(DEMO)
         params = PpnParams(radius=1, stride=1)

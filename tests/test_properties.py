@@ -396,6 +396,15 @@ _WIDE_TOKEN = st.one_of(
     st.integers(1, 64),
     st.sampled_from(["drop", "strict"]),
 )
+# each error's line number counts the breaks of blocks the translate has
+# deleted other whitespace from: a VT and an FF in a body, a space in a
+# header only, an LF-only block after one that ends in CR, and a tab in a
+# blank line before the first header
+@example(b">a\nAC\x0bGT\nG\n>\nA\n", 8, "strict")
+@example(b">a\nAC\x0cGT\nG\n>\nA\n", 8, "drop")
+@example(b">a b\nAC\nGT\n>\nA\n", 64, "drop")
+@example(b">a\nAC\r\nGT\n\n>\nA\n", 6, "drop")
+@example(b"\n\t\n>a\nAC\n>\nG\n", 3, "drop")
 def test_streamed_read_fasta_matches_the_line_oracle_at_any_block_size(data, block, policy):
     want = line_fasta_outcome(data, policy)
     with pytest.MonkeyPatch.context() as mp:

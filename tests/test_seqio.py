@@ -131,13 +131,12 @@ class TestReadFasta:
         with pytest.raises(ValidationError, match="unknown sanitize policy 'bogus'"):
             read_fasta(io.StringIO(text), policy="bogus")
 
-    def test_line_count_reads_each_byte_once(self, tmp_path, monkeypatch):
-        # 5 000 headers over two blocks: line breaks are counted once per
-        # block, not at every header, plus once for the line the error
-        # names, and the last line is still numbered right
-        path = tmp_path / "many.fa"
-        records = (b">r%d\r\n%s\r\n" % (i, b"ACGT" * 13) for i in range(5000))
-        path.write_bytes(b"".join(records) + b">\r\n")
+    @staticmethod
+    def _breaks_spied(monkeypatch, path, eol: bytes) -> list[int]:
+        """Read 5 000 records and an empty header with ``eol`` line ends
+        from ``path``: the span each ``_breaks`` call scans."""
+        records = (b">r%d%s%s%s" % (i, eol, b"ACGT" * 13, eol) for i in range(5000))
+        path.write_bytes(b"".join(records) + b">" + eol)
         scanned = []
         breaks = seqio._breaks
 
@@ -148,6 +147,22 @@ class TestReadFasta:
         monkeypatch.setattr(seqio, "_breaks", spy)
         with pytest.raises(MalformedFastaError, match="line 10001: empty FASTA header"):
             read_fasta(path)
+        assert path.stat().st_size > 8 * seqio._BLOCK
+        return scanned
+
+    def test_lf_line_count_comes_from_the_deleted_whitespace(self, tmp_path, monkeypatch):
+        # with LF the only whitespace, a block's line breaks are the bytes
+        # its translates deleted: only the error's own block is scanned,
+        # up to where the error is, and the last line is still numbered right
+        scanned = self._breaks_spied(monkeypatch, tmp_path / "many.fa", b"\n")
+        assert len(scanned) == 1 and scanned[0] <= seqio._BLOCK
+
+    def test_crlf_line_count_reads_each_byte_once(self, tmp_path, monkeypatch):
+        # 5 000 CRLF headers over many blocks: line breaks are counted once
+        # per block, not at every header, plus once for the line the error
+        # names
+        path = tmp_path / "many.fa"
+        scanned = self._breaks_spied(monkeypatch, path, b"\r\n")
         assert 0 < sum(scanned) <= path.stat().st_size
         blocks = -(-path.stat().st_size // seqio._BLOCK)
         assert len(scanned) <= blocks + 1
