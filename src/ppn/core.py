@@ -296,8 +296,9 @@ def _sanitize(data: bytes, strict: bool, seq_id: str) -> tuple[bytes, int]:
     character it starts, or, when it starts none, its Latin-1 reading.
     """
     mapped = data.translate(_CODE_OF, _SPACE)
-    # a memchr is much cheaper than a delete pass that finds nothing
-    kept = mapped.translate(None, b"\xff") if b"\xff" in mapped else mapped
+    # a memchr is much cheaper than a delete pass that finds nothing; an
+    # int operand goes to memchr straight, a bytes one does not
+    kept = mapped.translate(None, b"\xff") if 0xFF in mapped else mapped
     dropped = len(mapped) - len(kept)
     if dropped and strict:
         at = data.index(data.translate(None, _VALID)[:1])

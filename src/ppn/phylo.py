@@ -843,21 +843,44 @@ def _write_rows(labels, rows, fh) -> None:
 
     Rows are read, formatted and written one at a time, row i only once
     rows 0 to i - 1 are written.  Each row writes ``repr`` of its entries
-    right of the diagonal, and left of it its column's fields from the
-    rows above (:func:`_above`); :func:`_add` joins every
-    :data:`_PHYLIP_ROWS` rows' strings into one tab-separated text per
-    later column.  A column holds one text per earlier block, never one
-    string per pair, and drops them once its row is written.
+    right of the diagonal, as :func:`_fields` spells them in one call,
+    and left of it its column's fields from the rows above
+    (:func:`_above`); :func:`_add` joins every :data:`_PHYLIP_ROWS` rows'
+    strings into one tab-separated text per later column.  A column holds
+    one text per earlier block, never one string per pair, and drops them
+    once its row is written.
     """
+    import orjson  # imported here, so that the commands that write no PHYLIP skip it
+
     k = len(labels)
     fh.write(f"{k}\n")
     columns, block = [[] for _ in range(k)], []
     for i, label in enumerate(labels):
         # the last row has no entries right of the diagonal
-        upper = list(map(repr, next(rows).tolist())) if i < k - 1 else []
+        upper = _fields(next(rows), orjson.dumps) if i < k - 1 else []
         row = [_check_label(label), *_above(columns, block, i), "0.0", *upper]
         fh.write("\t".join(row) + "\n")
         block = _add(columns, block, upper, i + 1)
+
+
+def _fields(row: np.ndarray, dumps) -> list[str]:
+    """``repr`` of each entry of ``row``, a non-empty float64 array.
+
+    ``repr`` prints the shortest digits that read back as the same double,
+    as plain decimals at zero of either sign and at magnitudes in
+    [1e-4, 1e16), else in exponent form.  orjson's ``dumps``, Ryū's
+    shortest round-trip digits, prints those plain decimals too, with no
+    bignum: so a row whose entries all lie there is one ``dumps`` of the
+    list, split at its commas.  A row with any other entry (NaN, ±inf, a
+    subnormal, below 1e-4, 1e16 or more) goes through ``repr`` whole, as
+    orjson spells those otherwise: ``null``, ``0.00001``, ``1e16``.  The
+    list, not the array, goes to ``dumps``, so a row of any stride or
+    byte order is read alike.
+    """
+    values = row.tolist()
+    if row.max() < 1e16 and (row.min() >= 1e-4 or ((row >= 1e-4) | (row == 0.0)).all()):
+        return dumps(values)[1:-1].decode().split(",")
+    return list(map(repr, values))
 
 
 def _above(columns, block, i: int) -> list[str]:

@@ -122,6 +122,12 @@ def _only_lf(buf: bytes) -> bool:
     return not (0x0D in buf or 0x20 in buf or 0x09 in buf or 0x0B in buf or 0x0C in buf)
 
 
+def _lf_and_blanks(buf: bytes) -> bool:
+    """Whether spaces and tabs are the only whitespace bytes in ``buf``
+    besides LF: three memchrs, for CR, VT and FF."""
+    return not (0x0D in buf or 0x0B in buf or 0x0C in buf)
+
+
 def _line_end(buf: bytes, start: int) -> int:
     """Offset of the first CR or LF at or after ``start``, else ``len(buf)``."""
     end = buf.find(b"\n", start)
@@ -193,12 +199,15 @@ def _scan(source, policy: str, new_sink=None, hold=math.inf):
     once it is whole.  Checks and errors are those of
     :func:`read_fasta`, raised in file order; ``policy`` is checked
     before any input is read.  Line breaks are counted once per block, a
-    CRLF split across two blocks as one.  In a block with no whitespace
-    but LF, which :func:`_only_lf` tells, they are the whitespace bytes
-    that :meth:`_Record.feed`'s translates deleted plus the blank bytes
-    before the first header, with no further pass; in any other block
-    :func:`_breaks` counts them.  An error that names a line adds the
-    breaks of its own block up to where it occurs.
+    CRLF split across two blocks as one.  In a block whose only whitespace
+    outside header lines is LF they are the whitespace bytes that
+    :meth:`_Record.feed`'s translates deleted plus the blank bytes before
+    the first header, with no further pass.  That holds in a block with
+    no whitespace but LF, which :func:`_only_lf` tells, and in one whose
+    other whitespace is spaces and tabs (:func:`_lf_and_blanks`) that a
+    memchr per body finds in no body, so in header lines alone.  In any
+    other block :func:`_breaks` counts them.  An error that names a line
+    adds the breaks of its own block up to where it occurs.
     """
     strict = _is_strict(policy)
     seen: set[str] = set()
@@ -235,6 +244,9 @@ def _scan(source, policy: str, new_sink=None, hold=math.inf):
         n = len(buf)
         i = 0
         deleted = 0  # whitespace bytes of the block's bodies and leading blank lines
+        only_lf = _only_lf(buf)
+        # whether the spaces and tabs of a block that has some are all in headers
+        blank_headers = not only_lf and _lf_and_blanks(buf)
         while i < n:
             if title is not None:  # a header line, from the last block or this one
                 end = _line_end(buf, i)
@@ -247,6 +259,8 @@ def _scan(source, policy: str, new_sink=None, hold=math.inf):
             while h >= 0 and (buf[h - 1] if h else last) not in b"\r\n":
                 h = buf.find(b">", h + 1)
             body = buf[i:] if h < 0 else buf[i:h]
+            if blank_headers and (0x20 in body or 0x09 in body):
+                blank_headers = False
             if record is not None:
                 deleted += record.feed(body)
             else:
@@ -264,7 +278,7 @@ def _scan(source, policy: str, new_sink=None, hold=math.inf):
                 record = None
             title = []
             i = h + 1
-        lines += deleted if _only_lf(buf) else _breaks(buf, 0, n)
+        lines += deleted if only_lf or blank_headers else _breaks(buf, 0, n)
         last = buf[-1]
 
     if title is not None:

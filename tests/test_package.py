@@ -3,6 +3,9 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -59,3 +62,14 @@ def test_module_all_is_a_literal_list_of_strings(module):
     assert isinstance(value, ast.List)
     assert [ast.literal_eval(item) for item in value.elts] == module.__all__
     assert all(isinstance(item, ast.Constant) for item in value.elts)
+
+
+def test_importing_the_cli_leaves_orjson_unimported():
+    # only the PHYLIP writer needs orjson, and it imports it when it runs,
+    # so that ppn vector, tree and treedist do not pay for the import
+    src = os.path.dirname(os.path.dirname(ppn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = "import sys, ppn.cli; print('orjson' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

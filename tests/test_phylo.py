@@ -13,6 +13,7 @@ import tracemalloc
 from itertools import combinations
 
 import numpy as np
+import orjson
 import pytest
 
 from ppn import (
@@ -824,6 +825,29 @@ _PHYLIP_SIZES = sorted(
 _CANONICAL = "3\na\t0.0\t1.5\t2.0\nb\t1.5\t0.0\t3.0\nc\t2.0\t3.0\t0.0\n"
 
 
+def plain_classes(n, seed):
+    """``n`` doubles of each of five kinds, all of magnitude in [1e-4, 1e16),
+    where ``repr`` prints plain decimals: random mantissas under every
+    exponent there, log-uniform values, square roots of integers,
+    integers, and ratios of integers."""
+    rng = np.random.default_rng(seed)
+
+    def kept(x):
+        x = x[(x >= 1e-4) & (x < 1e16)]
+        assert len(x) >= n
+        return x[:n]
+
+    exponents = rng.integers(1023 - 14, 1023 + 54, 2 * n, dtype=np.uint64)
+    mantissas = rng.integers(0, 2**52, 2 * n, dtype=np.uint64)
+    return {
+        "bits": kept(((exponents << np.uint64(52)) | mantissas).view(np.float64)),
+        "log_uniform": kept(10.0 ** rng.uniform(-4, 16, 2 * n)),
+        "sqrt": np.sqrt(rng.integers(1, 2**53, n).astype(np.float64)),
+        "integers": kept(rng.integers(1, 10**16, 2 * n).astype(np.float64)),
+        "ratios": kept(rng.integers(1, 10**6, 2 * n) / rng.integers(1, 10**3, 2 * n)),
+    }
+
+
 class TestPhylip:
     def test_round_trip_is_exact(self):
         seqs = simulate(SimulationSpec(species_count=5, length=333, seed=7))
@@ -1041,6 +1065,36 @@ class TestPhylip:
             back = read_phylip(io.StringIO(buf.getvalue()))
             assert back.labels == matrix.labels
             assert hexes(back) == hexes(matrix)
+
+    @pytest.mark.parametrize("kind", ["bits", "log_uniform", "sqrt", "integers", "ratios"])
+    def test_row_fields_equal_repr_on_a_hundred_thousand_doubles(self, kind):
+        """Every row of 10**5 plain-range doubles of one kind takes the one
+        ``dumps`` call, and its fields are ``repr`` of its entries."""
+        calls = []
+
+        def dumps(values):
+            calls.append(len(values))
+            return orjson.dumps(values)
+
+        values = plain_classes(10**5, seed=38)[kind]
+        for row in values.reshape(100, -1):
+            assert phylo._fields(row, dumps) == list(map(repr, row.tolist()))
+        assert calls == [1000] * 100
+
+    def test_rows_with_a_value_out_of_the_plain_range_take_repr_whole(self):
+        calls = []
+
+        def dumps(values):
+            calls.append(values)
+            return orjson.dumps(values)
+
+        odd = [math.nan, math.inf, 5e-324, math.nextafter(1e-4, 0.0), 1e-5, 1e16, -1.5]
+        for value in odd:
+            row = np.array([1.5, value, 0.0])
+            assert phylo._fields(row, dumps) == ["1.5", repr(value), "0.0"]
+        assert calls == []
+        assert phylo._fields(np.array([0.0, -0.0, 1e-4]), dumps) == ["0.0", "-0.0", "0.0001"]
+        assert len(calls) == 1
 
     def test_writer_pulls_a_row_only_when_it_writes_it(self):
         """Row i is written with at most rows 0 to i of the upper triangle

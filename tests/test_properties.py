@@ -17,6 +17,7 @@ from itertools import accumulate, combinations, product
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -403,6 +404,8 @@ _WIDE_TOKEN = st.one_of(
 @example(b">a\nAC\x0bGT\nG\n>\nA\n", 8, "strict")
 @example(b">a\nAC\x0cGT\nG\n>\nA\n", 8, "drop")
 @example(b">a b\nAC\nGT\n>\nA\n", 64, "drop")
+# spaced and tabbed headers cut by block edges, then a space in a body
+@example(b">a b\tc\nAC\nGT\n>d e\nG T\n>\nA\n", 5, "drop")
 @example(b">a\nAC\r\nGT\n\n>\nA\n", 6, "drop")
 @example(b"\n\t\n>a\nAC\n>\nG\n", 3, "drop")
 def test_streamed_read_fasta_matches_the_line_oracle_at_any_block_size(data, block, policy):
@@ -793,6 +796,77 @@ def odd_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(odd_matrices())
 def test_write_phylip_equals_the_per_entry_writer(matrix):
+    buf, want = io.StringIO(), io.StringIO()
+    write_phylip(matrix, buf)
+    per_entry_phylip(matrix, want)
+    assert buf.getvalue() == want.getvalue()
+
+
+def _double(bits: int) -> float:
+    """The float64 whose bit pattern is ``bits``."""
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _ulps(x: float) -> list[float]:
+    """``x`` and the doubles one ulp either side of it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+#: any float64, from its 64 bits: every sign, NaN payload, subnormal,
+#: exponent and mantissa, mostly far outside [1e-4, 1e16)
+_ANY_DOUBLE = st.integers(0, 2**64 - 1).map(_double)
+
+#: the edges of the magnitudes ``repr`` prints as plain decimals, and the
+#: integers past which a double no longer holds every integer
+_PLAIN_EDGES = [*_ulps(1e-4), *_ulps(1e16), 2.0**53 - 2, 2.0**53, 2.0**53 + 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_ANY_DOUBLE, st.floats(1e-4, 1e16, exclude_max=True)),
+                min_size=1, max_size=12),
+       st.booleans())
+@example([math.nextafter(1e-4, 0.0)], False)
+@example([1e-4], False)
+@example([math.nextafter(1e-4, 1.0)], False)
+@example([math.nextafter(1e16, 0.0)], False)
+@example([1e16], False)
+@example([math.nextafter(1e16, math.inf)], False)
+@example([2.0**53 - 2, 2.0**53, 2.0**53 + 2], False)
+@example(_PLAIN_EDGES, True)
+# in-range entries beside each value orjson spells otherwise, and -0.0
+@example([1.5, math.nan], False)
+@example([1.5, math.inf, 2.5], True)
+@example([-0.0, 1.5, 0.0], False)
+@example([1.5, 5e-324, 2.5], False)
+@example([1.5, 2.2250738585072014e-308], True)
+@example([1.5, -math.inf], False)
+def test_row_fields_are_repr_of_each_entry(entries, strided):
+    """One row's fields equal ``repr`` of each entry, for any doubles, and
+    for a row of any stride."""
+    row = np.array(entries)
+    if strided:
+        row = np.repeat(row, 2)[::2]
+    assert phylo._fields(row, orjson.dumps) == list(map(repr, entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_ANY_DOUBLE.map(abs), st.sampled_from(_PLAIN_EDGES)),
+                min_size=1, max_size=45),
+       st.booleans())
+@example(_PLAIN_EDGES, True)
+@example([1.5, math.nan, 0.25, math.inf, 5e-324, 0.0, 2.0**53 + 2], True)
+def test_write_phylip_equals_the_per_entry_writer_on_any_double(entries, fortran):
+    """A matrix whose upper triangle cycles through ``entries``, any
+    non-negative doubles, NaN among them, writes what the per-entry
+    writer does; a Fortran-ordered one, whose rows are strided, too."""
+    k = 2
+    while k * (k - 1) // 2 < len(entries):
+        k += 1
+    upper = np.triu_indices(k, 1)
+    values = np.zeros((k, k))
+    values[upper] = values[upper[::-1]] = np.resize(np.array(entries), len(upper[0]))
+    matrix = DistanceMatrix([f"t{i}" for i in range(k)], np.asfortranarray(values) if fortran else values)
+    assert matrix.values.flags.f_contiguous == fortran
     buf, want = io.StringIO(), io.StringIO()
     write_phylip(matrix, buf)
     per_entry_phylip(matrix, want)

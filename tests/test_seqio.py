@@ -132,10 +132,11 @@ class TestReadFasta:
             read_fasta(io.StringIO(text), policy="bogus")
 
     @staticmethod
-    def _breaks_spied(monkeypatch, path, eol: bytes) -> list[int]:
-        """Read 5 000 records and an empty header with ``eol`` line ends
-        from ``path``: the span each ``_breaks`` call scans."""
-        records = (b">r%d%s%s%s" % (i, eol, b"ACGT" * 13, eol) for i in range(5000))
+    def _breaks_spied(monkeypatch, path, eol: bytes, note: bytes = b"") -> list[int]:
+        """Read 5 000 records, each header ending in ``note``, and an empty
+        header with ``eol`` line ends from ``path``: the span each
+        ``_breaks`` call scans."""
+        records = (b">r%d%s%s%s%s" % (i, note, eol, b"ACGT" * 13, eol) for i in range(5000))
         path.write_bytes(b"".join(records) + b">" + eol)
         scanned = []
         breaks = seqio._breaks
@@ -156,6 +157,33 @@ class TestReadFasta:
         # up to where the error is, and the last line is still numbered right
         scanned = self._breaks_spied(monkeypatch, tmp_path / "many.fa", b"\n")
         assert len(scanned) == 1 and scanned[0] <= seqio._BLOCK
+
+    @pytest.mark.parametrize("note", [b" synthetic", b"\tsample 7 of 9", b" "])
+    def test_spaced_header_line_count_comes_from_the_deleted_whitespace(
+        self, tmp_path, monkeypatch, note
+    ):
+        # spaces and tabs in every header, and LF the only whitespace in
+        # the bodies: still only the error's own block is scanned
+        scanned = self._breaks_spied(monkeypatch, tmp_path / "many.fa", b"\n", note)
+        assert len(scanned) == 1 and scanned[0] <= seqio._BLOCK
+
+    def test_a_space_in_a_body_sends_its_block_to_the_scan(self, tmp_path, monkeypatch):
+        # one space in the body of the first record, whose header is spaced
+        # too: only its block, and the error's, are scanned
+        path = tmp_path / "many.fa"
+        records = (b">r%d x\n%s\n" % (i, b"AC GT" if i == 0 else b"ACGT" * 13) for i in range(5000))
+        path.write_bytes(b"".join(records) + b">\n")
+        scanned = []
+        breaks = seqio._breaks
+
+        def spy(buf, start, stop):
+            scanned.append((start, stop))
+            return breaks(buf, start, stop)
+
+        monkeypatch.setattr(seqio, "_breaks", spy)
+        with pytest.raises(MalformedFastaError, match="line 10001: empty FASTA header"):
+            read_fasta(path)
+        assert len(scanned) == 2 and scanned[0] == (0, seqio._BLOCK)
 
     def test_crlf_line_count_reads_each_byte_once(self, tmp_path, monkeypatch):
         # 5 000 CRLF headers over many blocks: line breaks are counted once
