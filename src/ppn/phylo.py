@@ -850,7 +850,7 @@ def _write_rows(labels, rows, fh) -> None:
     one text per earlier block, never one string per pair, and drops them
     once its row is written.
     """
-    import orjson  # imported here, so that the commands that write no PHYLIP skip it
+    import orjson  # imported here, so that the commands with no PHYLIP text skip it
 
     k = len(labels)
     fh.write(f"{k}\n")
@@ -870,17 +870,21 @@ def _fields(row: np.ndarray, dumps) -> list[str]:
     as plain decimals at zero of either sign and at magnitudes in
     [1e-4, 1e16), else in exponent form.  orjson's ``dumps``, Ryū's
     shortest round-trip digits, prints those plain decimals too, with no
-    bignum: so a row whose entries all lie there is one ``dumps`` of the
-    list, split at its commas.  A row with any other entry (NaN, ±inf, a
-    subnormal, below 1e-4, 1e16 or more) goes through ``repr`` whole, as
-    orjson spells those otherwise: ``null``, ``0.00001``, ``1e16``.  The
+    bignum: so a row is one ``dumps`` of the list, split at its commas,
+    and only its entries out of that range (NaN, ±inf, a subnormal, below
+    1e-4, 1e16 or more), which orjson spells otherwise (``null``,
+    ``0.00001``, ``1e16``), are then replaced by their ``repr``.  A row
+    whose entries all lie in [1e-4, 1e16) skips the search for them.  The
     list, not the array, goes to ``dumps``, so a row of any stride or
     byte order is read alike.
     """
     values = row.tolist()
-    if row.max() < 1e16 and (row.min() >= 1e-4 or ((row >= 1e-4) | (row == 0.0)).all()):
-        return dumps(values)[1:-1].decode().split(",")
-    return list(map(repr, values))
+    fields = dumps(values)[1:-1].decode().split(",")
+    if row.max() < 1e16 and row.min() >= 1e-4:
+        return fields
+    for i in np.flatnonzero(~((row >= 1e-4) & (row < 1e16) | (row == 0.0))).tolist():
+        fields[i] = repr(values[i])
+    return fields
 
 
 def _above(columns, block, i: int) -> list[str]:
@@ -923,7 +927,8 @@ def read_phylip(source) -> DistanceMatrix:
     not UTF-8 anywhere, then a wrong row count, win over the first bad
     row.  Where the lower triangle repeats the upper one's fields, as
     :func:`write_phylip` writes it, each unordered pair is converted
-    once; other spellings of the same numbers, other whitespace and CRLF
+    once, a row's JSON numbers by one ``orjson.loads`` (:func:`_floats`);
+    other spellings of the same numbers, other whitespace and CRLF
     read to the same floats.  The k x k array is made only once all k
     rows are read and checked, so a count line that its rows never fill
     allocates nothing, from a path or an open stream alike.  A path to a
@@ -968,7 +973,7 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
 
     The count line is read by ``int`` only when it is ASCII, holds no
     ``_`` and is not negative.  Rows are walked one at a time, as
-    :func:`_write_rows` writes them.  ``float`` reads each row's entries
+    :func:`_write_rows` writes them.  :func:`_floats` reads a row's entries
     from its diagonal on.  A row is split from the right only as far as
     its diagonal, and its label off the text left of that, which is
     compared with the tab-joined fields the rows above had in the same
@@ -977,7 +982,7 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
     whole, its field count checked, and its fields left of the diagonal
     joined with tabs and compared again; only when those differ too are
     they read one by one.  Fields hold no whitespace, so equal texts mean
-    equal fields and so the same floats.  A row's checks and its ``float`` calls raise
+    equal fields and so the same floats.  A row's checks and its conversion raise
     ``ValueError``, which records the first bad row's message at one
     place.  Each row read keeps its floats from the diagonal on, and a
     row that is not mirrored its floats left of it too; the k x k array
@@ -987,6 +992,8 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
     rows of k + 1 fields: its rows are checked as any others, and k of
     them raise, as the file grew while it was read.
     """
+    import orjson  # imported here, as the writer does
+
     first = next(lines, None)
     if first is None:
         raise ValidationError("empty distance matrix file")
@@ -1032,7 +1039,7 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
                 bad = next((p for p in fields if "_" in p or not p.isascii()), None)
                 if bad is not None:
                     raise ValueError(f"{bad!r} is not an ASCII decimal number")
-            row = np.fromiter(map(float, fields), np.float64, len(fields))
+            row = _floats(fields, orjson.loads)
         except ValueError as exc:
             error = f"matrix row {rows}: {exc}"
             continue
@@ -1054,3 +1061,37 @@ def _parse_phylip(lines, size) -> tuple[list, np.ndarray]:
             values[r, :r] = values[:r, r]
         values[r, k - len(row) :] = row
     return labels, values
+
+
+def _floats(fields: list[str], loads) -> np.ndarray:
+    """``float`` of each of ``fields``, whitespace-free strings, as a
+    float64 array, with ``float``'s ``ValueError`` for the first it refuses.
+
+    The fields joined by commas are read as one JSON array by orjson's
+    ``loads``, and the list it gives goes to numpy whole.  A JSON number is
+    a spelling ``float`` reads too, and orjson rounds it as ``float`` does;
+    an integer spelling comes back as an ``int``, which numpy rounds as
+    ``float`` of its text does.  A row goes through ``float`` field by
+    field instead when it is not shown to read the same:
+
+    - one holding ``"``, ``[``, ``{``, ``t``, ``f`` or ``n``, with which
+      JSON spells every value that is not a number (strings, arrays,
+      objects, ``true``, ``false``, ``null``);
+    - one holding the field ``-0``, which JSON reads as the int 0, not -0.0;
+    - one ``loads`` refuses: ``nan``, ``inf``, ``+1.5``, ``1.``, ``.5``,
+      ``01``, and overflow, ``1e400``, which ``float`` reads as inf;
+    - one that parses to another count, as a field holding a comma does.
+    """
+    text = ",".join(fields)
+    if not (
+        '"' in text or "[" in text or "{" in text or "t" in text or "f" in text or "n" in text
+        or "-" in text and ("-0," in text or text.endswith("-0"))
+    ):
+        try:
+            values = loads(f"[{text}]")
+        except ValueError:  # orjson.JSONDecodeError is one
+            pass
+        else:
+            if len(values) == len(fields):
+                return np.array(values, dtype=np.float64)
+    return np.fromiter(map(float, fields), np.float64, len(fields))

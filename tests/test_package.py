@@ -65,8 +65,9 @@ def test_module_all_is_a_literal_list_of_strings(module):
 
 
 def test_importing_the_cli_leaves_orjson_unimported():
-    # only the PHYLIP writer needs orjson, and it imports it when it runs,
-    # so that ppn vector, tree and treedist do not pay for the import
+    # only the PHYLIP writer and reader need orjson, and they import it
+    # when they run, so that ppn vector, treedist and a tree from FASTA do
+    # not pay for the import
     src = os.path.dirname(os.path.dirname(ppn.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     check = "import sys, ppn.cli; print('orjson' in sys.modules)"

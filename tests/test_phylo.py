@@ -825,6 +825,20 @@ _PHYLIP_SIZES = sorted(
 _CANONICAL = "3\na\t0.0\t1.5\t2.0\nb\t1.5\t0.0\t3.0\nc\t2.0\t3.0\t0.0\n"
 
 
+def _count_conversions(monkeypatch) -> list:
+    """The list of every field the reader converts from here on, on the
+    ``orjson.loads`` route and on the ``float`` one alike, as
+    ``phylo._floats`` is the reader's one conversion point."""
+    converted, floats = [], phylo._floats
+
+    def counted(fields, loads):
+        converted.extend(fields)
+        return floats(fields, loads)
+
+    monkeypatch.setattr(phylo, "_floats", counted)
+    return converted
+
+
 def plain_classes(n, seed):
     """``n`` doubles of each of five kinds, all of magnitude in [1e-4, 1e16),
     where ``repr`` prints plain decimals: random mantissas under every
@@ -1081,20 +1095,35 @@ class TestPhylip:
             assert phylo._fields(row, dumps) == list(map(repr, row.tolist()))
         assert calls == [1000] * 100
 
-    def test_rows_with_a_value_out_of_the_plain_range_take_repr_whole(self):
-        calls = []
+    def test_rows_with_a_value_out_of_the_plain_range_take_repr_there_only(self, monkeypatch):
+        """Every row takes one ``dumps``, and only its entries out of
+        [1e-4, 1e16), zeros aside, are then spelled by ``repr``."""
+        calls, spelled = [], []
 
         def dumps(values):
             calls.append(values)
             return orjson.dumps(values)
 
+        def counted(value):
+            spelled.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(phylo, "repr", counted, raising=False)
         odd = [math.nan, math.inf, 5e-324, math.nextafter(1e-4, 0.0), 1e-5, 1e16, -1.5]
         for value in odd:
             row = np.array([1.5, value, 0.0])
             assert phylo._fields(row, dumps) == ["1.5", repr(value), "0.0"]
-        assert calls == []
+        assert len(calls) == len(odd)
+        assert [v.hex() for v in spelled] == [v.hex() for v in odd]
+        calls.clear()
+        spelled.clear()
+        row = [0.0, *odd, 2.5, 1e-4, -0.0, *odd[::-1], 1e16 - 2]
+        assert phylo._fields(np.array(row), dumps) == list(map(repr, row))
+        assert len(calls) == 1 and len(spelled) == 2 * len(odd)
+        calls.clear()
+        spelled.clear()
         assert phylo._fields(np.array([0.0, -0.0, 1e-4]), dumps) == ["0.0", "-0.0", "0.0001"]
-        assert len(calls) == 1
+        assert len(calls) == 1 and spelled == []
 
     def test_writer_pulls_a_row_only_when_it_writes_it(self):
         """Row i is written with at most rows 0 to i of the upper triangle
@@ -1124,13 +1153,7 @@ class TestPhylip:
     def test_reader_converts_each_pair_of_its_writer_once(self, k, monkeypatch):
         text = io.StringIO()
         write_phylip(pipeline_like(k, seed=k), text)
-        converted = []
-
-        def counted(field):
-            converted.append(field)
-            return float(field)
-
-        monkeypatch.setattr(phylo, "float", counted, raising=False)
+        converted = _count_conversions(monkeypatch)
         for rows in (1, _ROWS, 2**20):
             monkeypatch.setattr(phylo, "_PHYLIP_ROWS", rows)
             converted.clear()
@@ -1243,14 +1266,8 @@ class TestPhylip:
     def test_a_mirrored_row_spelled_with_other_gaps_reads_the_same_floats(
         self, row, monkeypatch
     ):
-        converted = []
-
-        def counted(field):
-            converted.append(field)
-            return float(field)
-
         want = read_phylip(io.StringIO(self._FOUR))
-        monkeypatch.setattr(phylo, "float", counted, raising=False)
+        converted = _count_conversions(monkeypatch)
         got = read_phylip(io.StringIO(self._FOUR.replace(self._ROW_C, row)))
         assert got.labels == want.labels
         assert hexes(got) == hexes(want)

@@ -11,7 +11,7 @@ import re
 import tempfile
 import warnings
 from collections import Counter
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from bisect import bisect_right
 from itertools import accumulate, combinations, product
 from unittest import mock
@@ -893,22 +893,38 @@ def blocked_matrices(draw):
     return DistanceMatrix([f"t{i}" for i in range(k)], values)
 
 
+def _other_spelling(field: str, rnd) -> str:
+    """``field``, a number, or another spelling of it that ``float`` reads
+    as the same double: a sign, a mantissa with a trailing zero and an
+    upper-case exponent, the digits as an integer with an exponent, an
+    integer for an integral value, ``-0`` for a zero, another word for a
+    non-finite value."""
+    value = float(field)
+    if math.isnan(value):
+        return rnd.choice(["nan", "+nan", "NaN", "-nan"])
+    if math.isinf(value):
+        return rnd.choice(["inf", "+inf", "Infinity", "+INF"])
+    how = rnd.randrange(5)
+    if how == 0:
+        return "+" + field
+    if how == 1:
+        mantissa, exponent = format(Decimal(field), "E").split("E")
+        return f"{mantissa}{'0' if '.' in mantissa else '.0'}E{exponent}"
+    if how == 2:
+        _, digits, exponent = Decimal(field).as_tuple()
+        return "".join(map(str, digits)) + f"E{exponent}"
+    if how == 3 and value.is_integer():
+        return rnd.choice(["-0", "0", "-0.0"]) if value == 0.0 else str(int(value))
+    return field
+
+
 def _respelled(text: str, rnd) -> str:
-    """``text`` with every field left of the diagonal written another way
-    that ``float`` reads as the same number, amid runs of spaces and tabs."""
+    """``text`` with every field left of the diagonal spelled as
+    :func:`_other_spelling` does, amid runs of spaces and tabs."""
     lines = text.splitlines()
     for r in range(1, len(lines)):
         label, *fields = lines[r].split("\t")
-        for j, field in enumerate(fields[: r - 1]):
-            how = rnd.randrange(4)
-            if how == 0 and "." in field and "e" not in field:
-                field += "0"
-            elif how == 1:
-                field = "+" + field
-            elif how == 2 and field not in ("inf", "nan"):
-                _, digits, exponent = Decimal(field).as_tuple()
-                field = "".join(map(str, digits)) + f"E{exponent}"
-            fields[j] = field
+        fields[: r - 1] = [_other_spelling(field, rnd) for field in fields[: r - 1]]
         gaps = [rnd.choice(["\t", " ", "  ", " \t "]) for _ in fields]
         lines[r] = label + "".join(gap + field for gap, field in zip(gaps, fields))
     return "\n".join(lines) + "\n"
@@ -968,6 +984,112 @@ def respelled_phylip(draw):
 @given(st.one_of(phylip_like_text(), respelled_phylip()))
 def test_reader_gives_the_outcome_of_one_float_per_field(text):
     assert _phylip_outcome(text) == _plain_phylip_outcome(text)
+
+
+def _midpoint(a, b) -> str:
+    """The exact decimal halfway between ``a`` and ``b``, doubles or ints."""
+    with localcontext() as context:
+        context.prec = 2000
+        return str((Decimal(a) + Decimal(b)) / 2)
+
+
+_MAX = 1.7976931348623157e308
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+#: fields JSON reads as numbers: every one a spelling ``float`` reads too
+_JSON_NUMBERS = st.one_of(
+    st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,24})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    _ANY_DOUBLE.map(repr).filter(lambda text: text not in ("nan", "inf", "-inf")),
+    st.integers(-(2**70), 2**70).map(str),
+)
+#: fields only ``float`` reads: signs, bare points, leading zeros,
+#: non-finite words and exponents past the double range
+_FLOAT_ONLY = st.one_of(
+    st.from_regex(r"[+-]?([0-9]*\.[0-9]*|0[0-9]+)([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.from_regex(r"\+[0-9]{1,20}(\.[0-9]{1,20})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "+inf", "-Infinity", "INF", "1e400", "-1e999"]),
+)
+#: fields that are no number: JSON's other values, commas and other text
+_NON_NUMBERS = st.one_of(
+    st.sampled_from(["true", "false", "null", '"1"', "[1]", "[]", "{}", "1,2", ",", "1,", ",1"]),
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E), min_size=1, max_size=6),
+)
+
+
+def _conversion(convert, fields):
+    """``float.hex`` of each float ``convert`` makes of ``fields``, or the
+    text of the ``ValueError`` it raises."""
+    try:
+        values = convert(fields)
+    except ValueError as exc:
+        return str(exc)
+    assert values.dtype == np.float64 and values.shape == (len(fields),)
+    return [v.hex() for v in values.tolist()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_JSON_NUMBERS, _FLOAT_ONLY, _NON_NUMBERS), max_size=8))
+@example(["nan", "-Infinity", "+1.5", "1.", ".5", "01", "1E+05"])
+@example(["1.5", "nan"])
+@example(["1.5", "-Infinity"])
+@example(["1.5", "+1.5"])
+@example(["1.5", "1."])
+@example(["1.5", ".5"])
+@example(["1.5", "01"])
+@example(["1.5", "1E+05"])
+@example(["1e400"])
+@example(["1.5", "-1e400"])
+@example(["1e-400", "2.5"])
+@example(["true"])
+@example(["1.5", "false"])
+@example(["null", "1.5"])
+@example(["[1]"])
+@example(['"1"'])
+@example(["{}"])
+@example(["1,2"])
+@example(["1,2", "3"])
+@example(["-0"])
+@example(["1.5", "-0"])
+@example(["-0", "1.5", "1e-05"])
+@example([str(2**53 + 1), str(2**63 - 1), str(2**64 - 1), str(2**64 + 1), str(-(2**63) - 1)])
+@example(["1." + "3" * 399])
+@example(["7" * 400 + "e-400"])
+@example([_midpoint(0.0, 5e-324), _midpoint(5e-324, 1e-323)])
+@example([_midpoint(math.nextafter(_SMALLEST_NORMAL, 0.0), _SMALLEST_NORMAL)])
+@example([_midpoint(_MAX, 2**1024), _midpoint(math.nextafter(_MAX, 0.0), _MAX)])
+@example(["1.7976931348623158e308", "1.7976931348623159e308"])
+def test_floats_equal_float_of_each_field(fields):
+    """The reader's one conversion gives ``float`` of each field, bit for
+    bit, or ``float``'s error for the first it refuses, on any
+    whitespace-free ASCII fields."""
+    want = _conversion(lambda f: np.fromiter(map(float, f), np.float64, len(f)), fields)
+    assert _conversion(lambda f: phylo._floats(f, orjson.loads), fields) == want
+
+
+def _respelled_upper(text: str, rnd) -> str:
+    """``text`` with about half its fields from the diagonal on spelled as
+    :func:`_other_spelling` does, each copied to its mirror below the
+    diagonal or not, by a coin."""
+    count, *lines = text.splitlines()
+    cells = [line.split("\t") for line in lines]
+    for i, j in zip(*np.triu_indices(len(cells))):
+        if rnd.random() < 0.5:
+            cells[i][j + 1] = _other_spelling(cells[i][j + 1], rnd)
+            if rnd.random() < 0.5:
+                cells[j][i + 1] = cells[i][j + 1]
+    return "\n".join([count, *map("\t".join, cells)]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_matrices(), st.randoms())
+def test_fields_right_of_the_diagonal_in_other_spellings_read_the_same_floats(matrix, rnd):
+    text = io.StringIO()
+    write_phylip(matrix, text)
+    back = read_phylip(io.StringIO(_respelled_upper(text.getvalue(), rnd)))
+    assert back.labels == matrix.labels
+    assert [v.hex() for v in back.values.ravel().tolist()] == [
+        v.hex() for v in matrix.values.ravel().tolist()
+    ]
 
 
 # -- distance matrix and UPGMA ---------------------------------------------------------
